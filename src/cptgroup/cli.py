@@ -3,7 +3,7 @@
 Subcommands:
 
   verify    run the full verification pipeline; exit 0 on pass
-  table     print a group's 8x8 basic multiplication table
+  table     print a group's 7x7 basic multiplication table
   solve     print a symmetry constraint's exact solution space
   cycles    print regular-representation cycle listings
   identify  report a group's order, profile, and isomorphism matches

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 
@@ -220,15 +220,6 @@ class FiniteGroup:
         return all(self.table[i][j] == self.table[j][i]
                    for i in range(self.order) for j in range(i))
 
-    def power(self, i: int, k: int) -> int:
-        out = self.identity
-        base = i
-        if k < 0:
-            base, k = self.inv(i), -k
-        for _ in range(k):
-            out = self.table[out][base]
-        return out
-
     def word(self, indices: Iterable[int]) -> int:
         out = self.identity
         for i in indices:
@@ -283,18 +274,6 @@ class FiniteGroup:
             if all(self.table[i][j] == self.table[j][i]
                    for j in range(self.order)))
 
-    def conjugacy_classes(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        classes = []
-        for i in range(self.order):
-            if i in seen:
-                continue
-            cls = {self.table[self.table[g][i]][self.inv(g)]
-                   for g in range(self.order)}
-            seen |= cls
-            classes.append(frozenset(cls))
-        return classes
-
     def quotient(self, normal: frozenset[int]) -> "FiniteGroup":
         """Quotient by a normal subgroup; elements are cosets."""
         if not self.is_subgroup(normal):
@@ -334,17 +313,6 @@ class FiniteGroup:
         """Left multiplication on the element list, as permutations of the
         element positions (a faithful embedding into S_n)."""
         return [Permutation(self.table[g]) for g in range(self.order)]
-
-    def reordered(self, new_order: Sequence[int]) -> "FiniteGroup":
-        """Same group with elements listed in a new order."""
-        elems = [self.elements[i] for i in new_order]
-        labels = [self.labels[i] for i in new_order]
-        pos = {self.elements[i]: i for i in new_order}
-
-        def rmul(a, b):
-            return self.elements[self.table[pos[a]][pos[b]]]
-
-        return FiniteGroup(elems, rmul, labels, name=self.name)
 
 
 def generate_closure(generators: Sequence[Hashable],

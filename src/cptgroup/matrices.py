@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
@@ -40,12 +41,6 @@ class Mat4:
     @staticmethod
     def identity() -> "Mat4":
         return Mat4([[ONE if i == j else ZERO for j in range(4)]
-                     for i in range(4)])
-
-    @staticmethod
-    def diag(a, b, c, d) -> "Mat4":
-        vals = [_as_scalar(x) for x in (a, b, c, d)]
-        return Mat4([[vals[i] if i == j else ZERO for j in range(4)]
                      for i in range(4)])
 
     @staticmethod
@@ -140,9 +135,6 @@ class Mat4:
                 adj[j][i] = cof * dinv
         return Mat4(adj)
 
-    def flatten(self) -> list[Scalar]:
-        return [x for row in self.rows for x in row]
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -197,11 +189,6 @@ def _neg2(block):
     return tuple(tuple(-x for x in row) for row in block)
 
 
-def _scale2(c, block):
-    c = _as_scalar(c)
-    return tuple(tuple(c * x for x in row) for row in block)
-
-
 # -- canonical basis ----------------------------------------------------------
 
 # Index words for the sixteen products of distinct gamma matrices, in the
@@ -250,10 +237,31 @@ class GammaRep:
     def basis_grades(self) -> tuple[int, ...]:
         return tuple(len(w) % 2 for w in BASIS_WORDS)
 
+    @cached_property
+    def _duals(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
+        """The nonzero entries (i, j, d) of each dual B_k^-1 / 4.
+
+        The basis words are trace-orthogonal, tr(B_j^-1 B_k) = 4 delta_jk,
+        and each squares to +-1, so B_k^-1 = (B_k^2)_00 * B_k.
+        """
+        duals = []
+        for b in self.basis:
+            square = b * b
+            sign = square.rows[0][0]
+            if sign not in (ONE, MINUS_ONE) or \
+                    square != Mat4.identity().scale(sign):
+                raise ValueError("basis word does not square to +-1")
+            dual = b.scale(sign * Scalar("1/4"))
+            duals.append(tuple((i, j, x) for i, row in enumerate(dual.rows)
+                               for j, x in enumerate(row) if not x.is_zero()))
+        return tuple(duals)
+
     def basis_expand(self, m: Mat4) -> list[Scalar]:
-        """Coefficients c_k with m = sum(c_k * basis_k), solved exactly."""
-        solver = _expansion_solver(self)
-        return solver(m)
+        """Coefficients c_k with m = sum(c_k * basis_k), as c_k =
+        tr(B_k^-1 m) / 4: only the diagonal of the product is formed."""
+        rows = m.rows
+        return [sum((d * rows[j][i] for i, j, d in dual), ZERO)
+                for dual in self._duals]
 
     def recombine(self, coeffs: Sequence[Scalar]) -> Mat4:
         out = Mat4.zero()
@@ -292,46 +300,6 @@ class GammaRep:
             if not support <= span_indices:
                 return False
         return True
-
-
-_EXPANSION_CACHE: dict[tuple, object] = {}
-
-
-def _expansion_solver(rep: GammaRep):
-    """Precompute an exact 16x16 solve for coefficients over the basis."""
-    key = rep.basis
-    solver = _EXPANSION_CACHE.get(key)
-    if solver is not None:
-        return solver
-
-    cols = [b.flatten() for b in rep.basis]  # 16 columns of length 16
-
-    # Reduce [A | I] to [I | A^-1] by Gauss-Jordan over the exact field.
-    n = 16
-    aug = [[cols[j][i] for j in range(n)]
-           + [ONE if k == i else ZERO for k in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()),
-                   None)
-        if piv is None:
-            raise ValueError("canonical basis is not linearly independent")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv_rows = [row[n:] for row in aug]
-
-    def solve(m: Mat4) -> list[Scalar]:
-        vec = m.flatten()
-        return [sum((inv_rows[i][j] * vec[j] for j in range(n)), ZERO)
-                for i in range(n)]
-
-    _EXPANSION_CACHE[key] = solve
-    return solve
 
 
 def _build_rep(tag: RepTag, gammas: Sequence[Mat4]) -> GammaRep:
@@ -422,19 +390,6 @@ class MatrixClass:
         """Traceless antihermitian unitary unimodular antisymmetric."""
         return (self.traceless and self.antihermitian and self.unitary
                 and self.unimodular and self.antisymmetric)
-
-    def flags(self) -> dict[str, bool]:
-        return {
-            "unitary": self.unitary,
-            "unimodular": self.unimodular,
-            "traceless": self.traceless,
-            "hermitian": self.hermitian,
-            "antihermitian": self.antihermitian,
-            "symmetric": self.symmetric,
-            "antisymmetric": self.antisymmetric,
-            "real_entries": self.real_entries,
-            "imaginary_entries": self.imaginary_entries,
-        }
 
 
 def classify(m: Mat4) -> MatrixClass:

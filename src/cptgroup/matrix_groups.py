@@ -7,7 +7,7 @@ FiniteGroup objects in the standard element order
 
     1, C, P, T, CP, CT, PT, θ, -C, -P, -T, -CP, -CT, -PT, -θ, -1
 
-(positions 1..16), renders their 8x8 basic multiplication tables, and
+(positions 1..16), renders their 7x7 basic multiplication tables, and
 produces the regular-representation cycle listings in that labeling.
 """
 
@@ -58,8 +58,8 @@ def build_matrix_group(sol: CptSolutionSet) -> FiniteGroup:
 
 def basic_table(group: FiniteGroup,
                 base_names: tuple[str, ...] = BASE_NAMES) -> list[list[str]]:
-    """The 8x8 table (printed as 7x7 plus implicit identity row/column)
-    over the non-identity positive labels: entry = row times column."""
+    """The 7x7 table over the non-identity positive labels (the identity
+    row and column are implicit): entry = row times column."""
     idx = [group.label_index(n) for n in base_names]
     return [[group.labels[group.table[r][c]] for c in idx] for r in idx]
 

@@ -123,11 +123,6 @@ def to_s10(e: Operator) -> Permutation:
     return perm
 
 
-def s16_embedding(group: FiniteGroup) -> list[Permutation]:
-    """The left regular representation on positions 1..16."""
-    return group.regular_representation()
-
-
 def select_matrix_group(solutions: dict[int, CptSolutionSet]) -> int:
     """Return the variant whose matrices are consistent with the
     operator relations: TC = C*T (entrywise-conjugated C) and T* = T.

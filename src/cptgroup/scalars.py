@@ -21,10 +21,14 @@ from typing import Union
 RationalLike = Union[int, Fraction, str]
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def _rat(x: RationalLike) -> Fraction:
+    # most components are zero: share one Fraction for all of them
     if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+        return x if x else _FRACTION_ZERO
+    return Fraction(x) if x != 0 else _FRACTION_ZERO
 
 
 class Scalar:

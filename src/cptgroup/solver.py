@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import GammaRep, Mat4, RepTag, classify, get_rep
+from .matrices import (GammaRep, Mat4, RepTag, classify, get_rep,
+                       majorana_transform, weyl_transform)
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
 
 UNIT_SCALARS: tuple[Scalar, ...] = (ONE, MINUS_ONE, I, -I)
@@ -241,10 +242,8 @@ def _classify_variant(c: Mat4, p: Mat4, t: Mat4, rep: GammaRep) -> int:
     if rep.tag is not RepTag.DIRAC_PAULI:
         dp = get_rep(RepTag.DIRAC_PAULI)
         if rep.tag is RepTag.WEYL:
-            from .matrices import weyl_transform
             s = weyl_transform(dp)
         else:
-            from .matrices import majorana_transform
             s = majorana_transform(dp)
         # the transforms are involutive, so S also maps back to standard
         sol = transform_constraint_solutions(sol, s, rep.gamma[0],

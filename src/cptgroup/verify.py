@@ -14,21 +14,22 @@ fail too.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import claims
 from .groups import (FiniteGroup, GroupMap, Permutation, ShortExactSequence,
                      cycle_set_from_string, dicyclic_8, dicyclic_8_x_z2,
                      dihedral_8, dihedral_8_x_z2, direct_product, cyclic,
-                     conjugation_action, find_isomorphism, quaternion_group,
-                     semidirect_product, sign_group, sixteen_e,
-                     permutation_group)
+                     conjugation_action, extend_generator_images,
+                     find_isomorphism, klein_four, quaternion_group,
+                     semidirect_product, sign_group, sixteen_e)
 from .matrices import (Grade, GammaRep, Mat4, RepTag, classify,
-                       conjugate_representation, dirac_pauli_rep, get_rep,
+                       conjugate_representation, dirac_pauli_rep,
                        majorana_transform, weyl_transform)
-from .scalars import INV_SQRT2, Scalar
-from .solver import (CptSolutionSet, canonical_sets, charge_conjugation_system,
+from .scalars import I, INV_SQRT2, Scalar
+# `solve_system` is not called here, but `verify.solve_system` stays a
+# name: benchmarks/test_oracle.py checks that the tracer rebinds it
+from .solver import (canonical_sets, charge_conjugation_system,
                      check_cp_compatibility, check_ct_compatibility,
                      conjugate_group_matrices, enumerate_consistent_sets,
                      incompatible_parity_squares, parity_system,
@@ -36,8 +37,6 @@ from .solver import (CptSolutionSet, canonical_sets, charge_conjugation_system,
                      solve_time_reversal, time_reversal_system,
                      transform_constraint_solutions, verify_solution_properties)
 from . import matrix_groups, operator_group
-
-I = Scalar(0, 1)
 
 
 @dataclass
@@ -395,8 +394,12 @@ def _check_map_55(ctx: Context, report: VerificationReport) -> None:
                     "annotation_value": e16.elements[rhs].cycle_string()})
     gm = GroupMap(ctx.g2, e16, [images[lbl] for lbl in ctx.g2.labels])
     report.add("iso-55", gm.is_isomorphism())
+    # the "-C" annotation (see `claims.ISO_55`) is the one documented typo;
+    # any other disagreement, a printed cycle listing included, fails
+    typo_only = [(e["element"], e["kind"], e["printed"])
+                 for e in mismatches] == [("-C", "annotation", "aaa = -an")]
     report.add("iso-55-annotations", not mismatches,
-               {"entries": mismatches}, mismatch=True)
+               {"entries": mismatches}, mismatch=typo_only)
 
 
 def _dh8_dn_subgroup(ctx: Context) -> tuple[FiniteGroup, list[int]]:
@@ -419,7 +422,6 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
         b = ctx.dh8.index[Permutation.from_cycles("(2 4)", 4)]
         pos = {m: k for k, m in enumerate(members)}
         gens = [pos[letters["d"]], pos[letters["n"]]]
-        from .groups import extend_generator_images
         full = extend_generator_images(dh8_dn, ctx.dh8, gens, [r, b])
         if full is not None:
             iso_dn = GroupMap(dh8_dn, ctx.dh8, full)
@@ -576,7 +578,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
         GroupMap(dc8, quotient75,
                  [coset_of[i] for i in range(dc8.order)]))
     # printed isomorphism ρ of the quotient with the Klein group
-    v = direct_product(cyclic(2), cyclic(2), name="V")
+    v = klein_four()
     y = dc8.index[Permutation.from_cycles("(1 5 3 7)(2 8 4 6)", 8)]
     rho_data = {dc8.identity: (0, 0), x: (0, 1), y: (1, 0),
                 dc8.table[x][y]: (1, 1)}
@@ -662,13 +664,15 @@ def _check_representations(ctx: Context,
           and s_w.trace() == Scalar(0))
     report.add("transform-77", ok)
     # the printed "det = -1" holds for the 2x2 block display but not
-    # for the full 4x4 matrix, whose determinant is +1
+    # for the full 4x4 matrix, whose determinant is +1; any other value
+    # is a real failure, not this typo
     block_det = (Scalar(1) * Scalar(-1) - Scalar(1) * Scalar(1)) \
         * INV_SQRT2 * INV_SQRT2
-    report.add("transform-77-det", s_w.det() == Scalar(-1),
-               {"printed": "-1", "computed": str(s_w.det()),
+    det = s_w.det()
+    report.add("transform-77-det", det == Scalar(-1),
+               {"printed": "-1", "computed": str(det),
                 "block_2x2_determinant": str(block_det)},
-               mismatch=True)
+               mismatch=det == Scalar(1))
     ok = (s_m == claims.S_M_UNSCALED.scale(INV_SQRT2)
           and s_m == s_m.dagger() and s_m * s_m == Mat4.identity()
           and s_m.det() == Scalar(1) and s_m.trace() == Scalar(0))

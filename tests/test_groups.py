@@ -70,7 +70,6 @@ def test_basic_queries_on_cyclic():
     assert z6.element_order(1) == 6 and z6.element_order(3) == 2
     assert z6.order_profile() == {1: 1, 2: 1, 3: 2, 6: 2}
     assert z6.inv(2) == 4
-    assert z6.power(1, -2) == 4
     assert z6.word([1, 1, 3]) == 5
     assert z6.label_index("4") == 4
 
@@ -139,14 +138,11 @@ def test_regular_representation_is_faithful_and_regular():
             assert perms[g.mul(i, j)] == perms[i] * perms[j]
 
 
-def test_subgroup_and_reordered_objects():
+def test_subgroup_objects():
     g = dihedral_8()
     rot = g.closure_of([g.label_index("(1 2 3 4)")])
     sub = g.subgroup(rot, name="C4")
     assert sub.order == 4 and sub.is_abelian()
-    shuffled = g.reordered(list(reversed(range(g.order))))
-    assert shuffled.order_profile() == g.order_profile()
-    assert find_isomorphism(shuffled, g) is not None
 
 
 def test_semidirect_with_trivial_action_is_direct_product():

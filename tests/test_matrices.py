@@ -57,8 +57,7 @@ def test_conjugate_representation_preserves_products(rep):
 
 
 def random_mat(rng):
-    return Mat4([[Scalar(Fraction(rng.randint(-5, 5)),
-                         Fraction(rng.randint(-5, 5)))
+    return Mat4([[Scalar(*(Fraction(rng.randint(-5, 5)) for _ in range(4)))
                   for _ in range(4)] for _ in range(4)])
 
 
@@ -67,6 +66,11 @@ def test_basis_roundtrip(rep):
     for _ in range(100):
         m = random_mat(rng)
         assert rep.recombine(rep.basis_expand(m)) == m
+
+
+def test_basis_expand_of_basis_word_is_unit_vector(rep):
+    for k, b in enumerate(rep.basis):
+        assert rep.basis_expand(b) == [Scalar(int(j == k)) for j in range(16)]
 
 
 def test_basis_elements_have_homogeneous_grade(rep):

@@ -12,8 +12,7 @@ from cptgroup.operator_group import (BASE_NAMES, C_OP, IDENTITY, P_OP,
                                      STANDARD_ORDER_LABELS, T_OP,
                                      build_operator_group, named_operators,
                                      op_mul, op_neg, presentation_checks,
-                                     s16_embedding, select_matrix_group,
-                                     to_s10)
+                                     select_matrix_group, to_s10)
 from cptgroup.solver import CptSolutionSet, canonical_sets
 
 
@@ -79,15 +78,6 @@ def test_s10_images_match_printed_chain(gtheta):
     printed = {row[0]: row[3] for row in claims.CHAIN_73}
     for label, image in zip(gtheta.labels, map(to_s10, gtheta.elements)):
         assert image.cycle_set() == cycle_set_from_string(printed[label])
-
-
-def test_s16_embedding_is_regular(gtheta):
-    perms = s16_embedding(gtheta)
-    printed = {row[0]: row[4] for row in claims.CHAIN_73}
-    for label, perm in zip(gtheta.labels, perms):
-        assert perm.cycle_set() == cycle_set_from_string(printed[label])
-        if label != "1":
-            assert perm.moves_every_point()
 
 
 def test_selection_criterion_picks_variant_two():

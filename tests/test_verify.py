@@ -1,5 +1,6 @@
 """The verification pipeline's report object and claim inventory."""
 
+from cptgroup import claims, verify
 from cptgroup.verify import ClaimResult, VerificationReport
 
 
@@ -49,3 +50,14 @@ def test_context_accessors(pipeline):
     assert ctx.rep(RepTag.WEYL).tag is RepTag.WEYL
     for key in ("g1", "g2", "gtheta"):
         assert ctx.group(key).order == 16
+
+
+def test_corrupted_iso_55_cycles_fail(ctx, monkeypatch):
+    # only the documented "-C" annotation typo may read as a mismatch; a
+    # wrong printed cycle listing is a real failure
+    corrupted = [(label, word, eqs, "(1 2)" if label == "CP" else cycles)
+                 for label, word, eqs, cycles in claims.ISO_55]
+    monkeypatch.setattr(claims, "ISO_55", corrupted)
+    report = VerificationReport()
+    verify._check_map_55(ctx, report)
+    assert report.status_of("iso-55-annotations") == "fail"
