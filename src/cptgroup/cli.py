@@ -20,22 +20,13 @@ from datetime import datetime, timezone
 
 from . import matrix_groups, operator_group
 from .groups import find_isomorphism
-from .matrices import BASIS_NAMES, RepTag
-from .solver import (charge_conjugation_system, parity_system,
-                     solve_charge_conjugation, solve_parity,
-                     solve_time_reversal, time_reversal_system)
+from .matrices import BASIS_NAMES, RepTag, get_rep
+from .solver import SYSTEMS, solve_system
 from .verify import Context, run_all
 
 GROUP_CHOICES = ("g1", "g2", "gtheta")
 SYMMETRY_NAMES = {"p": "parity", "c": "charge-conjugation",
                   "t": "time-reversal"}
-REP_TAGS = {"dp": RepTag.DIRAC_PAULI, "weyl": RepTag.WEYL,
-            "majorana": RepTag.MAJORANA}
-
-
-def _base_names(key: str):
-    return operator_group.BASE_NAMES if key == "gtheta" \
-        else matrix_groups.BASE_NAMES
 
 
 def cmd_verify(args) -> int:
@@ -50,34 +41,27 @@ def cmd_verify(args) -> int:
     if args.json_out:
         payload = report.to_json(strict=args.strict)
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        with open(args.json_out, "w") as fh:
+        with args.json_out as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if overall == "pass" else 1
 
 
 def cmd_table(args) -> int:
-    ctx = Context()
-    group = ctx.group(args.group)
-    names = _base_names(args.group)
-    table = matrix_groups.basic_table(group, names)
+    group = Context().group(args.group)
     if args.format == "json":
-        print(json.dumps({"group": args.group, "row_labels": list(names),
-                          "table": table}, indent=2))
+        print(json.dumps({"group": args.group,
+                          "row_labels": matrix_groups.base_labels(group),
+                          "table": matrix_groups.basic_table(group)},
+                         indent=2))
     else:
-        print(matrix_groups.render_table(table, names))
+        print(matrix_groups.render_table(group))
     return 0
 
 
 def cmd_solve(args) -> int:
-    ctx = Context()
-    rep = ctx.rep(REP_TAGS[args.rep])
-    solver = {"p": solve_parity, "c": solve_charge_conjugation,
-              "t": solve_time_reversal}[args.symmetry]
-    system = {"p": parity_system, "c": charge_conjugation_system,
-              "t": time_reversal_system}[args.symmetry](rep)
-    space = solver(rep)
-    assert all(system.satisfied_by(b) for b in space.basis)
+    rep = get_rep(RepTag(args.rep))
+    space = solve_system(SYSTEMS[args.symmetry](rep), rep)
     names = []
     for b in space.basis:
         coeffs = rep.basis_expand(b)
@@ -136,13 +120,12 @@ def cmd_identify(args) -> int:
             item["map"] = {group.labels[i]: target.labels[m]
                            for i, m in enumerate(gm.images)}
         checked.append(item)
-    names = _base_names(args.group)
     payload = {
         "group": args.group,
         "order": group.order,
         "profile": {str(k): v
                     for k, v in sorted(group.order_profile().items())},
-        "table": matrix_groups.basic_table(group, names),
+        "table": matrix_groups.basic_table(group),
         "cycles": {lbl: p.cycle_string()
                    for lbl, p in zip(group.labels,
                                      group.regular_representation())},
@@ -167,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
-    p.add_argument("--json-out", metavar="PATH",
+    # opened while parsing, so a bad path is a usage error before the run
+    p.add_argument("--json-out", metavar="PATH", type=argparse.FileType("w"),
                    help="write the machine-readable report here")
     p.add_argument("--strict", action="store_true",
                    help="treat documented-typo mismatches as failures")
@@ -179,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("solve", help="solve a symmetry constraint system")
-    p.add_argument("--symmetry", choices=("p", "c", "t"), required=True)
-    p.add_argument("--rep", choices=tuple(REP_TAGS), required=True)
+    p.add_argument("--symmetry", choices=tuple(SYSTEMS), required=True)
+    p.add_argument("--rep", choices=[t.value for t in RepTag], required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_solve)
 

@@ -193,9 +193,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inv(self, i: int) -> int:
         return self.table[i].index(self.identity)
 
@@ -215,16 +212,6 @@ class FiniteGroup:
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def is_abelian(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.order) for j in range(i))
-
-    def word(self, indices: Iterable[int]) -> int:
-        out = self.identity
-        for i in indices:
-            out = self.table[out][i]
-        return out
 
     # -- structure ----------------------------------------------------------
 
@@ -324,7 +311,6 @@ def generate_closure(generators: Sequence[Hashable],
     """Breadth-first closure of a generator set under the product."""
     elements = [identity]
     seen = {identity}
-    frontier = [identity]
     gens = list(generators)
     for g in gens:
         if g not in seen:
@@ -359,34 +345,39 @@ def permutation_group(cycle_strings: Sequence[str], degree: int,
 
 # -- named groups ----------------------------------------------------------------
 
+# generators as printed: the rotation and reflection of the square; a, d,
+# n of 16E; x, y of the dicyclic group
+DIHEDRAL_GENERATORS = ("(1 2 3 4)", "(2 4)")
+SIXTEEN_E_GENERATORS = ("(1 2 3 4)(5 6 7 8)", "(1 6 3 8)(2 5 4 7)",
+                        "(1 7)(2 8)(3 5)(4 6)")
+DICYCLIC_GENERATORS = ("(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)")
+
 
 def dihedral_8() -> FiniteGroup:
     """Symmetries of the square, as <(1234), (24)> in S_4."""
-    return permutation_group(["(1 2 3 4)", "(2 4)"], 4, name="DH8")
+    return permutation_group(DIHEDRAL_GENERATORS, 4, name="DH8")
 
 
 def dihedral_8_x_z2() -> FiniteGroup:
     """DH8 x Z2 as <(1234), (24), (56)> in S_6."""
-    return permutation_group(["(1 2 3 4)", "(2 4)", "(5 6)"], 6,
+    return permutation_group([*DIHEDRAL_GENERATORS, "(5 6)"], 6,
                              name="DH8xZ2")
 
 
 def sixteen_e() -> FiniteGroup:
     """The nontrivial split extension of DH8 by Z2, in S_8."""
-    return permutation_group(["(1 2 3 4)(5 6 7 8)", "(1 6 3 8)(2 5 4 7)",
-                              "(1 7)(2 8)(3 5)(4 6)"], 8, name="16E")
+    return permutation_group(SIXTEEN_E_GENERATORS, 8, name="16E")
 
 
 def dicyclic_8() -> FiniteGroup:
     """The dicyclic group of order 8, as <x, y> in S_8."""
-    return permutation_group(["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], 8,
-                             name="DC8")
+    return permutation_group(DICYCLIC_GENERATORS, 8, name="DC8")
 
 
 def dicyclic_8_x_z2() -> FiniteGroup:
     """DC8 x Z2 in S_10, with the Z2 factor generated by (9 10)."""
-    return permutation_group(["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)",
-                              "(9 10)"], 10, name="DC8xZ2")
+    return permutation_group([*DICYCLIC_GENERATORS, "(9 10)"], 10,
+                             name="DC8xZ2")
 
 
 _QUATERNION_TABLE = {

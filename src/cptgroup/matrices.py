@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
@@ -334,25 +334,30 @@ def majorana_transform(dp: GammaRep) -> Mat4:
     return (dp.gamma[2] * dp.gamma[0] + dp.gamma[0]).scale(INV_SQRT2)
 
 
+# the change of basis from the standard presentation to each other one;
+# each transform is involutive, so it also maps back to the standard one
+TRANSFORMS = {RepTag.WEYL: weyl_transform, RepTag.MAJORANA: majorana_transform}
+
+
 def conjugate_representation(rep: GammaRep, target: RepTag) -> GammaRep:
     """Conjugate the standard presentation into the Weyl or Majorana one."""
     if rep.tag is not RepTag.DIRAC_PAULI:
         raise ValueError("source representation must be the standard one")
-    if target is RepTag.WEYL:
-        s = weyl_transform(rep)
-    elif target is RepTag.MAJORANA:
-        s = majorana_transform(rep)
-    elif target is RepTag.DIRAC_PAULI:
+    if target is RepTag.DIRAC_PAULI:
         return rep
-    else:
+    if target not in TRANSFORMS:
         raise ValueError(f"unknown target representation {target}")
+    s = TRANSFORMS[target](rep)
     sd = s.dagger()
     if s != sd or (s * s) != Mat4.identity():
         raise AssertionError("transform must be hermitian and involutive")
     return _build_rep(target, [s * g * sd for g in rep.gamma])
 
 
+@cache
 def get_rep(tag: RepTag) -> GammaRep:
+    """The presentation `tag`, built once: a GammaRep is immutable, so
+    every caller can share it."""
     dp = dirac_pauli_rep()
     if tag is RepTag.DIRAC_PAULI:
         return dp

@@ -1,8 +1,9 @@
-"""The two sixteen-element matrix groups generated by C, P, T.
+"""The sixteen-element groups generated by C, P, T.
 
 Each consistent solution family, with its canonical plus-sign choice,
 generates a group {±1, ±C, ±P, ±T, ±CP, ±CT, ±PT, ±θ} of exact matrices
-inside the Dirac algebra.  This module builds those groups as labeled
+inside the Dirac algebra, and the quantum operators generate one more
+(see `cptgroup.operator_group`).  This module builds all three as labeled
 FiniteGroup objects in the standard element order
 
     1, C, P, T, CP, CT, PT, θ, -C, -P, -T, -CP, -CT, -PT, -θ, -1
@@ -13,63 +14,65 @@ produces the regular-representation cycle listings in that labeling.
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, GroupError, Permutation, generate_closure
+from typing import Callable, Hashable, Sequence
+
+from .groups import FiniteGroup, GroupError, Permutation
 from .matrices import Mat4
 from .solver import CptSolutionSet
 
 BASE_NAMES = ("C", "P", "T", "CP", "CT", "PT", "θ")
 
-# labels in list order; position k holds the element numbered k+1
-STANDARD_ORDER_LABELS = (
-    "1", "C", "P", "T", "CP", "CT", "PT", "θ",
-    "-C", "-P", "-T", "-CP", "-CT", "-PT", "-θ", "-1",
-)
+# list positions of C, P, T, CP, CT, PT, θ in the standard order
+_BASE_POSITIONS = range(1, 8)
 
 
-def named_products(sol: CptSolutionSet) -> dict[str, Mat4]:
-    c, p, t = sol.C, sol.P, sol.T
-    pos = {
-        "1": Mat4.identity(), "C": c, "P": p, "T": t,
-        "CP": c * p, "CT": c * t, "PT": p * t, "θ": sol.theta,
-    }
-    out = dict(pos)
-    for name, m in pos.items():
-        out["-" + name if name != "1" else "-1"] = -m
-    return out
-
-
-def build_matrix_group(sol: CptSolutionSet) -> FiniteGroup:
-    """The group generated by a solution set, in the standard order.
+def cpt_group(c: Hashable, p: Hashable, t: Hashable,
+              mul: Callable[[Hashable, Hashable], Hashable],
+              neg: Callable[[Hashable], Hashable], identity: Hashable,
+              base_names: Sequence[str], name: str) -> FiniteGroup:
+    """The group {±1, ±C, ±P, ±T, ±CP, ±CT, ±PT, ±θ} in the standard order,
+    with `base_names` naming C, P, T, CP, CT, PT, θ.
 
     Raises GroupError if the sixteen named products are not distinct or
     not closed, or if the closure of {C, P, T} is not exactly this set.
     """
-    named = named_products(sol)
-    elements = [named[lbl] for lbl in STANDARD_ORDER_LABELS]
-    group = FiniteGroup(elements, lambda a, b: a * b,
-                        labels=STANDARD_ORDER_LABELS,
-                        name=f"G_theta({sol.variant})")
-    closure = generate_closure([sol.C, sol.P, sol.T], lambda a, b: a * b,
-                               Mat4.identity())
-    if set(closure.elements) != set(elements):
+    cp = mul(c, p)
+    positive = [identity, c, p, t, cp, mul(c, t), mul(p, t), mul(cp, t)]
+    elements = positive + [neg(e) for e in positive[1:]] + [neg(identity)]
+    labels = ["1", *base_names, *("-" + n for n in base_names), "-1"]
+    group = FiniteGroup(elements, mul, labels=labels, name=name)
+    # the sixteen are closed under the product, since their table exists;
+    # C, P, T must also generate all of them
+    if len(group.closure_of(_BASE_POSITIONS[:3])) != group.order:
         raise GroupError("closure of {C,P,T} differs from the named products")
     return group
 
 
-def basic_table(group: FiniteGroup,
-                base_names: tuple[str, ...] = BASE_NAMES) -> list[list[str]]:
+def build_matrix_group(sol: CptSolutionSet) -> FiniteGroup:
+    """The group generated by a solution set, in the standard order."""
+    return cpt_group(sol.C, sol.P, sol.T, lambda a, b: a * b,
+                     lambda a: -a, Mat4.identity(), BASE_NAMES,
+                     f"G_theta({sol.variant})")
+
+
+def base_labels(group: FiniteGroup) -> list[str]:
+    """The group's own names for C, P, T, CP, CT, PT, θ."""
+    return [group.labels[i] for i in _BASE_POSITIONS]
+
+
+def basic_table(group: FiniteGroup) -> list[list[str]]:
     """The 7x7 table over the non-identity positive labels (the identity
     row and column are implicit): entry = row times column."""
-    idx = [group.label_index(n) for n in base_names]
-    return [[group.labels[group.table[r][c]] for c in idx] for r in idx]
+    return [[group.labels[group.table[r][c]] for c in _BASE_POSITIONS]
+            for r in _BASE_POSITIONS]
 
 
-def render_table(table: list[list[str]],
-                 base_names: tuple[str, ...] = BASE_NAMES) -> str:
+def render_table(group: FiniteGroup) -> str:
+    table, names = basic_table(group), base_labels(group)
     width = max(len(x) for row in table for x in row) + 2
-    header = " " * width + "".join(n.rjust(width) for n in base_names)
+    header = " " * width + "".join(n.rjust(width) for n in names)
     lines = [header]
-    for name, row in zip(base_names, table):
+    for name, row in zip(names, table):
         lines.append(name.rjust(width) + "".join(x.rjust(width) for x in row))
     return "\n".join(lines)
 

@@ -22,8 +22,9 @@ forces T* = T — satisfied by the second solution family only.
 
 from __future__ import annotations
 
-from .groups import (FiniteGroup, GroupError, Permutation, generate_closure,
-                     _quat_mul)
+from .groups import (DICYCLIC_GENERATORS, FiniteGroup, GroupError,
+                     Permutation, _quat_mul)
+from .matrix_groups import cpt_group
 from .solver import CptSolutionSet
 
 # an element is ((sign, unit), eps): a quaternion unit with sign, and a
@@ -37,11 +38,6 @@ T_OP: Operator = ((1, "j"), 1)
 
 BASE_NAMES = ("C", "P", "T", "C*P", "C*T", "P*T", "Θ")
 
-STANDARD_ORDER_LABELS = (
-    "1", "C", "P", "T", "C*P", "C*T", "P*T", "Θ",
-    "-C", "-P", "-T", "-C*P", "-C*T", "-P*T", "-Θ", "-1",
-)
-
 
 def op_mul(a: Operator, b: Operator) -> Operator:
     return (_quat_mul(a[0], b[0]), a[1] * b[1])
@@ -50,19 +46,6 @@ def op_mul(a: Operator, b: Operator) -> Operator:
 def op_neg(a: Operator) -> Operator:
     (s, u), eps = a
     return ((-s, u), eps)
-
-
-def named_operators() -> dict[str, Operator]:
-    pos = {
-        "1": IDENTITY, "C": C_OP, "P": P_OP, "T": T_OP,
-        "C*P": op_mul(C_OP, P_OP), "C*T": op_mul(C_OP, T_OP),
-        "P*T": op_mul(P_OP, T_OP),
-        "Θ": op_mul(op_mul(C_OP, P_OP), T_OP),
-    }
-    out = dict(pos)
-    for name, e in pos.items():
-        out["-" + name if name != "1" else "-1"] = op_neg(e)
-    return out
 
 
 def presentation_checks() -> dict[str, bool]:
@@ -77,8 +60,9 @@ def presentation_checks() -> dict[str, bool]:
         "C*P = P*C": m(C_OP, P_OP) == m(P_OP, C_OP),
         "C*T = T*C": m(C_OP, T_OP) == m(T_OP, C_OP),
         "(-1)*(-1) = 1": m(minus_one, minus_one) == IDENTITY,
+        # commuting with the generators makes -1 central
         "-1 central": all(m(minus_one, g) == m(g, minus_one)
-                          for g in named_operators().values()),
+                          for g in (C_OP, P_OP, T_OP)),
     }
 
 
@@ -87,20 +71,13 @@ def build_operator_group() -> FiniteGroup:
     failed = [rel for rel, ok in presentation_checks().items() if not ok]
     if failed:
         raise GroupError(f"realization violates relations: {failed}")
-    named = named_operators()
-    elements = [named[lbl] for lbl in STANDARD_ORDER_LABELS]
-    group = FiniteGroup(elements, op_mul, labels=STANDARD_ORDER_LABELS,
-                        name="G_Theta")
-    closure = generate_closure([C_OP, P_OP, T_OP], op_mul, IDENTITY)
-    if set(closure.elements) != set(elements):
-        raise GroupError("closure of {C,P,T} differs from the named set")
-    return group
+    return cpt_group(C_OP, P_OP, T_OP, op_mul, op_neg, IDENTITY, BASE_NAMES,
+                     "G_Theta")
 
 
 # -- embeddings into permutation groups ------------------------------------------
 
-_X = Permutation.from_cycles("(1 2 3 4)(5 6 7 8)", 10)
-_Y = Permutation.from_cycles("(1 5 3 7)(2 8 4 6)", 10)
+_X, _Y = (Permutation.from_cycles(g, 10) for g in DICYCLIC_GENERATORS)
 _Z = Permutation.from_cycles("(9 10)", 10)
 
 # signed quaternion unit -> word in the dicyclic generators x, y

@@ -138,9 +138,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not (self.p or self.q or self.r or self.s)
 
-    def is_rational(self) -> bool:
-        return not (self.q or self.r or self.s)
-
     def is_real(self) -> bool:
         return not (self.q or self.s)
 

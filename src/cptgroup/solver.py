@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import (GammaRep, Mat4, RepTag, classify, get_rep,
-                       majorana_transform, weyl_transform)
+from .matrices import GammaRep, Mat4, RepTag, TRANSFORMS, classify, get_rep
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
 
 UNIT_SCALARS: tuple[Scalar, ...] = (ONE, MINUS_ONE, I, -I)
@@ -80,6 +79,11 @@ def time_reversal_system(rep: GammaRep) -> ConstraintSystem:
     rels = [Relation(rep.gamma[0].conj(), rep.gamma[0], +1)]
     rels += [Relation(rep.gamma[k].conj(), rep.gamma[k], -1) for k in (1, 2, 3)]
     return ConstraintSystem(tuple(rels))
+
+
+# each symmetry's constraint system, by its one-letter name
+SYSTEMS = {"p": parity_system, "c": charge_conjugation_system,
+           "t": time_reversal_system}
 
 
 def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
@@ -241,13 +245,8 @@ def _classify_variant(c: Mat4, p: Mat4, t: Mat4, rep: GammaRep) -> int:
     sol = CptSolutionSet(0, C=c, P=p, T=t)
     if rep.tag is not RepTag.DIRAC_PAULI:
         dp = get_rep(RepTag.DIRAC_PAULI)
-        if rep.tag is RepTag.WEYL:
-            s = weyl_transform(dp)
-        else:
-            s = majorana_transform(dp)
-        # the transforms are involutive, so S also maps back to standard
-        sol = transform_constraint_solutions(sol, s, rep.gamma[0],
-                                             dp.gamma[0])
+        sol = transform_constraint_solutions(sol, TRANSFORMS[rep.tag](dp),
+                                             rep.gamma[0], dp.gamma[0])
     sig = sol.squares()
     for v, known in SQUARE_SIGNATURES.items():
         if known == sig:
@@ -314,6 +313,17 @@ def transform_constraint_solutions(sol: CptSolutionSet, s: Mat4,
 # -- per-solution property report ------------------------------------------------
 
 
+# signs s with M† = sM, M^-1 = sM, M~ = sM and M* = sM, per variant:
+# P and θ agree across the families, while C and T are real only in the
+# second
+_IMAGE_SIGNS = {
+    1: {"C": (1, 1, -1, -1), "P": (-1, -1, 1, -1), "T": (1, 1, -1, -1),
+        "theta": (1, 1, -1, -1)},
+    2: {"C": (-1, -1, -1, 1), "P": (-1, -1, 1, -1), "T": (-1, -1, -1, 1),
+        "theta": (1, 1, -1, -1)},
+}
+
+
 def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
     """Exact checks of every identity claimed for a consistent set."""
     ident = Mat4.identity()
@@ -322,46 +332,18 @@ def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     sig = SQUARE_SIGNATURES[sol.variant]
     checks["squares"] = sol.squares() == sig
-
-    # parity identities: P† = -P = P^-1 = -P~ = P*
-    checks["P_adjoint"] = p.dagger() == -p
-    checks["P_inverse"] = p.inverse() == -p
-    checks["P_transpose"] = p.transpose() == p
-    checks["P_conjugate"] = p.conj() == -p
-
-    if sol.variant == 1:
-        # C† = C = C^-1 = -C~ = -C*
-        checks["C_adjoint"] = c.dagger() == c
-        checks["C_inverse"] = c.inverse() == c
-        checks["C_transpose"] = c.transpose() == -c
-        checks["C_conjugate"] = c.conj() == -c
-        # T† = T = T^-1 = -T~ = -T*
-        checks["T_adjoint"] = t.dagger() == t
-        checks["T_inverse"] = t.inverse() == t
-        checks["T_transpose"] = t.transpose() == -t
-        checks["T_conjugate"] = t.conj() == -t
-    else:
-        # C† = -C, C^-1 = -C, C~ = -C, C* = C (so C is real)
-        checks["C_adjoint"] = c.dagger() == -c
-        checks["C_inverse"] = c.inverse() == -c
-        checks["C_transpose"] = c.transpose() == -c
-        checks["C_conjugate"] = c.conj() == c
-        checks["T_adjoint"] = t.dagger() == -t
-        checks["T_inverse"] = t.inverse() == -t
-        checks["T_transpose"] = t.transpose() == -t
-        checks["T_conjugate"] = t.conj() == t
+    for name, m in (("C", c), ("P", p), ("T", t), ("theta", theta)):
+        images = (m.dagger(), m.inverse(), m.transpose(), m.conj())
+        for op, image, sign in zip(("adjoint", "inverse", "transpose",
+                                    "conjugate"), images,
+                                   _IMAGE_SIGNS[sol.variant][name]):
+            checks[f"{name}_{op}"] = image == (m if sign == 1 else -m)
+        checks[f"{name}_unimodular"] = m.det() == ONE
+        checks[f"{name}_traceless"] = m.trace().is_zero()
 
     checks["CCstar"] = c * c.conj() == -ident
     checks["PT_commute"] = p * t == t * p
     checks["theta_square"] = theta * theta == ident
-    checks["theta_adjoint"] = theta.dagger() == theta
-    checks["theta_inverse"] = theta.inverse() == theta
-    checks["theta_transpose"] = theta.transpose() == -theta
-    checks["theta_conjugate"] = theta.conj() == -theta
-
-    for name, m in (("C", c), ("P", p), ("T", t), ("theta", theta)):
-        checks[f"{name}_unimodular"] = m.det() == ONE
-        checks[f"{name}_traceless"] = m.trace().is_zero()
 
     # class memberships: theta always in K; P in M; C, T in K (variant 1)
     # or N (variant 2)

@@ -17,24 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import claims
-from .groups import (FiniteGroup, GroupMap, Permutation, ShortExactSequence,
-                     cycle_set_from_string, dicyclic_8, dicyclic_8_x_z2,
-                     dihedral_8, dihedral_8_x_z2, direct_product, cyclic,
-                     conjugation_action, extend_generator_images,
-                     find_isomorphism, klein_four, quaternion_group,
-                     semidirect_product, sign_group, sixteen_e)
-from .matrices import (Grade, GammaRep, Mat4, RepTag, classify,
-                       conjugate_representation, dirac_pauli_rep,
+from .groups import (DICYCLIC_GENERATORS, DIHEDRAL_GENERATORS,
+                     SIXTEEN_E_GENERATORS, FiniteGroup, GroupMap,
+                     Permutation, ShortExactSequence, cycle_set_from_string,
+                     dicyclic_8, dicyclic_8_x_z2, dihedral_8, dihedral_8_x_z2,
+                     direct_product, cyclic, conjugation_action,
+                     extend_generator_images, find_isomorphism, klein_four,
+                     quaternion_group, semidirect_product, sign_group,
+                     sixteen_e)
+from .matrices import (Grade, Mat4, RepTag, TRANSFORMS, classify, get_rep,
                        majorana_transform, weyl_transform)
 from .scalars import I, INV_SQRT2, Scalar
-# `solve_system` is not called here, but `verify.solve_system` stays a
-# name: benchmarks/test_oracle.py checks that the tracer rebinds it
-from .solver import (canonical_sets, charge_conjugation_system,
+from .solver import (SYSTEMS, UNIT_SCALARS, canonical_sets,
                      check_cp_compatibility, check_ct_compatibility,
                      conjugate_group_matrices, enumerate_consistent_sets,
-                     incompatible_parity_squares, parity_system,
-                     solve_charge_conjugation, solve_parity, solve_system,
-                     solve_time_reversal, time_reversal_system,
+                     incompatible_parity_squares, solve_system,
                      transform_constraint_solutions, verify_solution_properties)
 from . import matrix_groups, operator_group
 
@@ -85,9 +82,7 @@ class Context:
     """Everything the pipeline and the CLI need, built once."""
 
     def __init__(self) -> None:
-        self.dp = dirac_pauli_rep()
-        self.weyl = conjugate_representation(self.dp, RepTag.WEYL)
-        self.majorana = conjugate_representation(self.dp, RepTag.MAJORANA)
+        self.dp = get_rep(RepTag.DIRAC_PAULI)
         self.solutions = canonical_sets()
         self.g1 = matrix_groups.build_matrix_group(self.solutions[1])
         self.g2 = matrix_groups.build_matrix_group(self.solutions[2])
@@ -99,10 +94,6 @@ class Context:
         self.dc8xz2 = dicyclic_8_x_z2()
         self.q = quaternion_group()
         self.qxs0 = direct_product(self.q, sign_group(), name="QxS0")
-
-    def rep(self, tag: RepTag) -> GammaRep:
-        return {RepTag.DIRAC_PAULI: self.dp, RepTag.WEYL: self.weyl,
-                RepTag.MAJORANA: self.majorana}[tag]
 
     def group(self, key: str) -> FiniteGroup:
         return {"g1": self.g1, "g2": self.g2, "gtheta": self.gtheta}[key]
@@ -134,6 +125,24 @@ def _perm_matches(p: Permutation, printed: str) -> bool:
     return p.cycle_set() == cycle_set_from_string(printed)
 
 
+def _table_diffs(group: FiniteGroup, printed: list[list[str]]) -> list[dict]:
+    """The entries where the group's basic table differs from `printed`."""
+    got = matrix_groups.basic_table(group)
+    names = matrix_groups.base_labels(group)
+    return [{"row": names[i], "col": names[j], "printed": printed[i][j],
+             "computed": got[i][j]}
+            for i in range(7) for j in range(7) if got[i][j] != printed[i][j]]
+
+
+def _profile_ok(group: FiniteGroup, profile: dict[int, int],
+                order2: list[str], order4: list[str]) -> bool:
+    """The order profile, and the printed elements of orders 2 and 4."""
+    of_order = {k: {group.labels[i] for i in range(group.order)
+                    if group.element_order(i) == k} for k in (2, 4)}
+    return (group.order_profile() == profile and of_order[2] == set(order2)
+            and of_order[4] == set(order4))
+
+
 # -- pipeline stages ------------------------------------------------------------
 
 
@@ -141,8 +150,8 @@ def _check_clifford(ctx: Context, report: VerificationReport) -> None:
     two = Scalar(2)
     eta = (two, -two, -two, -two)
     ident = Mat4.identity()
-    for tag, rep in (("dp", ctx.dp), ("weyl", ctx.weyl),
-                     ("majorana", ctx.majorana)):
+    for tag in RepTag:
+        rep = get_rep(tag)
         ok = True
         for mu in range(4):
             for nu in range(4):
@@ -153,7 +162,7 @@ def _check_clifford(ctx: Context, report: VerificationReport) -> None:
         g5 = (rep.gamma[0] * rep.gamma[1] * rep.gamma[2]
               * rep.gamma[3]).scale(-I)
         ok = ok and rep.gamma5 == g5
-        report.add(f"clifford-{tag}", ok)
+        report.add(f"clifford-{tag.value}", ok)
     g = ctx.dp.gamma
     ok = all(g[0] * g[mu].conj() * g[0] == g[mu].transpose()
              for mu in range(4))
@@ -165,21 +174,16 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
     g = dp.gamma
     closed = {"p": ("kernel-7", g[0]), "c": ("kernel-18", g[2] * g[0]),
               "t": ("kernel-27", g[3] * g[1])}
-    solvers = {"p": solve_parity, "c": solve_charge_conjugation,
-               "t": solve_time_reversal}
-    systems = {"p": parity_system, "c": charge_conjugation_system,
-               "t": time_reversal_system}
-    for sym in ("p", "c", "t"):
-        claim_id, expected = closed[sym]
-        space = solvers[sym](dp)
+    for sym, (claim_id, expected) in closed.items():
+        system = SYSTEMS[sym](dp)
+        space = solve_system(system, dp)
         ok = space.dimension == 1
-        basis = space.basis[0] if space.basis else None
         # the normalized kernel basis must be a unit multiple of the
         # closed form, and satisfy the system by substitution
         if ok:
-            ratio_ok = any(basis == expected.scale(u)
-                           for u in (Scalar(1), Scalar(-1), I, -I))
-            ok = ratio_ok and systems[sym](dp).satisfied_by(basis)
+            basis = space.basis[0]
+            ok = (any(basis == expected.scale(u) for u in UNIT_SCALARS)
+                  and system.satisfied_by(basis))
         report.add(claim_id, ok, {"dimension": space.dimension})
     # extra printed facts about the closed forms
     c = g[2] * g[0]
@@ -188,17 +192,14 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
     report.add("claim-27-trace", (t * g[0] == g[0] * t)
                and t.trace() == Scalar(0) and t.det() == Scalar(1))
     # other representations: dimension 1, spanning the transported line
-    s_by_tag = {RepTag.WEYL: weyl_transform(dp),
-                RepTag.MAJORANA: majorana_transform(dp)}
-    for tag in (RepTag.WEYL, RepTag.MAJORANA):
-        rep = ctx.rep(tag)
-        s = s_by_tag[tag]
-        moved = transform_constraint_solutions(ctx.solutions[2], s,
+    for tag, transform in TRANSFORMS.items():
+        rep = get_rep(tag)
+        moved = transform_constraint_solutions(ctx.solutions[2], transform(dp),
                                                dp.gamma[0], rep.gamma[0])
         expect = {"p": moved.P, "c": moved.C, "t": moved.T}
         ok_all = True
-        for sym in ("p", "c", "t"):
-            space = solvers[sym](rep)
+        for sym, system in SYSTEMS.items():
+            space = solve_system(system(rep), rep)
             ok = space.dimension == 1
             if ok:
                 basis = space.basis[0]
@@ -239,9 +240,8 @@ def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
     # non-DP solutions back to DP reproduces the same set of triples
     dp_keys = {(s.variant, s.C, s.P, s.T) for s in sets}
     ok = True
-    for tag, s_mat in ((RepTag.WEYL, weyl_transform(ctx.dp)),
-                       (RepTag.MAJORANA, majorana_transform(ctx.dp))):
-        rep = ctx.rep(tag)
+    for tag, transform in TRANSFORMS.items():
+        rep, s_mat = get_rep(tag), transform(ctx.dp)
         moved = set()
         for sol in enumerate_consistent_sets(rep):
             back = transform_constraint_solutions(sol, s_mat, rep.gamma[0],
@@ -283,26 +283,17 @@ def _check_solution_properties(ctx: Context,
 def _check_matrix_groups(ctx: Context, report: VerificationReport) -> None:
     report.add("group-order-g1", ctx.g1.order == 16)
     report.add("group-order-g2", ctx.g2.order == 16)
-    for key, table in (("43", claims.TABLE_43), ("44", claims.TABLE_44)):
-        group = ctx.g1 if key == "43" else ctx.g2
-        got = matrix_groups.basic_table(group)
-        diffs = [
-            {"row": matrix_groups.BASE_NAMES[i],
-             "col": matrix_groups.BASE_NAMES[j],
-             "printed": table[i][j], "computed": got[i][j]}
-            for i in range(7) for j in range(7) if got[i][j] != table[i][j]]
+    for key, group, printed in (("43", ctx.g1, claims.TABLE_43),
+                                ("44", ctx.g2, claims.TABLE_44)):
+        diffs = _table_diffs(group, printed)
         report.add(f"table-{key}", not diffs, {"diffs": diffs})
-    for key, group, o2, o4 in (
-            ("g1", ctx.g1, claims.ORDER2_G1, claims.ORDER4_G1),
-            ("g2", ctx.g2, claims.ORDER2_G2, claims.ORDER4_G2)):
-        profile = group.order_profile()
-        want = {"g1": {1: 1, 2: 11, 4: 4}, "g2": {1: 1, 2: 7, 4: 8}}[key]
-        got2 = {group.labels[i] for i in range(16)
-                if group.element_order(i) == 2}
-        got4 = {group.labels[i] for i in range(16)
-                if group.element_order(i) == 4}
-        report.add(f"profile-{key}", profile == want and got2 == set(o2)
-                   and got4 == set(o4), {"profile": profile})
+    for key, group, profile, o2, o4 in (
+            ("g1", ctx.g1, {1: 1, 2: 11, 4: 4}, claims.ORDER2_G1,
+             claims.ORDER4_G1),
+            ("g2", ctx.g2, {1: 1, 2: 7, 4: 8}, claims.ORDER2_G2,
+             claims.ORDER4_G2)):
+        report.add(f"profile-{key}", _profile_ok(group, profile, o2, o4),
+                   {"profile": group.order_profile()})
     for key, printed in (("45", claims.CYCLES_45), ("46", claims.CYCLES_46)):
         group = ctx.g1 if key == "45" else ctx.g2
         diffs = []
@@ -359,11 +350,8 @@ def _check_isomorphisms(ctx: Context, report: VerificationReport) -> None:
 
 
 def _sixteen_e_letters(e16: FiniteGroup) -> tuple[dict[str, int], int]:
-    letters = {
-        "a": e16.index[Permutation.from_cycles("(1 2 3 4)(5 6 7 8)", 8)],
-        "d": e16.index[Permutation.from_cycles("(1 6 3 8)(2 5 4 7)", 8)],
-        "n": e16.index[Permutation.from_cycles("(1 7)(2 8)(3 5)(4 6)", 8)],
-    }
+    letters = {ch: e16.index[Permutation.from_cycles(g, 8)]
+               for ch, g in zip("adn", SIXTEEN_E_GENERATORS)}
     minus = e16.table[letters["a"]][letters["a"]]
     return letters, minus
 
@@ -402,10 +390,47 @@ def _check_map_55(ctx: Context, report: VerificationReport) -> None:
                {"entries": mismatches}, mismatch=typo_only)
 
 
-def _dh8_dn_subgroup(ctx: Context) -> tuple[FiniteGroup, list[int]]:
-    letters, _ = _sixteen_e_letters(ctx.e16)
-    members = sorted(ctx.e16.closure_of({letters["d"], letters["n"]}))
-    return ctx.e16.subgroup(members, name="DH8<d,n>"), members
+def _membership_ses(middle: FiniteGroup,
+                    kernel_members: list[int]) -> ShortExactSequence:
+    """N -> G -> Z2 for the index-2 subgroup N of G with these (sorted)
+    members, projecting each element to whether it lies outside N."""
+    kernel = middle.subgroup(kernel_members)
+    inside = set(kernel_members)
+    z2 = cyclic(2)
+    return ShortExactSequence(
+        kernel, middle, z2, GroupMap(kernel, middle, list(kernel_members)),
+        GroupMap(middle, z2, [0 if i in inside else 1
+                              for i in range(middle.order)]))
+
+
+def _semidirect(g: FiniteGroup, normal: FiniteGroup, members: list[int],
+                section: list[int]) -> tuple[FiniteGroup, dict]:
+    """N x_Φ H for N = `normal` (the subgroup of g on `members`) and
+    H = `section`, acting on N by conjugation in g; also the position of
+    each pair (n, h) of g-indices in the product."""
+    h = sorted(section)
+    semi = semidirect_product(normal, g.subgroup(h),
+                              conjugation_action(g, members, h))
+    index = {(members[a], h[b]): k for k, (a, b) in enumerate(semi.elements)}
+    return semi, index
+
+
+def _printed_semidirect_map(semi: FiniteGroup, index: dict,
+                            target: FiniteGroup, printed,
+                            ev) -> GroupMap | None:
+    """The printed map (n, h) -> n·h from `semi` onto `target`, its words
+    evaluated by `ev`; None unless every printed product holds in `target`
+    and the whole assignment is an isomorphism."""
+    images = [None] * semi.order
+    for (gw, hw), out_w in printed:
+        g_idx, h_idx, out_idx = ev(gw), ev(hw), ev(out_w)
+        if target.table[g_idx][h_idx] != out_idx:
+            return None
+        images[index[(g_idx, h_idx)]] = out_idx
+    if None in images:
+        return None
+    gm = GroupMap(semi, target, images)
+    return gm if gm.is_isomorphism() else None
 
 
 def _check_extensions(ctx: Context, report: VerificationReport) -> None:
@@ -414,37 +439,27 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     ev = lambda w: word_in_group(w, e16, letters, minus)
 
     # the subgroup generated by d and n: order 8, dihedral, normal
-    dh8_dn, members = _dh8_dn_subgroup(ctx)
+    members = sorted(e16.closure_of({letters["d"], letters["n"]}))
+    dh8_dn = e16.subgroup(members, name="DH8<d,n>")
+    pos = {m: k for k, m in enumerate(members)}
     iso_dn = None
     if dh8_dn.order == 8:
         # printed generator correspondence d -> (1234), n -> (24)
-        r = ctx.dh8.index[Permutation.from_cycles("(1 2 3 4)", 4)]
-        b = ctx.dh8.index[Permutation.from_cycles("(2 4)", 4)]
-        pos = {m: k for k, m in enumerate(members)}
-        gens = [pos[letters["d"]], pos[letters["n"]]]
-        full = extend_generator_images(dh8_dn, ctx.dh8, gens, [r, b])
+        dh8_gens = [ctx.dh8.index[Permutation.from_cycles(g, 4)]
+                    for g in DIHEDRAL_GENERATORS]
+        full = extend_generator_images(
+            dh8_dn, ctx.dh8, [pos[letters["d"]], pos[letters["n"]]], dh8_gens)
         if full is not None:
             iso_dn = GroupMap(dh8_dn, ctx.dh8, full)
     ok = (iso_dn is not None and iso_dn.is_isomorphism()
-          and ctx.e16.is_normal(frozenset(members)))
+          and e16.is_normal(frozenset(members)))
     report.add("subgroup-dn-dh8", ok)
-
-    def membership_ses(middle: FiniteGroup, kernel_members: list[int],
-                       kname: str) -> ShortExactSequence:
-        pos = {m: k for k, m in enumerate(kernel_members)}
-        kernel = middle.subgroup(kernel_members, name=kname)
-        z2 = cyclic(2)
-        inclusion = GroupMap(kernel, middle, list(kernel_members))
-        proj = [0 if i in pos else 1 for i in range(middle.order)]
-        projection = GroupMap(middle, z2, proj)
-        return ShortExactSequence(kernel, middle, z2, inclusion, projection)
 
     # sequence (54): DH8 -> DH8 x Z2 -> Z2, split by h -> (1, h)
     middle = ctx.dh8xz2
-    dh8_members = sorted(middle.closure_of({
-        middle.index[Permutation.from_cycles("(1 2 3 4)", 6)],
-        middle.index[Permutation.from_cycles("(2 4)", 6)]}))
-    ses54 = membership_ses(middle, dh8_members, "DH8")
+    ses54 = _membership_ses(middle, sorted(middle.closure_of(
+        middle.index[Permutation.from_cycles(g, 6)]
+        for g in DIHEDRAL_GENERATORS)))
     sec54 = GroupMap(ses54.quotient_group, middle,
                      [middle.identity,
                       middle.index[Permutation.from_cycles("(5 6)", 6)]])
@@ -456,7 +471,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     report.add("ses-54", ok)
 
     # sequence (56): DH8<d,n> -> 16E -> Z2, split by -1 -> adn (or and)
-    ses56 = membership_ses(e16, members, "DH8<d,n>")
+    ses56 = _membership_ses(e16, members)
     ok = ses56.verify()
     for word in claims.SES_56_SECTIONS:
         sec = GroupMap(ses56.quotient_group, e16, [e16.identity, ev(word)])
@@ -465,9 +480,8 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     report.add("ses-56", ok and ses56.find_splitting() is not None)
 
     # sequence (61): Z4 -> DH8<d,n> -> Z2, split by -1 -> n (or dn)
-    pos = {m: k for k, m in enumerate(members)}
     z4_members = sorted(dh8_dn.closure_of({pos[letters["d"]]}))
-    ses61 = membership_ses(dh8_dn, z4_members, "Z4")
+    ses61 = _membership_ses(dh8_dn, z4_members)
     ok = ses61.verify() and len(z4_members) == 4
     for word in claims.SES_61_SECTIONS:
         sec = GroupMap(ses61.quotient_group, dh8_dn,
@@ -475,74 +489,37 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
         ok = ok and sec.is_homomorphism()
     report.add("ses-61", ok and ses61.find_splitting() is not None)
 
-    # semidirect reconstruction (57)/(59): DH8 x_Φ γ2(Z2) ≅ 16E
-    section = [e16.identity, ev("adn")]
-    action = conjugation_action(e16, members, section)
-    h2 = e16.subgroup(sorted(section), name="gamma2(Z2)")
-    semi = semidirect_product(dh8_dn, h2, [
-        action[0] if s == e16.identity else action[1]
-        for s in sorted(section)], name="DH8:gamma2(Z2)")
+    # semidirect reconstruction (57)/(59): DH8 x_Φ γ2(Z2) ≅ 16E, and the
+    # printed map (59): ψ2(g, γ2(h)) = g·γ2(h), entry by entry
+    semi, semi_index = _semidirect(e16, dh8_dn, members,
+                                   [e16.identity, ev("adn")])
     report.add("semidirect-57", find_isomorphism(semi, e16) is not None)
-
-    # printed map (59): ψ2(g, γ2(h)) = g·γ2(h), entry by entry, and the
-    # whole assignment is an isomorphism from the semidirect product
-    semi_index = {}
-    h_sorted = sorted(section)
-    for k, (ni, hi) in enumerate(semi.elements):
-        semi_index[(members[ni], h_sorted[hi])] = k
-    images = [None] * semi.order
-    ok = True
-    for (gw, hw), out_w in claims.ISO_59:
-        g_idx, h_idx, out_idx = ev(gw), ev(hw), ev(out_w)
-        ok = ok and e16.table[g_idx][h_idx] == out_idx
-        images[semi_index[(g_idx, h_idx)]] = out_idx
-    gm59 = GroupMap(semi, e16, images) if ok and None not in images else None
-    ok = ok and gm59 is not None and gm59.is_isomorphism()
-    report.add("iso-59", ok)
+    gm59 = _printed_semidirect_map(semi, semi_index, e16, claims.ISO_59, ev)
+    report.add("iso-59", gm59 is not None)
 
     # printed map (60): the composition into the semidirect product
     if gm59 is not None:
-        inv59 = gm59.inverse_map()
-        images60 = []
-        for label in ctx.g2.labels:
-            gw, hw = claims.ISO_60[label]
-            images60.append(semi_index[(ev(gw), ev(hw))])
+        images60 = [semi_index[tuple(map(ev, claims.ISO_60[label]))]
+                    for label in ctx.g2.labels]
         gm60 = GroupMap(ctx.g2, semi, images60)
         # (60) is defined as ψ2⁻¹ ∘ ψ⁽²⁾; rebuild ψ⁽²⁾ and compare
-        letters55 = {lbl: word_in_group(w, e16, letters, minus)
-                     for lbl, w, _, _ in claims.ISO_55}
-        gm55 = GroupMap(ctx.g2, e16,
-                        [letters55[lbl] for lbl in ctx.g2.labels])
-        composed = inv59.compose(gm55)
+        images55 = {lbl: ev(w) for lbl, w, _, _ in claims.ISO_55}
+        gm55 = GroupMap(ctx.g2, e16, [images55[lbl] for lbl in ctx.g2.labels])
+        composed = gm59.inverse_map().compose(gm55)
         report.add("iso-60", gm60.is_isomorphism()
                    and composed.images == gm60.images)
     else:
         report.add("iso-60", False)
 
     # semidirect reconstruction (62)/(63): Z4 x_Φ γ(Z2) ≅ DH8<d,n>
-    z4 = dh8_dn.subgroup(z4_members, name="Z4")
-    n_local = pos[letters["n"]]
-    sec62 = [dh8_dn.identity, n_local]
-    action62 = conjugation_action(dh8_dn, z4_members, sec62)
-    h62 = dh8_dn.subgroup(sorted(sec62), name="gamma(Z2)")
-    semi62 = semidirect_product(z4, h62, [
-        action62[0] if s == dh8_dn.identity else action62[1]
-        for s in sorted(sec62)], name="Z4:gamma(Z2)")
+    semi62, semi62_index = _semidirect(
+        dh8_dn, dh8_dn.subgroup(z4_members), z4_members,
+        [dh8_dn.identity, pos[letters["n"]]])
     report.add("semidirect-62",
                find_isomorphism(semi62, ctx.dh8) is not None)
-    semi62_index = {}
-    h62_sorted = sorted(sec62)
-    for k, (ni, hi) in enumerate(semi62.elements):
-        semi62_index[(z4_members[ni], h62_sorted[hi])] = k
-    images = [None] * semi62.order
-    ok = True
-    for (gw, hw), out_w in claims.ISO_63:
-        g_idx, h_idx, out_idx = pos[ev(gw)], pos[ev(hw)], pos[ev(out_w)]
-        ok = ok and dh8_dn.table[g_idx][h_idx] == out_idx
-        images[semi62_index[(g_idx, h_idx)]] = out_idx
-    ok = ok and None not in images \
-        and GroupMap(semi62, dh8_dn, images).is_isomorphism()
-    report.add("iso-63", ok)
+    report.add("iso-63", _printed_semidirect_map(
+        semi62, semi62_index, dh8_dn, claims.ISO_63,
+        lambda w: pos[ev(w)]) is not None)
 
     # DH8 facts: center and the quotient structure used in (61)
     center = ctx.dh8.center()
@@ -552,15 +529,9 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
 
     # sequences (74)/(75): exact but provably non-split
     dc8 = ctx.dc8
-    x = dc8.index[Permutation.from_cycles("(1 2 3 4)(5 6 7 8)", 8)]
-    z4_dc8 = sorted(dc8.closure_of({x}))
-    pos74 = {m: k for k, m in enumerate(z4_dc8)}
-    kernel74 = dc8.subgroup(z4_dc8, name="Z4")
-    z2 = cyclic(2)
-    ses74 = ShortExactSequence(
-        kernel74, dc8, z2, GroupMap(kernel74, dc8, z4_dc8),
-        GroupMap(dc8, z2, [0 if i in pos74 else 1
-                           for i in range(dc8.order)]))
+    x, y = (dc8.index[Permutation.from_cycles(g, 8)]
+            for g in DICYCLIC_GENERATORS)
+    ses74 = _membership_ses(dc8, sorted(dc8.closure_of({x})))
     report.add("ses-74-no-split",
                ses74.verify() and ses74.find_splitting() is None)
 
@@ -579,7 +550,6 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
                  [coset_of[i] for i in range(dc8.order)]))
     # printed isomorphism ρ of the quotient with the Klein group
     v = klein_four()
-    y = dc8.index[Permutation.from_cycles("(1 5 3 7)(2 8 4 6)", 8)]
     rho_data = {dc8.identity: (0, 0), x: (0, 1), y: (1, 0),
                 dc8.table[x][y]: (1, 1)}
     rho = [None] * 4
@@ -603,19 +573,11 @@ def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
                {"failed": sorted(k for k, v in checks.items() if not v)})
     gt = ctx.gtheta
     report.add("group-order-gtheta", gt.order == 16)
-    got = matrix_groups.basic_table(gt, operator_group.BASE_NAMES)
-    diffs = [{"row": operator_group.BASE_NAMES[i],
-              "col": operator_group.BASE_NAMES[j],
-              "printed": claims.TABLE_71[i][j], "computed": got[i][j]}
-             for i in range(7) for j in range(7)
-             if got[i][j] != claims.TABLE_71[i][j]]
+    diffs = _table_diffs(gt, claims.TABLE_71)
     report.add("table-71", not diffs, {"diffs": diffs})
-    profile = gt.order_profile()
-    got2 = {gt.labels[i] for i in range(16) if gt.element_order(i) == 2}
-    got4 = {gt.labels[i] for i in range(16) if gt.element_order(i) == 4}
-    report.add("profile-gtheta", profile == {1: 1, 2: 3, 4: 12}
-               and got2 == set(claims.ORDER2_GT)
-               and got4 == set(claims.ORDER4_GT), {"profile": profile})
+    report.add("profile-gtheta",
+               _profile_ok(gt, {1: 1, 2: 3, 4: 12}, claims.ORDER2_GT,
+                           claims.ORDER4_GT), {"profile": gt.order_profile()})
     report.add("iso-72", find_isomorphism(gt, ctx.dc8xz2) is not None)
     report.add("iso-gtheta-qxs0",
                find_isomorphism(gt, ctx.qxs0) is not None)
@@ -623,9 +585,8 @@ def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
     report.add("noniso-gtheta-g2", find_isomorphism(gt, ctx.g2) is None)
 
     # the printed chain (73), column by column
-    named = operator_group.named_operators()
-    regular = {lbl: perm
-               for lbl, perm in zip(gt.labels, gt.regular_representation())}
+    named = dict(zip(gt.labels, gt.elements))
+    regular = dict(zip(gt.labels, gt.regular_representation()))
     letters = {"x": operator_group._X, "y": operator_group._Y,
                "z": operator_group._Z}
     diffs = []
@@ -679,7 +640,7 @@ def _check_representations(ctx: Context,
     report.add("transform-77a", ok)
 
     report.add("majorana-80",
-               ctx.majorana.gamma == tuple(claims.MAJORANA_80)
+               get_rep(RepTag.MAJORANA).gamma == tuple(claims.MAJORANA_80)
                and all(e.is_imaginary() for m in claims.MAJORANA_80
                        for row in m.rows for e in row))
 

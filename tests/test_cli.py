@@ -51,13 +51,15 @@ def test_verify_json_is_deterministic(tmp_path, capsys):
     assert pa == pb
 
 
-def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--group", "nope"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_usage_errors_exit_two(tmp_path, capsys):
+    for argv in (["table", "--group", "nope"], [],
+                 ["verify", "--json-out",
+                  str(tmp_path / "missing" / "report.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        # rejected before any work: no claim lines were printed
+        assert capsys.readouterr().out == ""
 
 
 def test_table_text_and_json(capsys):

@@ -66,11 +66,11 @@ def test_closure_cap():
 
 def test_basic_queries_on_cyclic():
     z6 = cyclic(6)
-    assert z6.order == 6 and z6.is_abelian()
+    assert z6.order == 6 and len(z6.center()) == 6
     assert z6.element_order(1) == 6 and z6.element_order(3) == 2
     assert z6.order_profile() == {1: 1, 2: 1, 3: 2, 6: 2}
     assert z6.inv(2) == 4
-    assert z6.word([1, 1, 3]) == 5
+    assert z6.table[z6.table[1][1]][3] == 5
     assert z6.label_index("4") == 4
 
 
@@ -135,14 +135,14 @@ def test_regular_representation_is_faithful_and_regular():
     # it is a homomorphism for left multiplication
     for i in range(g.order):
         for j in range(g.order):
-            assert perms[g.mul(i, j)] == perms[i] * perms[j]
+            assert perms[g.table[i][j]] == perms[i] * perms[j]
 
 
 def test_subgroup_objects():
     g = dihedral_8()
     rot = g.closure_of([g.label_index("(1 2 3 4)")])
     sub = g.subgroup(rot, name="C4")
-    assert sub.order == 4 and sub.is_abelian()
+    assert sub.order == 4 and len(sub.center()) == 4
 
 
 def test_semidirect_with_trivial_action_is_direct_product():

@@ -4,10 +4,9 @@ import pytest
 
 from cptgroup import claims
 from cptgroup.groups import GroupError, find_isomorphism
-from cptgroup.matrix_groups import (BASE_NAMES, STANDARD_ORDER_LABELS,
-                                    basic_table, build_matrix_group,
-                                    named_products, regular_cycles,
-                                    render_table)
+from cptgroup.matrix_groups import (BASE_NAMES, basic_table,
+                                    build_matrix_group, cpt_group,
+                                    regular_cycles, render_table)
 from cptgroup.solver import CptSolutionSet, canonical_sets
 
 
@@ -20,16 +19,19 @@ def groups():
 def test_element_order_and_labels(groups):
     for g in groups.values():
         assert g.order == 16
-        assert tuple(g.labels) == STANDARD_ORDER_LABELS
+        assert g.labels == ["1", "C", "P", "T", "CP", "CT", "PT", "θ",
+                            "-C", "-P", "-T", "-CP", "-CT", "-PT", "-θ",
+                            "-1"]
         assert g.identity == 0
         assert g.labels[15] == "-1"
 
 
-def test_named_products_are_distinct():
-    for sol in canonical_sets().values():
-        named = named_products(sol)
-        assert len(named) == 16
+def test_named_products_are_distinct(groups):
+    for sol, g in zip(canonical_sets().values(), groups.values()):
+        named = dict(zip(g.labels, g.elements))
         assert len(set(named.values())) == 16
+        assert named["θ"] == sol.C * sol.P * sol.T
+        assert named["-CT"] == -(sol.C * sol.T)
 
 
 def test_tables_match_printed_tables(groups):
@@ -75,8 +77,20 @@ def test_build_rejects_degenerate_input():
         build_matrix_group(degenerate)
 
 
+def test_cpt_group_requires_c_p_t_to_generate_all_sixteen():
+    # Z2^4 with -x = x + e: sixteen distinct elements closed under the
+    # product, of which C, P, T generate only eight
+    def add(a, b):
+        return tuple((x + y) % 2 for x, y in zip(a, b))
+
+    with pytest.raises(GroupError, match="closure"):
+        cpt_group((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), add,
+                  lambda a: add(a, (0, 0, 0, 1)), (0, 0, 0, 0), BASE_NAMES,
+                  "Z2^4")
+
+
 def test_render_table_layout(groups):
-    text = render_table(basic_table(groups[1]))
+    text = render_table(groups[1])
     lines = text.splitlines()
     assert len(lines) == 8
     assert lines[0].split() == list(BASE_NAMES)

@@ -8,11 +8,10 @@ from cptgroup.groups import (GroupError, Permutation, cycle_set_from_string,
                              dicyclic_8_x_z2, dihedral_8_x_z2,
                              direct_product, find_isomorphism,
                              quaternion_group, sign_group, sixteen_e)
-from cptgroup.operator_group import (BASE_NAMES, C_OP, IDENTITY, P_OP,
-                                     STANDARD_ORDER_LABELS, T_OP,
-                                     build_operator_group, named_operators,
-                                     op_mul, op_neg, presentation_checks,
-                                     select_matrix_group, to_s10)
+from cptgroup.operator_group import (C_OP, IDENTITY, P_OP, T_OP,
+                                     build_operator_group, op_mul, op_neg,
+                                     presentation_checks, select_matrix_group,
+                                     to_s10)
 from cptgroup.solver import CptSolutionSet, canonical_sets
 
 
@@ -28,10 +27,14 @@ def test_presentation_relations_all_hold():
 
 
 def test_named_operators_distinct_and_ordered(gtheta):
-    named = named_operators()
+    named = dict(zip(gtheta.labels, gtheta.elements))
     assert len(named) == 16 and len(set(named.values())) == 16
     assert gtheta.order == 16
-    assert tuple(gtheta.labels) == STANDARD_ORDER_LABELS
+    assert gtheta.labels == ["1", "C", "P", "T", "C*P", "C*T", "P*T", "Θ",
+                             "-C", "-P", "-T", "-C*P", "-C*T", "-P*T", "-Θ",
+                             "-1"]
+    assert named["C*P"] == op_mul(C_OP, P_OP)
+    assert named["-1"] == op_neg(IDENTITY)
 
 
 def test_operator_algebra_basics():
@@ -46,7 +49,7 @@ def test_operator_algebra_basics():
 
 def test_table_matches_printed_table(gtheta):
     from cptgroup.matrix_groups import basic_table
-    assert basic_table(gtheta, BASE_NAMES) == \
+    assert basic_table(gtheta) == \
         [list(r) for r in claims.TABLE_71]
 
 
@@ -70,7 +73,7 @@ def test_s10_embedding_is_a_faithful_homomorphism(gtheta):
     assert len(set(images)) == 16
     for i in range(16):
         for j in range(16):
-            assert images[gtheta.mul(i, j)] == images[i] * images[j]
+            assert images[gtheta.table[i][j]] == images[i] * images[j]
     assert images[gtheta.identity].is_identity()
 
 

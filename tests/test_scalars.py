@@ -77,8 +77,8 @@ def test_zero_has_no_inverse():
 
 
 def test_predicates_and_serialization():
-    assert Scalar(3).is_rational() and Scalar(3).is_real()
-    assert SQRT2.is_real() and not SQRT2.is_rational()
+    assert Scalar(3).is_real() and (Scalar(3).q, Scalar(3).r) == (0, 0)
+    assert SQRT2.is_real() and SQRT2.r == 1
     assert I.is_imaginary() and not I.is_real()
     for value in (ZERO, ONE, I, SQRT2, INV_SQRT2, Scalar(2, -3, 5, -7)):
         assert Scalar.from_json(value.to_json()) == value

@@ -1,6 +1,10 @@
 """The verification pipeline's report object and claim inventory."""
 
+import pytest
+
 from cptgroup import claims, verify
+from cptgroup.matrices import RepTag, get_rep
+from cptgroup.scalars import I
 from cptgroup.verify import ClaimResult, VerificationReport
 
 
@@ -46,18 +50,91 @@ def test_report_accumulation():
 
 def test_context_accessors(pipeline):
     ctx, _ = pipeline
-    from cptgroup.matrices import RepTag
-    assert ctx.rep(RepTag.WEYL).tag is RepTag.WEYL
+    # representations are built once and shared
+    assert ctx.dp is get_rep(RepTag.DIRAC_PAULI)
+    assert get_rep(RepTag.WEYL) is get_rep(RepTag.WEYL)
+    assert get_rep(RepTag.WEYL).tag is RepTag.WEYL
     for key in ("g1", "g2", "gtheta"):
         assert ctx.group(key).order == 16
 
 
-def test_corrupted_iso_55_cycles_fail(ctx, monkeypatch):
+def _cell(table, i, j, value):
+    out = [list(row) for row in table]
+    out[i][j] = value
+    return out
+
+
+def _entry(items, k, value):
+    out = list(items)
+    out[k] = value
+    return out
+
+
+def _iso_55_with(label, word=None, cycles=None):
+    return lambda rows: [
+        (lbl, word if lbl == label and word else w, eqs,
+         cycles if lbl == label and cycles else cyc)
+        for lbl, w, eqs, cyc in rows]
+
+
+# (dataset in `claims`, corruption of one datum, stage that reads it,
+# claim that must then fail)
+MUTATIONS = [
+    ("TABLE_43", lambda t: _cell(t, 0, 0, "-1"), "matrix_groups", "table-43"),
+    ("TABLE_44", lambda t: _cell(t, 0, 0, "1"), "matrix_groups", "table-44"),
+    ("TABLE_71", lambda t: _cell(t, 0, 0, "-1"), "operator_group",
+     "table-71"),
+    ("CYCLES_45", lambda c: {**c, "C": c["T"]}, "matrix_groups", "cycles-45"),
+    ("CYCLES_46", lambda c: {**c, "C": c["P"]}, "matrix_groups", "cycles-46"),
+    ("ORDER2_G1", lambda xs: xs[1:], "matrix_groups", "profile-g1"),
+    ("ORDER4_G1", lambda xs: xs[1:], "matrix_groups", "profile-g1"),
+    ("ORDER2_G2", lambda xs: xs[1:], "matrix_groups", "profile-g2"),
+    ("ORDER4_G2", lambda xs: xs[1:], "matrix_groups", "profile-g2"),
+    ("ORDER2_GT", lambda xs: xs[1:], "operator_group", "profile-gtheta"),
+    ("ORDER4_GT", lambda xs: xs[1:], "operator_group", "profile-gtheta"),
+    ("DH8_ELEMENTS", lambda xs: _entry(xs, 1, "(1 2 4 3)"), "isomorphisms",
+     "elements-50"),
+    ("ISO_53", lambda m: {**m, "C": m["-C"]}, "isomorphisms", "iso-53"),
+    ("ISO_55", _iso_55_with("C", word="d"), "map_55", "iso-55"),
     # only the documented "-C" annotation typo may read as a mismatch; a
     # wrong printed cycle listing is a real failure
-    corrupted = [(label, word, eqs, "(1 2)" if label == "CP" else cycles)
-                 for label, word, eqs, cycles in claims.ISO_55]
-    monkeypatch.setattr(claims, "ISO_55", corrupted)
+    ("ISO_55", _iso_55_with("CP", cycles="(1 2)"), "map_55",
+     "iso-55-annotations"),
+    ("SES_56_SECTIONS", lambda xs: _entry(xs, 1, "d"), "extensions",
+     "ses-56"),
+    ("SES_61_SECTIONS", lambda xs: _entry(xs, 1, "d"), "extensions",
+     "ses-61"),
+    ("ISO_59", lambda rows: _entry(rows, 3, (rows[3][0], "ad")), "extensions",
+     "iso-59"),
+    ("ISO_60", lambda m: {**m, "C": m["-C"]}, "extensions", "iso-60"),
+    ("ISO_63", lambda rows: _entry(rows, 5, (rows[5][0], "n")), "extensions",
+     "iso-63"),
+    ("CHAIN_73", lambda rows: _entry(rows, 2, (*rows[2][:3], "(1 2 3 4)",
+                                               rows[2][4])),
+     "operator_group", "chain-73"),
+    ("S_W_UNSCALED", lambda m: -m, "representations", "transform-77"),
+    ("S_M_UNSCALED", lambda m: -m, "representations", "transform-77a"),
+    ("WEYL_78", lambda d: {**d, "C": d["C"].scale(I)}, "representations",
+     "matrices-78"),
+    ("MAJORANA_78A", lambda d: {**d, "C": d["C"].scale(I)}, "representations",
+     "matrices-78a"),
+    ("SECOND_FAMILY_FACTORS", lambda f: {**f, "C": (1, 0)}, "representations",
+     "matrices-79"),
+    ("MAJORANA_80", lambda ms: _entry(ms, 0, -ms[0]), "representations",
+     "majorana-80"),
+]
+
+
+@pytest.mark.parametrize("dataset, corrupt, stage, claim_id", MUTATIONS,
+                         ids=[f"{m[0]}-{m[3]}" for m in MUTATIONS])
+def test_corrupted_reference_datum_fails(ctx, monkeypatch, dataset, corrupt,
+                                         stage, claim_id):
+    # the verifier must fail on wrong reference data, not only pass on
+    # good data: one corrupted datum flips the claim of the stage reading it
+    original = getattr(claims, dataset)
+    corrupted = corrupt(original)
+    assert corrupted != original
+    monkeypatch.setattr(claims, dataset, corrupted)
     report = VerificationReport()
-    verify._check_map_55(ctx, report)
-    assert report.status_of("iso-55-annotations") == "fail"
+    getattr(verify, f"_check_{stage}")(ctx, report)
+    assert report.status_of(claim_id) == "fail"
