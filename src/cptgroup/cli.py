@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import matrix_groups, operator_group
 from .groups import find_isomorphism
 from .matrices import BASIS_NAMES, RepTag, get_rep
-from .solver import SYSTEMS, solve_system
+from .solver import SYSTEMS, kernel
 from .verify import Context, run_all
 
 GROUP_CHOICES = ("g1", "g2", "gtheta")
@@ -61,7 +61,7 @@ def cmd_table(args) -> int:
 
 def cmd_solve(args) -> int:
     rep = get_rep(RepTag(args.rep))
-    space = solve_system(SYSTEMS[args.symmetry](rep), rep)
+    space = kernel(args.symmetry, rep)
     names = []
     for b in space.basis:
         coeffs = rep.basis_expand(b)

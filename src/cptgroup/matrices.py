@@ -23,7 +23,8 @@ class Mat4:
     __slots__ = ("rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        entries = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
+        entries = tuple(tuple(x if isinstance(x, Scalar) else Scalar(x)
+                              for x in row) for row in rows)
         if len(entries) != 4 or any(len(r) != 4 for r in entries):
             raise ValueError("Mat4 requires a 4x4 array")
         object.__setattr__(self, "rows", entries)
@@ -89,7 +90,7 @@ class Mat4:
         return self.scale(other)
 
     def scale(self, c) -> "Mat4":
-        c = _as_scalar(c)
+        c = c if isinstance(c, Scalar) else Scalar(c)
         return Mat4([[c * x for x in row] for row in self.rows])
 
     def transpose(self) -> "Mat4":
@@ -119,21 +120,24 @@ class Mat4:
         return total
 
     def inverse(self) -> "Mat4":
-        """Inverse via the adjugate; raises ZeroDivisionError if singular."""
-        d = self.det()
-        if d.is_zero():
-            raise ZeroDivisionError("singular matrix")
-        dinv = d.inverse()
-        adj = [[ZERO] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(4):
-                minor = [[self.rows[r][c] for c in range(4) if c != j]
-                         for r in range(4) if r != i]
-                cof = _det3(minor)
-                if (i + j) % 2:
-                    cof = -cof
-                adj[j][i] = cof * dinv
-        return Mat4(adj)
+        """Inverse by Gauss-Jordan elimination of [M | 1]; raises
+        ZeroDivisionError if singular."""
+        m = [list(row) + [ONE if i == j else ZERO for j in range(4)]
+             for i, row in enumerate(self.rows)]
+        for col in range(4):
+            piv = next((r for r in range(col, 4) if not m[r][col].is_zero()),
+                       None)
+            if piv is None:
+                raise ZeroDivisionError("singular matrix")
+            m[col], m[piv] = m[piv], m[col]
+            inv = m[col][col].inverse()
+            prow = m[col] = [x * inv for x in m[col]]
+            for r in range(4):
+                f = m[r][col]
+                if r != col and not f.is_zero():
+                    m[r] = [x - f * y if not y.is_zero() else x
+                            for x, y in zip(m[r], prow)]
+        return Mat4(row[4:] for row in m)
 
     # -- predicates ----------------------------------------------------------
 
@@ -162,12 +166,6 @@ class Mat4:
     @classmethod
     def from_json(cls, data) -> "Mat4":
         return cls([[Scalar.from_json(x) for x in row] for row in data])
-
-
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    return Scalar(x)
 
 
 def _det3(m) -> Scalar:

@@ -4,95 +4,92 @@ Every scalar that occurs in the construction (the unit multipliers of the
 discrete-symmetry matrices, the entries of the gamma matrices, and the
 1/sqrt(2) factors of the change-of-basis matrices) lies in the degree-4
 extension Q(i, sqrt(2)) of the rationals.  An element is stored as four
-rationals (p, q, r, s) meaning
+integer numerators over one positive denominator,
 
-    p + q*i + r*sqrt(2) + s*i*sqrt(2)
+    (a + b*i + c*sqrt(2) + d*i*sqrt(2)) / den,   gcd(a, b, c, d, den) = 1,
 
-which makes equality bit-exact: two scalars are equal iff their four
-components are equal.  Components are `fractions.Fraction`, so numerators
-and denominators are arbitrary-precision.
+as number-field elements usually are (FLINT's `nf_elem`; Cohen, "A Course
+in Computational Algebraic Number Theory", 4.2).  The form is canonical,
+so equality is bit-exact, and the field operations are integer
+arithmetic.  The rational components p + q*i + r*sqrt(2) + s*i*sqrt(2)
+are read as `Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction, str]
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
-def _rat(x: RationalLike) -> Fraction:
-    # most components are zero: share one Fraction for all of them
-    if isinstance(x, Fraction):
-        return x if x else _FRACTION_ZERO
-    return Fraction(x) if x != 0 else _FRACTION_ZERO
-
-
 class Scalar:
-    """An element p + q*i + r*sqrt(2) + s*i*sqrt(2) of Q(i, sqrt(2))."""
+    """An element (a + b*i + c*sqrt(2) + d*i*sqrt(2)) / den of Q(i, sqrt(2)),
+    built from rational components p, q, r, s (ints, Fractions or strings
+    such as "1/3").
 
-    __slots__ = ("p", "q", "r", "s", "_hash")
+    Like `Fraction`, a Scalar is immutable by convention: no slot is
+    assigned after construction.  Zero and the units +-1, +-i are shared.
+    """
 
-    def __init__(self, p: RationalLike = 0, q: RationalLike = 0,
-                 r: RationalLike = 0, s: RationalLike = 0) -> None:
-        object.__setattr__(self, "p", _rat(p))
-        object.__setattr__(self, "q", _rat(q))
-        object.__setattr__(self, "r", _rat(r))
-        object.__setattr__(self, "s", _rat(s))
-        object.__setattr__(self, "_hash", None)
+    __slots__ = ("a", "b", "c", "d", "den")
 
-    def __setattr__(self, name, value):  # immutable value type
-        raise AttributeError("Scalar is immutable")
+    def __new__(cls, p: RationalLike = 0, q: RationalLike = 0,
+                r: RationalLike = 0, s: RationalLike = 0) -> "Scalar":
+        parts = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                 for x in (p, q, r, s)]
+        den = lcm(*(x.denominator for x in parts))
+        return _make(*(x.numerator * (den // x.denominator) for x in parts),
+                     den)
+
+    p = property(lambda self: Fraction(self.a, self.den))
+    q = property(lambda self: Fraction(self.b, self.den))
+    r = property(lambda self: Fraction(self.c, self.den))
+    s = property(lambda self: Fraction(self.d, self.den))
 
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other: "Scalar | int") -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.p + other.p, self.q + other.q,
-                      self.r + other.r, self.s + other.s)
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self is ZERO:
+            return other
+        if other is ZERO:
+            return self
+        m, n = self.den, other.den
+        return _make(self.a * n + other.a * m, self.b * n + other.b * m,
+                     self.c * n + other.c * m, self.d * n + other.d * m,
+                     m * n)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar | int") -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.p - other.p, self.q - other.q,
-                      self.r - other.r, self.s - other.s)
+        return self + -other
 
     def __rsub__(self, other: "Scalar | int") -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.p, -self.q, -self.r, -self.s)
+        return _make(-self.a, -self.b, -self.c, -self.d, self.den)
 
     def __mul__(self, other: "Scalar | int") -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        # (a + b i + c R + d iR)(e + f i + g R + h iR), R^2 = 2, i^2 = -1;
-        # most scalars in practice have a single nonzero component, so
-        # accumulate only the nonzero cross terms
-        acc = [0, 0, 0, 0]
-        for coef, k in ((self.p, 0), (self.q, 1), (self.r, 2), (self.s, 3)):
-            if not coef:
-                continue
-            for oth, j in ((other.p, 0), (other.q, 1),
-                           (other.r, 2), (other.s, 3)):
-                if not oth:
-                    continue
-                unit, sign = _UNIT_TABLE[k][j]
-                term = coef * oth
-                acc[unit] += term * sign if sign != 1 else term
-        return Scalar(*acc)
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self is ZERO or other is ZERO:
+            return ZERO
+        # (a + b i + c R + d iR)(e + f i + g R + h iR), R^2 = 2, i^2 = -1
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return _make(a * e - b * f + 2 * (c * g - d * h),
+                     a * f + b * e + 2 * (c * h + d * g),
+                     a * g + c * e - b * h - d * f,
+                     a * h + d * e + b * g + c * f,
+                     self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -103,64 +100,64 @@ class Scalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other: "Scalar | int") -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     # -- field structure -----------------------------------------------
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i, sqrt(2) fixed."""
-        return Scalar(self.p, -self.q, self.r, -self.s)
+        return _make(self.a, -self.b, self.c, -self.d, self.den)
 
     def sqrt2_conjugate(self) -> "Scalar":
         """Galois conjugation sqrt(2) -> -sqrt(2), i fixed."""
-        return Scalar(self.p, self.q, -self.r, -self.s)
+        return _make(self.a, self.b, -self.c, -self.d, self.den)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero.
 
-        Rationalize in two steps: multiply by the complex conjugate to land
-        in Q(sqrt(2)), then by the sqrt(2)-conjugate to land in Q.
+        For the numerator x = a + b i + c R + d iR, x x* = u + v R lies in
+        Q(sqrt 2), and (u + v R)(u - v R) = u^2 - 2 v^2 is rational and
+        positive (a product of two squared absolute values, one per
+        embedding of sqrt 2).  So 1/x = x* (u - v R) / (u^2 - 2 v^2).
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        c = self.conjugate()
-        real = self * c                      # now q = s = 0
-        norm = real * real.sqrt2_conjugate()  # now pure rational
-        factor = c * real.sqrt2_conjugate()
-        return Scalar(factor.p / norm.p, factor.q / norm.p,
-                      factor.r / norm.p, factor.s / norm.p)
+        a, b, c, d, k = self.a, self.b, self.c, self.d, self.den
+        u = a * a + b * b + 2 * (c * c + d * d)
+        v = 2 * (a * c + b * d)
+        return _make(k * (a * u - 2 * c * v), k * (2 * d * v - b * u),
+                     k * (c * u - a * v), k * (b * v - d * u),
+                     u * u - 2 * v * v)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.p or self.q or self.r or self.s)
+        return not (self.a or self.b or self.c or self.d)
 
     def is_real(self) -> bool:
-        return not (self.q or self.s)
+        return not (self.b or self.d)
 
     def is_imaginary(self) -> bool:
         """Purely imaginary (zero real part); zero counts as imaginary."""
-        return not (self.p or self.r)
+        return not (self.a or self.c)
 
     # -- comparisons / hashing -------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
+            return (not (self.b or self.c or self.d)
+                    and self.a == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.p == other.p and self.q == other.q
-                and self.r == other.r and self.s == other.s)
+        return (self.a == other.a and self.b == other.b and self.c == other.c
+                and self.d == other.d and self.den == other.den)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.p, self.q, self.r, self.s))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # a rational value hashes like the int or Fraction it equals
+        if self.b or self.c or self.d:
+            return hash((self.a, self.b, self.c, self.d, self.den))
+        return hash(self.a if self.den == 1 else Fraction(self.a, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -171,30 +168,18 @@ class Scalar:
         return f"Scalar({self.p!r}, {self.q!r}, {self.r!r}, {self.s!r})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for coef, unit in ((self.p, ""), (self.q, "i"),
-                           (self.r, "Y2"), (self.s, "iY2")):
-            unit = unit.replace("Y2", "√2")
+        out = ""
+        for coef, unit in zip((self.p, self.q, self.r, self.s),
+                              ("", "i", "√2", "i√2")):
             if not coef:
                 continue
-            sign = "-" if coef < 0 else "+"
             mag = abs(coef)
-            if unit and mag == 1:
-                text = unit
-            elif unit:
-                text = f"{mag}{unit}"
+            text = unit if unit and mag == 1 else f"{mag}{unit}"
+            if out:
+                out += f" {'-' if coef < 0 else '+'} {text}"
             else:
-                text = str(mag)
-            parts.append((sign, text))
-        out = ""
-        for k, (sign, text) in enumerate(parts):
-            if k == 0:
-                out = ("-" if sign == "-" else "") + text
-            else:
-                out += f" {sign} {text}"
-        return out
+                out = ("-" if coef < 0 else "") + text
+        return out or "0"
 
     def to_json(self) -> list[str]:
         """The 4-tuple of rational strings ["p","q","r","s"]."""
@@ -202,18 +187,26 @@ class Scalar:
 
     @classmethod
     def from_json(cls, data) -> "Scalar":
-        p, q, r, s = data
-        return cls(Fraction(p), Fraction(q), Fraction(r), Fraction(s))
+        return cls(*data)
 
 
-# products of the basis units 1, i, R, iR: entry [k][j] gives the
-# component index and sign of unit_k * unit_j (R^2 = 2 absorbed as sign 2)
-_UNIT_TABLE = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, -1), (3, 1), (2, -1)),
-    ((2, 1), (3, 1), (0, 2), (1, 2)),
-    ((3, 1), (2, -1), (1, 2), (0, -2)),
-)
+# zero and the units +-1, +-i, by numerators: each has one shared Scalar
+_SHARED: dict[tuple[int, int, int, int], Scalar] = {}
+
+
+def _make(a: int, b: int, c: int, d: int, den: int) -> Scalar:
+    """The Scalar (a + b i + c R + d iR) / den for den > 0, reduced."""
+    if den != 1:
+        g = gcd(a, b, c, d, den)
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    if den == 1:
+        x = _SHARED.get((a, b, c, d))
+        if x is not None:
+            return x
+    x = object.__new__(Scalar)
+    x.a, x.b, x.c, x.d, x.den = a, b, c, d, den
+    return x
 
 
 def _coerce(x) -> "Scalar | None":
@@ -224,9 +217,8 @@ def _coerce(x) -> "Scalar | None":
     return None
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
-MINUS_ONE = Scalar(-1)
-I = Scalar(0, 1)
+ZERO, ONE, MINUS_ONE, I = (Scalar(p, q) for p, q in
+                           ((0, 0), (1, 0), (-1, 0), (0, 1)))
+_SHARED.update(((x.a, x.b, 0, 0), x) for x in (ZERO, ONE, MINUS_ONE, I, -I))
 SQRT2 = Scalar(0, 0, 1)
 INV_SQRT2 = Scalar(0, 0, Fraction(1, 2))

@@ -22,6 +22,7 @@ leaves exactly two families of consistent (C, P, T) triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .matrices import GammaRep, Mat4, RepTag, TRANSFORMS, classify, get_rep
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
@@ -144,16 +145,24 @@ def _nullspace(rows: list[list[Scalar]], n: int) -> list[list[Scalar]]:
     return kernel
 
 
+@cache
+def kernel(symmetry: str, rep: GammaRep) -> SolutionSpace:
+    """The kernel of the `SYSTEMS[symmetry]` system in `rep`, solved once.
+    It is keyed on the name and the shared, immutable rep, not on the
+    system: solving a fresh system with `solve_system` fills no cache."""
+    return solve_system(SYSTEMS[symmetry](rep), rep)
+
+
 def solve_parity(rep: GammaRep) -> SolutionSpace:
-    return solve_system(parity_system(rep), rep)
+    return kernel("p", rep)
 
 
 def solve_charge_conjugation(rep: GammaRep) -> SolutionSpace:
-    return solve_system(charge_conjugation_system(rep), rep)
+    return kernel("c", rep)
 
 
 def solve_time_reversal(rep: GammaRep) -> SolutionSpace:
-    return solve_system(time_reversal_system(rep), rep)
+    return kernel("t", rep)
 
 
 # -- compatibility -------------------------------------------------------------

@@ -120,6 +120,12 @@ def test_center_quotient_and_normality():
         dh.quotient(refl)
 
 
+def test_center_of_an_abelian_group_is_the_whole_group():
+    for g in (cyclic(2), cyclic(7), klein_four(),
+              direct_product(cyclic(4), cyclic(2))):
+        assert g.center() == frozenset(range(g.order))
+
+
 def test_every_subgroup_of_quaternion_is_normal():
     q = quaternion_group()
     assert all(q.is_normal(h) for h in q.subgroups())

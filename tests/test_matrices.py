@@ -10,7 +10,7 @@ import pytest
 from cptgroup.matrices import (BASIS_NAMES, Grade, Mat4, RepTag, classify,
                                conjugate_representation, dirac_pauli_rep,
                                get_rep, majorana_transform, weyl_transform)
-from cptgroup.scalars import I, Scalar
+from cptgroup.scalars import I, INV_SQRT2, Scalar, ZERO
 
 DP = dirac_pauli_rep()
 ETA = (Scalar(2), Scalar(-2), Scalar(-2), Scalar(-2))
@@ -127,6 +127,48 @@ def test_inverse_and_errors():
     assert singular.det() == Scalar(0)
     with pytest.raises(ZeroDivisionError):
         singular.inverse()
+
+
+def random_dense_mat(rng):
+    """Every entry with four random rational components."""
+    return Mat4([[Scalar(*(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                           for _ in range(4)))
+                  for _ in range(4)] for _ in range(4)])
+
+
+def test_inverse_of_dense_matrices():
+    rng = random.Random(20261018)
+    ident = Mat4.identity()
+    # a zero (0, 0) entry makes the elimination swap in another pivot row
+    swapped = Mat4([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, I], [0, 0, -I, 1]])
+    mats = [swapped, Mat4.identity() + random_dense_mat(rng)]
+    while len(mats) < 27:
+        m = random_dense_mat(rng)
+        if len(mats) % 3 == 0:
+            m = Mat4([[ZERO] + list(m.rows[0][1:])] + list(m.rows[1:]))
+        if not m.det().is_zero():
+            mats.append(m)
+    assert sum(m.rows[0][0].is_zero() for m in mats) >= 9
+    for m in mats:
+        inv = m.inverse()
+        assert m * inv == ident and inv * m == ident
+        assert inv.inverse() == m
+
+
+def test_singular_dense_matrices_raise():
+    rng = random.Random(3)
+    for _ in range(5):
+        m = random_dense_mat(rng)
+        rows = list(m.rows)
+        # the last row a combination of two others
+        rows[3] = [x * Scalar(2, 1) + y * INV_SQRT2
+                   for x, y in zip(rows[0], rows[1])]
+        singular = Mat4(rows)
+        assert singular.det().is_zero()
+        with pytest.raises(ZeroDivisionError):
+            singular.inverse()
+    with pytest.raises(ZeroDivisionError):
+        Mat4.zero().inverse()
 
 
 def test_transform_matrices():

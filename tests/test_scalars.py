@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,3 +92,103 @@ def test_int_interoperability():
     assert I / 1 == I
     with pytest.raises(TypeError):
         I + "x"
+
+
+# -- canonical integer form ------------------------------------------------
+
+def _is_canonical(x):
+    if x.is_zero():
+        return x is ZERO
+    return x.den > 0 and gcd(x.a, x.b, x.c, x.d, x.den) == 1
+
+
+def _reference_mul(u, v):
+    """Product of two component 4-tuples of Fractions, term by term."""
+    p, q, r, s = u
+    e, f, g, h = v
+    return (p * e - q * f + 2 * r * g - 2 * s * h,
+            p * f + q * e + 2 * r * h + 2 * s * g,
+            p * g + r * e - q * h - s * f,
+            p * h + s * e + q * g + r * f)
+
+
+def _reference_str(comps):
+    """The rendering of p + q i + r √2 + s i√2 from Fraction components."""
+    parts = []
+    for coef, unit in zip(comps, ("", "i", "√2", "i√2")):
+        if not coef:
+            continue
+        mag = abs(coef)
+        if unit and mag == 1:
+            text = unit
+        elif unit:
+            text = f"{mag}{unit}"
+        else:
+            text = str(mag)
+        parts.append(("-" if coef < 0 else "+", text))
+    if not parts:
+        return "0"
+    (sign, text), rest = parts[0], parts[1:]
+    return ("-" if sign == "-" else "") + text + "".join(
+        f" {sgn} {txt}" for sgn, txt in rest)
+
+
+def _matches_reference(x, comps):
+    comps = tuple(Fraction(c) for c in comps)
+    return ((x.p, x.q, x.r, x.s) == comps
+            and x.to_json() == [str(c) for c in comps]
+            and str(x) == _reference_str(comps)
+            and repr(x) == "Scalar({!r}, {!r}, {!r}, {!r})".format(*comps))
+
+
+@given(small, small, small, small, small, small, small, small)
+def test_results_are_canonical_and_match_fraction_reference(
+        p, q, r, s, p2, q2, r2, s2):
+    u, v = (p, q, r, s), (p2, q2, r2, s2)
+    a, b = Scalar(*u), Scalar(*v)
+    results = [
+        (a, u), (b, v),
+        (a + b, tuple(x + y for x, y in zip(u, v))),
+        (a - b, tuple(x - y for x, y in zip(u, v))),
+        (-a, tuple(-x for x in u)),
+        (a * b, _reference_mul(u, v)),
+        (a.conjugate(), (p, -q, r, -s)),
+        (a.sqrt2_conjugate(), (p, q, -r, -s)),
+    ]
+    if not b.is_zero():
+        inv = b.inverse()
+        assert _reference_mul(v, (inv.p, inv.q, inv.r, inv.s)) == (1, 0, 0, 0)
+        results.append((a / b, _reference_mul(u, (inv.p, inv.q, inv.r,
+                                                  inv.s))))
+        results.append((inv, (inv.p, inv.q, inv.r, inv.s)))
+    for x, comps in results:
+        assert _is_canonical(x)
+        assert _matches_reference(x, comps)
+    assert a - a is ZERO and a * ZERO is ZERO and ZERO * a is ZERO
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    for group in ([Scalar(Fraction(2, 4)), ONE / 2, Scalar("1/2"),
+                   INV_SQRT2 * SQRT2 / 2, ONE - Scalar(Fraction(1, 2)),
+                   Scalar(2).inverse()],
+                  [INV_SQRT2, SQRT2 / 2, SQRT2.inverse(),
+                   Scalar(0, 0, "3/6"), (ONE + SQRT2) * INV_SQRT2 - ONE],
+                  [ZERO, Scalar(0), Scalar(0, 0, 0, 0), I - I,
+                   Scalar(Fraction(0, 5)), SQRT2 * 0]):
+        assert len({(x.a, x.b, x.c, x.d, x.den) for x in group}) == 1
+        assert all(x == group[0] for x in group)
+        assert len({hash(x) for x in group}) == 1
+    assert Scalar(0) is ZERO and Scalar(Fraction(2, 4)).den == 2
+    # the units are shared like zero
+    assert I * I is MINUS_ONE and (ONE / 2) * 2 is ONE and -I * I is ONE
+    assert Scalar(0, -1) is -I and Scalar(Fraction(3, 3)) is ONE
+
+
+@given(st.one_of(st.integers(-10**30, 10**30), small))
+def test_rational_scalars_hash_like_the_rational(x):
+    # equal objects must hash equal, or dict and set lookups miss
+    sx = Scalar(x)
+    assert sx == x and x == sx
+    assert hash(sx) == hash(x)
+    assert {x: "found"}.get(sx) == "found"
+    assert {sx: "found"}.get(x) == "found"

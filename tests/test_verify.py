@@ -2,7 +2,8 @@
 
 import pytest
 
-from cptgroup import claims, verify
+from cptgroup import claims, solver, verify
+from cptgroup.groups import FiniteGroup, Permutation
 from cptgroup.matrices import RepTag, get_rep
 from cptgroup.scalars import I
 from cptgroup.verify import ClaimResult, VerificationReport
@@ -138,3 +139,30 @@ def test_corrupted_reference_datum_fails(ctx, monkeypatch, dataset, corrupt,
     report = VerificationReport()
     getattr(verify, f"_check_{stage}")(ctx, report)
     assert report.status_of(claim_id) == "fail"
+
+
+def test_run_all_solves_each_kernel_once(monkeypatch):
+    # one solve per (symmetry, representation): p/c/t x dp/weyl/majorana
+    solver.kernel.cache_clear()
+    calls = []
+    solve = solver.solve_system
+
+    def counting(system, rep):
+        calls.append((system, rep.tag))
+        return solve(system, rep)
+
+    monkeypatch.setattr(solver, "solve_system", counting)
+    verify.run_all()
+    assert len(calls) == 9 and len(set(calls)) == 9
+    assert {tag for _, tag in calls} == set(RepTag)
+
+
+def test_trivial_regular_representation_fails(ctx, monkeypatch):
+    # the map sending every element to the identity moves no point and is
+    # a homomorphism: only faithfulness rejects it
+    monkeypatch.setattr(FiniteGroup, "regular_representation",
+                        lambda self: [Permutation.identity(self.order)]
+                        * self.order)
+    report = verify.VerificationReport()
+    verify._check_matrix_groups(ctx, report)
+    assert report.status_of("regular-representation") == "fail"
