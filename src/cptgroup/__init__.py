@@ -12,11 +12,9 @@ transcribed reference data.
 
 from .scalars import Scalar
 from .matrices import (GammaRep, Grade, Mat4, MatrixClass, RepTag,
-                       classify, conjugate_representation, dirac_pauli_rep,
-                       get_rep)
+                       classify, get_rep)
 from .solver import (CptSolutionSet, SolutionSpace, canonical_sets,
-                     enumerate_consistent_sets, solve_charge_conjugation,
-                     solve_parity, solve_time_reversal)
+                     enumerate_consistent_sets, kernel)
 from .groups import FiniteGroup, GroupMap, Permutation, ShortExactSequence
 from .verify import VerificationReport, run_all
 
@@ -24,9 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Scalar", "Mat4", "GammaRep", "Grade", "MatrixClass", "RepTag",
-    "classify", "conjugate_representation", "dirac_pauli_rep", "get_rep",
-    "CptSolutionSet", "SolutionSpace", "canonical_sets",
-    "enumerate_consistent_sets", "solve_charge_conjugation", "solve_parity",
-    "solve_time_reversal", "FiniteGroup", "GroupMap", "Permutation",
-    "ShortExactSequence", "VerificationReport", "run_all", "__version__",
+    "classify", "get_rep", "CptSolutionSet", "SolutionSpace",
+    "canonical_sets", "enumerate_consistent_sets", "kernel", "FiniteGroup",
+    "GroupMap", "Permutation", "ShortExactSequence", "VerificationReport", "run_all", "__version__",
 ]

@@ -302,13 +302,17 @@ class FiniteGroup:
         return [Permutation(self.table[g]) for g in range(self.order)]
 
 
+# the largest group `generate_closure` builds before giving up
+CLOSURE_CAP = 256
+
+
 def generate_closure(generators: Sequence[Hashable],
                      mul: Callable[[Hashable, Hashable], Hashable],
                      identity: Hashable,
                      labeler: Optional[Callable[[Hashable], str]] = None,
-                     cap: int = 256,
                      name: str = "") -> FiniteGroup:
-    """Breadth-first closure of a generator set under the product."""
+    """Breadth-first closure of a generator set under the product; raises
+    ClosureCapExceeded past `CLOSURE_CAP` elements."""
     elements = [identity]
     seen = {identity}
     gens = list(generators)
@@ -326,21 +330,20 @@ def generate_closure(generators: Sequence[Hashable],
                         seen.add(prod)
                         elements.append(prod)
                         nxt.append(prod)
-                        if len(elements) > cap:
+                        if len(elements) > CLOSURE_CAP:
                             raise ClosureCapExceeded(
-                                f"closure exceeded cap {cap}")
+                                f"closure exceeded cap {CLOSURE_CAP}")
         frontier = nxt
     labels = [labeler(e) for e in elements] if labeler else None
     return FiniteGroup(elements, mul, labels, name=name)
 
 
 def permutation_group(cycle_strings: Sequence[str], degree: int,
-                      name: str = "", cap: int = 256) -> FiniteGroup:
+                      name: str = "") -> FiniteGroup:
     gens = [Permutation.from_cycles(s, degree) for s in cycle_strings]
     return generate_closure(gens, lambda a, b: a * b,
                             Permutation.identity(degree),
-                            labeler=lambda p: p.cycle_string(),
-                            cap=cap, name=name)
+                            labeler=lambda p: p.cycle_string(), name=name)
 
 
 # -- named groups ----------------------------------------------------------------

@@ -124,19 +124,8 @@ class Mat4:
         ZeroDivisionError if singular."""
         m = [list(row) + [ONE if i == j else ZERO for j in range(4)]
              for i, row in enumerate(self.rows)]
-        for col in range(4):
-            piv = next((r for r in range(col, 4) if not m[r][col].is_zero()),
-                       None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            m[col], m[piv] = m[piv], m[col]
-            inv = m[col][col].inverse()
-            prow = m[col] = [x * inv for x in m[col]]
-            for r in range(4):
-                f = m[r][col]
-                if r != col and not f.is_zero():
-                    m[r] = [x - f * y if not y.is_zero() else x
-                            for x, y in zip(m[r], prow)]
+        if row_reduce(m, 4) != [0, 1, 2, 3]:
+            raise ZeroDivisionError("singular matrix")
         return Mat4(row[4:] for row in m)
 
     # -- predicates ----------------------------------------------------------
@@ -166,6 +155,29 @@ class Mat4:
     @classmethod
     def from_json(cls, data) -> "Mat4":
         return cls([[Scalar.from_json(x) for x in row] for row in data])
+
+
+def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
+    """Bring `rows` to reduced row echelon form in its first `ncols`
+    columns, in place, by Gauss-Jordan elimination that skips zero
+    entries; returns the pivot columns, the i-th pivot in row i."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows))
+                    if not rows[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        prow = rows[rank] = [x * inv for x in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and not f.is_zero():
+                rows[r] = [x - f * y if not y.is_zero() else x
+                           for x, y in zip(row, prow)]
+        pivots.append(col)
+    return pivots
 
 
 def _det3(m) -> Scalar:
@@ -222,18 +234,13 @@ class GammaRep:
     """A gamma-matrix presentation plus derived structure.
 
     `basis` is the canonical 16-element basis of the full matrix algebra,
-    in the fixed `BASIS_WORDS` order; `basis_grades` gives the number of
-    gamma factors mod 2 for each element.
+    in the fixed `BASIS_WORDS` order.
     """
 
     tag: RepTag
     gamma: tuple[Mat4, Mat4, Mat4, Mat4]
     gamma5: Mat4
     basis: tuple[Mat4, ...]
-
-    @property
-    def basis_grades(self) -> tuple[int, ...]:
-        return tuple(len(w) % 2 for w in BASIS_WORDS)
 
     @cached_property
     def _duals(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
@@ -269,21 +276,18 @@ class GammaRep:
         return out
 
     def parity_grade(self, m: Mat4) -> Grade:
-        coeffs = self.basis_expand(m)
-        grades = {g for c, g in zip(coeffs, self.basis_grades)
-                  if not c.is_zero()}
-        if grades <= {0}:
+        a = self.alpha(m)
+        if a == m:
             return Grade.EVEN
-        if grades == {1}:
+        if a == -m:
             return Grade.ODD
         return Grade.MIXED
 
     def alpha(self, m: Mat4) -> Mat4:
-        """Canonical involution: negate the odd part of the grading."""
-        coeffs = self.basis_expand(m)
-        signed = [(-c if g else c)
-                  for c, g in zip(coeffs, self.basis_grades)]
-        return self.recombine(signed)
+        """Canonical involution, negating the odd part of the grading:
+        conjugation by gamma_5, which anticommutes with every gamma_mu
+        and squares to 1."""
+        return self.gamma5 * m * self.gamma5
 
     def preserves_gamma_span(self, g: Mat4) -> bool:
         """Twisted-adjoint check: alpha(g) gamma_mu g^-1 stays in the
@@ -314,14 +318,6 @@ def _word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
     return out
 
 
-def dirac_pauli_rep() -> GammaRep:
-    """The standard presentation: gamma_0 diagonal, Pauli off-blocks."""
-    g0 = Mat4.from_blocks(ID2, ZERO2, ZERO2, _neg2(ID2))
-    gk = [Mat4.from_blocks(ZERO2, s, _neg2(s), ZERO2)
-          for s in (SIGMA1, SIGMA2, SIGMA3)]
-    return _build_rep(RepTag.DIRAC_PAULI, [g0] + gk)
-
-
 def weyl_transform(dp: GammaRep) -> Mat4:
     """S = (1/sqrt 2)(gamma_0 - gamma_5); satisfies S = S† = S^-1."""
     return (dp.gamma[0] - dp.gamma5).scale(INV_SQRT2)
@@ -337,29 +333,23 @@ def majorana_transform(dp: GammaRep) -> Mat4:
 TRANSFORMS = {RepTag.WEYL: weyl_transform, RepTag.MAJORANA: majorana_transform}
 
 
-def conjugate_representation(rep: GammaRep, target: RepTag) -> GammaRep:
-    """Conjugate the standard presentation into the Weyl or Majorana one."""
-    if rep.tag is not RepTag.DIRAC_PAULI:
-        raise ValueError("source representation must be the standard one")
-    if target is RepTag.DIRAC_PAULI:
-        return rep
-    if target not in TRANSFORMS:
-        raise ValueError(f"unknown target representation {target}")
-    s = TRANSFORMS[target](rep)
-    sd = s.dagger()
-    if s != sd or (s * s) != Mat4.identity():
-        raise AssertionError("transform must be hermitian and involutive")
-    return _build_rep(target, [s * g * sd for g in rep.gamma])
-
-
 @cache
 def get_rep(tag: RepTag) -> GammaRep:
     """The presentation `tag`, built once: a GammaRep is immutable, so
-    every caller can share it."""
-    dp = dirac_pauli_rep()
+    every caller can share it.  The standard one has gamma_0 diagonal and
+    Pauli off-blocks; the others are its conjugates S g S† by the
+    `TRANSFORMS` of their tags."""
     if tag is RepTag.DIRAC_PAULI:
-        return dp
-    return conjugate_representation(dp, tag)
+        g0 = Mat4.from_blocks(ID2, ZERO2, ZERO2, _neg2(ID2))
+        gk = [Mat4.from_blocks(ZERO2, s, _neg2(s), ZERO2)
+              for s in (SIGMA1, SIGMA2, SIGMA3)]
+        return _build_rep(tag, [g0] + gk)
+    dp = get_rep(RepTag.DIRAC_PAULI)
+    s = TRANSFORMS[tag](dp)
+    sd = s.dagger()
+    if s != sd or (s * s) != Mat4.identity():
+        raise AssertionError("transform must be hermitian and involutive")
+    return _build_rep(tag, [s * g * sd for g in dp.gamma])
 
 
 # -- matrix classification -----------------------------------------------------

@@ -8,15 +8,14 @@ FiniteGroup objects in the standard element order
 
     1, C, P, T, CP, CT, PT, θ, -C, -P, -T, -CP, -CT, -PT, -θ, -1
 
-(positions 1..16), renders their 7x7 basic multiplication tables, and
-produces the regular-representation cycle listings in that labeling.
+(positions 1..16) and renders their 7x7 basic multiplication tables.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
 
-from .groups import FiniteGroup, GroupError, Permutation
+from .groups import FiniteGroup, GroupError
 from .matrices import Mat4
 from .solver import CptSolutionSet
 
@@ -75,9 +74,3 @@ def render_table(group: FiniteGroup) -> str:
     for name, row in zip(names, table):
         lines.append(name.rjust(width) + "".join(x.rjust(width) for x in row))
     return "\n".join(lines)
-
-
-def regular_cycles(group: FiniteGroup) -> list[tuple[str, Permutation]]:
-    """(label, permutation) for each element, in list order, under the
-    left regular representation on positions 1..16."""
-    return list(zip(group.labels, group.regular_representation()))

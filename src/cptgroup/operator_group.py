@@ -77,27 +77,30 @@ def build_operator_group() -> FiniteGroup:
 
 # -- embeddings into permutation groups ------------------------------------------
 
-_X, _Y = (Permutation.from_cycles(g, 10) for g in DICYCLIC_GENERATORS)
-_Z = Permutation.from_cycles("(9 10)", 10)
+# the letters x, y (the dicyclic generators, on 1..8) and z = (9 10)
+_S10_LETTERS = {letter: Permutation.from_cycles(g, 10) for letter, g in
+                zip("xyz", (*DICYCLIC_GENERATORS, "(9 10)"))}
 
 # signed quaternion unit -> word in the dicyclic generators x, y
 _QUAT_TO_DICYCLIC = {
-    (1, "1"): (), (1, "i"): ("x",), (-1, "1"): ("x", "x"),
-    (-1, "i"): ("x", "x", "x"), (1, "j"): ("y",), (1, "k"): ("x", "y"),
-    (-1, "j"): ("x", "x", "y"), (-1, "k"): ("x", "x", "x", "y"),
+    (1, "1"): "", (1, "i"): "x", (-1, "1"): "xx", (-1, "i"): "xxx",
+    (1, "j"): "y", (1, "k"): "xy", (-1, "j"): "xxy", (-1, "k"): "xxxy",
 }
+
+
+def s10_word(word: str) -> Permutation:
+    """The permutation in S10 of a word in the letters x, y, z."""
+    perm = Permutation.identity(10)
+    for letter in word:
+        perm = perm * _S10_LETTERS[letter]
+    return perm
 
 
 def to_s10(e: Operator) -> Permutation:
     """Image of an operator in S10: the quaternion part acts on 1..8
     through the dicyclic generators, the sign part through (9 10)."""
     quat, eps = e
-    perm = Permutation.identity(10)
-    for letter in _QUAT_TO_DICYCLIC[quat]:
-        perm = perm * (_X if letter == "x" else _Y)
-    if eps == -1:
-        perm = perm * _Z
-    return perm
+    return s10_word(_QUAT_TO_DICYCLIC[quat] + ("z" if eps == -1 else ""))
 
 
 def select_matrix_group(solutions: dict[int, CptSolutionSet]) -> int:

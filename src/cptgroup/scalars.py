@@ -37,8 +37,7 @@ class Scalar:
 
     def __new__(cls, p: RationalLike = 0, q: RationalLike = 0,
                 r: RationalLike = 0, s: RationalLike = 0) -> "Scalar":
-        parts = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-                 for x in (p, q, r, s)]
+        parts = [_rational(x) for x in (p, q, r, s)]
         den = lcm(*(x.denominator for x in parts))
         return _make(*(x.numerator * (den // x.denominator) for x in parts),
                      den)
@@ -207,6 +206,16 @@ def _make(a: int, b: int, c: int, d: int, den: int) -> Scalar:
     x = object.__new__(Scalar)
     x.a, x.b, x.c, x.d, x.den = a, b, c, d, den
     return x
+
+
+def _rational(x: RationalLike) -> "int | Fraction":
+    """An exact component: a float would bring its binary rounding in."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, str):
+        return Fraction(x)
+    raise TypeError(f"Scalar components are int, Fraction or str, "
+                    f"not {type(x).__name__}")
 
 
 def _coerce(x) -> "Scalar | None":

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .matrices import GammaRep, Mat4, RepTag, TRANSFORMS, classify, get_rep
+from .matrices import (GammaRep, Mat4, RepTag, TRANSFORMS, classify, get_rep,
+                       row_reduce)
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
 
 UNIT_SCALARS: tuple[Scalar, ...] = (ONE, MINUS_ONE, I, -I)
@@ -116,27 +117,14 @@ def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
 
 
 def _nullspace(rows: list[list[Scalar]], n: int) -> list[list[Scalar]]:
-    """Kernel basis of a matrix with n columns, by Gauss-Jordan."""
-    m = [row[:] for row in rows if any(not c.is_zero() for c in row)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(m))
-                    if not m[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
+    """Kernel basis of a matrix with n columns, one vector per free
+    column of its reduced row echelon form."""
+    m = [row for row in rows if any(not c.is_zero() for c in row)]
+    pivots = row_reduce(m, n)
     kernel = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [ZERO] * n
         vec[fc] = ONE
         for r, pc in enumerate(pivots):
@@ -151,18 +139,6 @@ def kernel(symmetry: str, rep: GammaRep) -> SolutionSpace:
     It is keyed on the name and the shared, immutable rep, not on the
     system: solving a fresh system with `solve_system` fills no cache."""
     return solve_system(SYSTEMS[symmetry](rep), rep)
-
-
-def solve_parity(rep: GammaRep) -> SolutionSpace:
-    return kernel("p", rep)
-
-
-def solve_charge_conjugation(rep: GammaRep) -> SolutionSpace:
-    return kernel("c", rep)
-
-
-def solve_time_reversal(rep: GammaRep) -> SolutionSpace:
-    return kernel("t", rep)
 
 
 # -- compatibility -------------------------------------------------------------
@@ -218,9 +194,7 @@ def enumerate_consistent_sets(rep: GammaRep) -> list[CptSolutionSet]:
     by the two compatibility conditions; the survivors form exactly two
     families of 8 sign choices, distinguished by their square signature.
     """
-    p_space = solve_parity(rep)
-    c_space = solve_charge_conjugation(rep)
-    t_space = solve_time_reversal(rep)
+    p_space, c_space, t_space = (kernel(sym, rep) for sym in "pct")
     if (p_space.dimension, c_space.dimension, t_space.dimension) != (1, 1, 1):
         raise AssertionError("expected one-dimensional solution lines")
     p0, c0, t0 = p_space.basis[0], c_space.basis[0], t_space.basis[0]
@@ -265,9 +239,7 @@ def _classify_variant(c: Mat4, p: Mat4, t: Mat4, rep: GammaRep) -> int:
 
 def incompatible_parity_squares(rep: GammaRep) -> bool:
     """True iff no P with P^2 = +1 admits a compatible C."""
-    p_space = solve_parity(rep)
-    c_space = solve_charge_conjugation(rep)
-    p0, c0 = p_space.basis[0], c_space.basis[0]
+    p0, c0 = kernel("p", rep).basis[0], kernel("c", rep).basis[0]
     ident = Mat4.identity()
     for z in UNIT_SCALARS:
         p = p0.scale(z)

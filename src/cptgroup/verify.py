@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 from . import claims
 from .groups import (DICYCLIC_GENERATORS, DIHEDRAL_GENERATORS,
-                     SIXTEEN_E_GENERATORS, FiniteGroup, GroupMap,
+                     SIXTEEN_E_GENERATORS, FiniteGroup, GroupError, GroupMap,
                      Permutation, ShortExactSequence, cycle_set_from_string,
                      dicyclic_8, dicyclic_8_x_z2, dihedral_8, dihedral_8_x_z2,
-                     direct_product, cyclic, conjugation_action,
+                     direct_product, conjugation_action,
                      extend_generator_images, find_isomorphism, klein_four,
                      quaternion_group, semidirect_product, sign_group,
                      sixteen_e)
@@ -172,9 +172,9 @@ def _check_clifford(ctx: Context, report: VerificationReport) -> None:
 
 def _check_kernels(ctx: Context, report: VerificationReport) -> None:
     dp = ctx.dp
-    g = dp.gamma
-    closed = {"p": ("kernel-7", g[0]), "c": ("kernel-18", g[2] * g[0]),
-              "t": ("kernel-27", g[3] * g[1])}
+    sol = ctx.solutions[2]
+    closed = {"p": ("kernel-7", sol.P), "c": ("kernel-18", sol.C),
+              "t": ("kernel-27", sol.T)}
     for sym, (claim_id, expected) in closed.items():
         system = SYSTEMS[sym](dp)
         space = kernel(sym, dp)
@@ -187,16 +187,15 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
                   and system.satisfied_by(basis))
         report.add(claim_id, ok, {"dimension": space.dimension})
     # extra printed facts about the closed forms
-    c = g[2] * g[0]
+    c, t, g0 = sol.C, sol.T, dp.gamma[0]
     report.add("claim-17-commutes-g5", c * dp.gamma5 == dp.gamma5 * c)
-    t = g[3] * g[1]
-    report.add("claim-27-trace", (t * g[0] == g[0] * t)
+    report.add("claim-27-trace", (t * g0 == g0 * t)
                and t.trace() == Scalar(0) and t.det() == Scalar(1))
     # other representations: dimension 1, spanning the transported line
     for tag, transform in TRANSFORMS.items():
         rep = get_rep(tag)
-        moved = transform_constraint_solutions(ctx.solutions[2], transform(dp),
-                                               dp.gamma[0], rep.gamma[0])
+        moved = transform_constraint_solutions(sol, transform(dp), g0,
+                                               rep.gamma[0])
         expect = {"p": moved.P, "c": moved.C, "t": moved.T}
         ok_all = True
         for sym in SYSTEMS:
@@ -214,16 +213,14 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
 
 
 def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
-    g = ctx.dp.gamma
-    c1, c2 = g[2] * g[0], (g[2] * g[0]).scale(I)
-    p = g[0].scale(I)
-    report.add("compat-24", (not check_cp_compatibility(c1, g[0]))
-               and check_cp_compatibility(c1, p)
-               and check_cp_compatibility(c2, -p))
-    t1, t2 = (g[3] * g[1]).scale(I), g[3] * g[1]
-    report.add("compat-31", check_ct_compatibility(c1, t1)
-               and check_ct_compatibility(c2, t2)
-               and not check_ct_compatibility(c1, t2))
+    s1, s2 = ctx.solutions[1], ctx.solutions[2]
+    report.add("compat-24",
+               (not check_cp_compatibility(s1.C, ctx.dp.gamma[0]))
+               and check_cp_compatibility(s1.C, s1.P)
+               and check_cp_compatibility(s2.C, -s2.P))
+    report.add("compat-31", check_ct_compatibility(s1.C, s1.T)
+               and check_ct_compatibility(s2.C, s2.T)
+               and not check_ct_compatibility(s1.C, s2.T))
     sets = enumerate_consistent_sets(ctx.dp)
     by_variant = {1: [], 2: []}
     for s in sets:
@@ -298,7 +295,8 @@ def _check_matrix_groups(ctx: Context, report: VerificationReport) -> None:
     for key, printed in (("45", claims.CYCLES_45), ("46", claims.CYCLES_46)):
         group = ctx.g1 if key == "45" else ctx.g2
         diffs = []
-        for label, perm in matrix_groups.regular_cycles(group):
+        for label, perm in zip(group.labels,
+                               group.regular_representation()):
             if not _perm_matches(perm, printed[label]):
                 diffs.append({"element": label, "printed": printed[label],
                               "computed": perm.cycle_string()})
@@ -391,17 +389,21 @@ def _check_map_55(ctx: Context, report: VerificationReport) -> None:
                {"entries": mismatches}, mismatch=typo_only)
 
 
-def _membership_ses(middle: FiniteGroup,
-                    kernel_members: list[int]) -> ShortExactSequence:
-    """N -> G -> Z2 for the index-2 subgroup N of G with these (sorted)
-    members, projecting each element to whether it lies outside N."""
-    kernel = middle.subgroup(kernel_members)
-    inside = set(kernel_members)
-    z2 = cyclic(2)
+def _quotient_ses(middle: FiniteGroup,
+                  members: list[int]) -> ShortExactSequence:
+    """N -> G -> G/N for the normal subgroup N of G with these (sorted)
+    members, projecting each element to its coset; N is coset 0, so a
+    section of G/N lists the image of N first."""
+    kernel = middle.subgroup(members)
+    quotient = middle.quotient(frozenset(members))
+    if quotient.identity != 0:
+        raise GroupError("the quotient's identity is not its first coset")
+    coset_of = {m: k for k, coset in enumerate(quotient.elements)
+                for m in coset}
     return ShortExactSequence(
-        kernel, middle, z2, GroupMap(kernel, middle, list(kernel_members)),
-        GroupMap(middle, z2, [0 if i in inside else 1
-                              for i in range(middle.order)]))
+        kernel, middle, quotient, GroupMap(kernel, middle, list(members)),
+        GroupMap(middle, quotient,
+                 [coset_of[i] for i in range(middle.order)]))
 
 
 def _semidirect(g: FiniteGroup, normal: FiniteGroup, members: list[int],
@@ -458,7 +460,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
 
     # sequence (54): DH8 -> DH8 x Z2 -> Z2, split by h -> (1, h)
     middle = ctx.dh8xz2
-    ses54 = _membership_ses(middle, sorted(middle.closure_of(
+    ses54 = _quotient_ses(middle, sorted(middle.closure_of(
         middle.index[Permutation.from_cycles(g, 6)]
         for g in DIHEDRAL_GENERATORS)))
     sec54 = GroupMap(ses54.quotient_group, middle,
@@ -472,7 +474,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     report.add("ses-54", ok)
 
     # sequence (56): DH8<d,n> -> 16E -> Z2, split by -1 -> adn (or and)
-    ses56 = _membership_ses(e16, members)
+    ses56 = _quotient_ses(e16, members)
     ok = ses56.verify()
     for word in claims.SES_56_SECTIONS:
         sec = GroupMap(ses56.quotient_group, e16, [e16.identity, ev(word)])
@@ -482,12 +484,13 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
 
     # sequence (61): Z4 -> DH8<d,n> -> Z2, split by -1 -> n (or dn)
     z4_members = sorted(dh8_dn.closure_of({pos[letters["d"]]}))
-    ses61 = _membership_ses(dh8_dn, z4_members)
+    ses61 = _quotient_ses(dh8_dn, z4_members)
     ok = ses61.verify() and len(z4_members) == 4
     for word in claims.SES_61_SECTIONS:
-        sec = GroupMap(ses61.quotient_group, dh8_dn,
-                       [dh8_dn.identity, pos[ev(word)]])
-        ok = ok and sec.is_homomorphism()
+        image = pos[ev(word)]
+        sec = GroupMap(ses61.quotient_group, dh8_dn, [dh8_dn.identity, image])
+        ok = ok and sec.is_homomorphism() \
+            and ses61.projection.images[image] == 1
     report.add("ses-61", ok and ses61.find_splitting() is not None)
 
     # semidirect reconstruction (57)/(59): DH8 x_Φ γ2(Z2) ≅ 16E, and the
@@ -532,31 +535,19 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     dc8 = ctx.dc8
     x, y = (dc8.index[Permutation.from_cycles(g, 8)]
             for g in DICYCLIC_GENERATORS)
-    ses74 = _membership_ses(dc8, sorted(dc8.closure_of({x})))
+    ses74 = _quotient_ses(dc8, sorted(dc8.closure_of({x})))
     report.add("ses-74-no-split",
                ses74.verify() and ses74.find_splitting() is None)
 
-    x2 = dc8.table[x][x]
-    center_members = sorted(dc8.closure_of({x2}))
-    kernel75 = dc8.subgroup(center_members, name="Z2")
-    quotient75 = dc8.quotient(frozenset(center_members))
-    coset_of = {}
-    for k, coset in enumerate(quotient75.elements):
-        for m in coset:
-            coset_of[m] = k
-    ses75 = ShortExactSequence(
-        kernel75, dc8, quotient75,
-        GroupMap(kernel75, dc8, center_members),
-        GroupMap(dc8, quotient75,
-                 [coset_of[i] for i in range(dc8.order)]))
+    ses75 = _quotient_ses(dc8, sorted(dc8.closure_of({dc8.table[x][x]})))
     # printed isomorphism ρ of the quotient with the Klein group
     v = klein_four()
     rho_data = {dc8.identity: (0, 0), x: (0, 1), y: (1, 0),
                 dc8.table[x][y]: (1, 1)}
     rho = [None] * 4
     for rep_idx, pair in rho_data.items():
-        rho[coset_of[rep_idx]] = v.index[pair]
-    rho_map = GroupMap(quotient75, v, rho)
+        rho[ses75.projection.images[rep_idx]] = v.index[pair]
+    rho_map = GroupMap(ses75.quotient_group, v, rho)
     report.add("ses-75-no-split",
                ses75.verify() and rho_map.is_isomorphism()
                and ses75.find_splitting() is None)
@@ -565,7 +556,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     report.add("hamiltonian-dc8",
                all(dc8.is_normal(h) for h in dc8.subgroups()))
     report.add("quotient-dc8-klein",
-               find_isomorphism(quotient75, v) is not None)
+               find_isomorphism(ses75.quotient_group, v) is not None)
 
 
 def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
@@ -588,16 +579,12 @@ def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
     # the printed chain (73), column by column
     named = dict(zip(gt.labels, gt.elements))
     regular = dict(zip(gt.labels, gt.regular_representation()))
-    letters = {"x": operator_group._X, "y": operator_group._Y,
-               "z": operator_group._Z}
     diffs = []
     for label, word, (qs, qu, eps), s10, s16 in claims.CHAIN_73:
         e = named[label]
         if e != ((qs, qu), eps):
             diffs.append({"element": label, "kind": "quaternion-pair"})
-        perm = Permutation.identity(10)
-        for ch in word:
-            perm = perm * letters[ch]
+        perm = operator_group.s10_word(word)
         if not _perm_matches(perm, s10):
             diffs.append({"element": label, "kind": "word-vs-s10",
                           "printed": s10, "computed": perm.cycle_string()})
@@ -681,18 +668,27 @@ def _check_representations(ctx: Context,
     report.add("tables-preserved-under-conjugation", ok)
 
 
+# the pipeline stages, in report order; stage S is `_check_S`
+STAGES = ("clifford", "kernels", "compatibility", "solution_properties",
+          "matrix_groups", "grading", "isomorphisms", "map_55", "extensions",
+          "operator_group", "representations")
+
+
 def run_all() -> tuple[Context, VerificationReport]:
+    """Run every stage.  A stage that raises keeps the claims it added,
+    gains a failing `<stage>-error` claim and prints its traceback to
+    stderr, and the later stages still run."""
     ctx = Context()
     report = VerificationReport()
-    _check_clifford(ctx, report)
-    _check_kernels(ctx, report)
-    _check_compatibility(ctx, report)
-    _check_solution_properties(ctx, report)
-    _check_matrix_groups(ctx, report)
-    _check_grading(ctx, report)
-    _check_isomorphisms(ctx, report)
-    _check_map_55(ctx, report)
-    _check_extensions(ctx, report)
-    _check_operator_group(ctx, report)
-    _check_representations(ctx, report)
+    for stage in STAGES:
+        # looked up at call time, so a wrapper set on the module is used
+        check = globals()[f"_check_{stage}"]
+        try:
+            check(ctx, report)
+        except Exception as exc:
+            # imported only here: it would add ~3 ms to every start
+            import traceback
+            traceback.print_exc()
+            report.add(f"{stage}-error", False,
+                       {"error": f"{type(exc).__name__}: {exc}"})
     return ctx, report

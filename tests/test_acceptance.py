@@ -15,9 +15,7 @@ from cptgroup.matrices import Mat4, RepTag, get_rep
 from cptgroup.scalars import ONE, ZERO, Scalar
 from cptgroup.solver import (SQUARE_SIGNATURES, canonical_sets,
                              enumerate_consistent_sets,
-                             incompatible_parity_squares,
-                             solve_charge_conjugation, solve_parity,
-                             solve_time_reversal)
+                             incompatible_parity_squares, kernel)
 
 
 def _passed(report, claim_ids):
@@ -37,9 +35,9 @@ def test_acceptance_01_kernels(pipeline):
                                     "kernel-weyl", "kernel-majorana"])
     dp = get_rep(RepTag.DIRAC_PAULI)
     g = dp.gamma
-    ok = ok and solve_parity(dp).basis[0] == g[0]
-    ok = ok and solve_charge_conjugation(dp).basis == (g[0] * g[2],)
-    ok = ok and solve_time_reversal(dp).basis == (g[3] * g[1],)
+    ok = ok and kernel("p", dp).basis[0] == g[0]
+    ok = ok and kernel("c", dp).basis == (g[0] * g[2],)
+    ok = ok and kernel("t", dp).basis == (g[3] * g[1],)
     _announce(1, ok, "one-dimensional kernels g0, g2g0, g3g1 (up to sign)")
 
 

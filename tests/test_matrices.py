@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from cptgroup.matrices import (BASIS_NAMES, Grade, Mat4, RepTag, classify,
-                               conjugate_representation, dirac_pauli_rep,
-                               get_rep, majorana_transform, weyl_transform)
+from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, Grade, Mat4, RepTag,
+                               classify, get_rep, majorana_transform,
+                               weyl_transform)
 from cptgroup.scalars import I, INV_SQRT2, Scalar, ZERO
 
-DP = dirac_pauli_rep()
+DP = get_rep(RepTag.DIRAC_PAULI)
 ETA = (Scalar(2), Scalar(-2), Scalar(-2), Scalar(-2))
 
 
@@ -84,6 +84,29 @@ def test_parity_grades():
     assert DP.parity_grade(g[0]) == Grade.ODD
     assert DP.parity_grade(g[2] * g[0]) == Grade.EVEN
     assert DP.parity_grade(Mat4.identity() + g[0]) == Grade.MIXED
+
+
+def test_alpha_and_grade_match_the_basis_expansion(rep):
+    # reference: alpha negates the odd-length words of the expansion, and
+    # the grade is read off the words in the expansion's support
+    rng = random.Random(1997)
+    odd = [len(w) % 2 == 1 for w in BASIS_WORDS]
+    mats = [Mat4.zero()]
+    for _ in range(8):
+        m = random_dense_mat(rng)
+        coeffs = rep.basis_expand(m)
+        mats += [m] + [rep.recombine([ZERO if o == keep else c
+                                      for c, o in zip(coeffs, odd)])
+                       for keep in (False, True)]
+    for m in mats:
+        coeffs = rep.basis_expand(m)
+        assert rep.alpha(m) == rep.recombine([-c if o else c
+                                              for c, o in zip(coeffs, odd)])
+        support = {o for c, o in zip(coeffs, odd) if not c.is_zero()}
+        want = (Grade.EVEN if support <= {False} else
+                Grade.ODD if support == {True} else Grade.MIXED)
+        assert rep.parity_grade(m) == want
+    assert {rep.parity_grade(m) for m in mats} == set(Grade)
 
 
 def test_preserves_gamma_span():
@@ -178,7 +201,7 @@ def test_transform_matrices():
         assert s * s == Mat4.identity()
         assert s.trace() == Scalar(0)
     assert s_m.det() == Scalar(1)
-    rep_m = conjugate_representation(DP, RepTag.MAJORANA)
+    rep_m = get_rep(RepTag.MAJORANA)
     for gamma in rep_m.gamma:
         assert all(e.is_imaginary() for row in gamma.rows for e in row)
 

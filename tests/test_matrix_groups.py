@@ -6,7 +6,7 @@ from cptgroup import claims
 from cptgroup.groups import GroupError, find_isomorphism
 from cptgroup.matrix_groups import (BASE_NAMES, basic_table,
                                     build_matrix_group, cpt_group,
-                                    regular_cycles, render_table)
+                                    render_table)
 from cptgroup.solver import CptSolutionSet, canonical_sets
 
 
@@ -50,14 +50,15 @@ def test_order_profiles(groups):
 
 def test_regular_cycles_match_printed_listings(groups):
     for variant, printed in ((1, claims.CYCLES_45), (2, claims.CYCLES_46)):
-        for label, perm in regular_cycles(groups[variant]):
+        g = groups[variant]
+        for label, perm in zip(g.labels, g.regular_representation()):
             from cptgroup.groups import cycle_set_from_string
             assert perm.cycle_set() == cycle_set_from_string(printed[label])
 
 
 def test_regular_representation_permutes_all_positions(groups):
     for g in groups.values():
-        for label, perm in regular_cycles(g):
+        for label, perm in zip(g.labels, g.regular_representation()):
             if label != "1":
                 assert perm.moves_every_point()
 

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from cptgroup.matrices import Mat4
 from cptgroup.scalars import (I, INV_SQRT2, MINUS_ONE, ONE, SQRT2, ZERO,
                               Scalar)
 
@@ -92,6 +93,20 @@ def test_int_interoperability():
     assert I / 1 == I
     with pytest.raises(TypeError):
         I + "x"
+
+
+
+def test_floats_are_rejected_at_every_entry_point():
+    # a float would bring its binary rounding in: 0.1 is not 1/10
+    assert Scalar("0.1") == Scalar(Fraction(1, 10))
+    with pytest.raises(TypeError):
+        Scalar(0.1)
+    with pytest.raises(TypeError):
+        Scalar(0, 0, 0, 0.5)
+    with pytest.raises(TypeError):
+        Mat4.identity().scale(0.1)
+    with pytest.raises(TypeError):
+        Mat4([[0.1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 # -- canonical integer form ------------------------------------------------

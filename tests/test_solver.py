@@ -10,9 +10,8 @@ from cptgroup.solver import (SQUARE_SIGNATURES, canonical_sets,
                              check_cp_compatibility, check_ct_compatibility,
                              conjugate_group_matrices,
                              enumerate_consistent_sets,
-                             incompatible_parity_squares, parity_system,
-                             solve_charge_conjugation, solve_parity,
-                             solve_system, solve_time_reversal,
+                             incompatible_parity_squares, kernel,
+                             parity_system, solve_system,
                              time_reversal_system,
                              transform_constraint_solutions,
                              verify_solution_properties)
@@ -26,20 +25,18 @@ def rep(request):
 
 
 def test_kernels_are_lines(rep):
-    for solver in (solve_parity, solve_charge_conjugation,
-                   solve_time_reversal):
-        space = solver(rep)
+    for sym in "pct":
+        space = kernel(sym, rep)
         assert space.dimension == 1
         assert not space.basis[0].is_zero()
 
 
 def test_kernel_elements_satisfy_their_systems(rep):
-    for system, solver in ((parity_system, solve_parity),
-                           (charge_conjugation_system,
-                            solve_charge_conjugation),
-                           (time_reversal_system, solve_time_reversal)):
+    for system, sym in ((parity_system, "p"),
+                        (charge_conjugation_system, "c"),
+                        (time_reversal_system, "t")):
         sys_ = system(rep)
-        x = solver(rep).basis[0]
+        x = kernel(sym, rep).basis[0]
         assert sys_.satisfied_by(x)
         assert all(r.is_zero() for r in sys_.residuals(x))
         assert not sys_.satisfied_by(x + Mat4.identity())
@@ -48,16 +45,16 @@ def test_kernel_elements_satisfy_their_systems(rep):
 def test_standard_kernel_closed_forms():
     dp = get_rep(RepTag.DIRAC_PAULI)
     g = dp.gamma
-    assert solve_parity(dp).basis[0] == g[0]
+    assert kernel("p", dp).basis[0] == g[0]
     # normalization puts the leading canonical-basis coefficient at 1;
     # the canonical pair names are g0g2 and g3g1
-    assert solve_charge_conjugation(dp).basis[0] == g[0] * g[2]
-    assert solve_time_reversal(dp).basis[0] == g[3] * g[1]
+    assert kernel("c", dp).basis[0] == g[0] * g[2]
+    assert kernel("t", dp).basis[0] == g[3] * g[1]
 
 
 def test_weyl_parity_kernel_is_g0():
     rep = get_rep(RepTag.WEYL)
-    assert solve_parity(rep).basis[0] == rep.gamma[0]
+    assert kernel("p", rep).basis[0] == rep.gamma[0]
 
 
 def test_compatibility_filters():

@@ -1,8 +1,10 @@
 """The verification pipeline's report object and claim inventory."""
 
+import json
+
 import pytest
 
-from cptgroup import claims, solver, verify
+from cptgroup import claims, cli, solver, verify
 from cptgroup.groups import FiniteGroup, Permutation
 from cptgroup.matrices import RepTag, get_rep
 from cptgroup.scalars import I
@@ -166,3 +168,45 @@ def test_trivial_regular_representation_fails(ctx, monkeypatch):
     report = verify.VerificationReport()
     verify._check_matrix_groups(ctx, report)
     assert report.status_of("regular-representation") == "fail"
+
+
+def test_a_raising_stage_hides_no_other_claim(ctx, pipeline, monkeypatch,
+                                              tmp_path, capsys):
+    _, good = pipeline
+    extensions = VerificationReport()
+    verify._check_extensions(ctx, extensions)
+    in_stage = {s.claim_id for s in extensions.sections}
+    # an unknown letter in a printed word raises inside `extensions`
+    monkeypatch.setattr(claims, "ISO_60", {**claims.ISO_60, "C": ("q", "1")})
+    _, broken = verify.run_all()
+    error = ClaimResult("extensions-error", "fail",
+                        {"error": "KeyError: 'q'"})
+    assert broken.sections.count(error) == 1
+    # the other ten stages report as before, and the claims `extensions`
+    # added before it raised keep their statuses
+    assert [s for s in broken.sections
+            if s.claim_id not in in_stage and s != error] == \
+        [s for s in good.sections if s.claim_id not in in_stage]
+    assert all(s.status == good.status_of(s.claim_id)
+               for s in broken.sections if s.claim_id in in_stage)
+
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--json-out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL     extensions-error" in captured.out
+    assert captured.err.startswith("Traceback")
+    sections = json.loads(path.read_text())["sections"]
+    assert error.to_json() in sections
+
+
+@pytest.mark.parametrize("dataset, word, claim_id",
+                         [("SES_56_SECTIONS", "n", "ses-56"),
+                          ("SES_61_SECTIONS", "dd", "ses-61")])
+def test_section_word_inside_the_kernel_fails(ctx, monkeypatch, dataset,
+                                              word, claim_id):
+    # an involution of the kernel N is a homomorphic image of the
+    # two-element quotient, but no section: it projects to N, not to -1
+    monkeypatch.setattr(claims, dataset, [getattr(claims, dataset)[0], word])
+    report = VerificationReport()
+    verify._check_extensions(ctx, report)
+    assert report.status_of(claim_id) == "fail"
