@@ -25,8 +25,6 @@ from .solver import SYSTEMS, kernel
 from .verify import Context, run_all
 
 GROUP_CHOICES = ("g1", "g2", "gtheta")
-SYMMETRY_NAMES = {"p": "parity", "c": "charge-conjugation",
-                  "t": "time-reversal"}
 
 
 def cmd_verify(args) -> int:
@@ -48,7 +46,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    group = Context().group(args.group)
+    group = getattr(Context(), args.group)
     if args.format == "json":
         print(json.dumps({"group": args.group,
                           "row_labels": matrix_groups.base_labels(group),
@@ -70,7 +68,7 @@ def cmd_solve(args) -> int:
                  if not coef.is_zero()]
         names.append(" + ".join(terms))
     payload = {
-        "symmetry": SYMMETRY_NAMES[args.symmetry],
+        "symmetry": SYSTEMS[args.symmetry][0],
         "representation": args.rep,
         "dimension": space.dimension,
         "basis": [b.to_json() for b in space.basis],
@@ -89,13 +87,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    ctx = Context()
-    group = ctx.group(args.group)
+    group = getattr(Context(), args.group)
     rows = []
-    for label, perm in zip(group.labels, group.regular_representation()):
+    for label, op, perm in zip(group.labels, group.elements,
+                               group.regular_representation()):
         entry = {"element": label, "s16": perm.cycle_string()}
         if args.group == "gtheta":
-            op = group.elements[group.label_index(label)]
             entry["s10"] = operator_group.to_s10(op).cycle_string()
         rows.append(entry)
     if args.format == "json":
@@ -109,7 +106,7 @@ def cmd_cycles(args) -> int:
 
 def cmd_identify(args) -> int:
     ctx = Context()
-    group = ctx.group(args.group)
+    group = getattr(ctx, args.group)
     candidates = [("dh8xz2", ctx.dh8xz2), ("16e", ctx.e16),
                   ("dc8xz2", ctx.dc8xz2), ("qxs0", ctx.qxs0)]
     checked = []

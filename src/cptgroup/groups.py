@@ -65,12 +65,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation([self.images[j] for j in other.images])
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -97,11 +91,6 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
 
-    def cycle_set(self) -> frozenset[tuple[int, ...]]:
-        """Order-insensitive canonical form: the set of cycles, each
-        rotated to start at its smallest point."""
-        return frozenset(self.cycles())
-
     def moves_every_point(self) -> bool:
         return all(self.images[i] != i for i in range(self.degree))
 
@@ -115,18 +104,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation<{self.cycle_string()}>"
-
-
-def cycle_set_from_string(text: str) -> frozenset[tuple[int, ...]]:
-    """Order-insensitive cycle set of a printed cycle listing."""
-    cycles = []
-    for cyc in re.findall(r"\(([^()]*)\)", text):
-        pts = [int(tok) for tok in cyc.split()]
-        if len(pts) < 2:
-            continue
-        low = pts.index(min(pts))
-        cycles.append(tuple(pts[low:] + pts[:low]))
-    return frozenset(cycles)
 
 
 class GroupError(Exception):
@@ -209,9 +186,6 @@ class FiniteGroup:
             o = self.element_order(i)
             profile[o] = profile.get(o, 0) + 1
         return profile
-
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
 
     # -- structure ----------------------------------------------------------
 
@@ -426,18 +400,6 @@ def sign_group() -> FiniteGroup:
     return FiniteGroup([1, -1], lambda a, b: a * b, ["1", "-1"], name="S0")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup,
-                   name: str = "") -> FiniteGroup:
-    elems = [(a, b) for a in range(g.order) for b in range(h.order)]
-
-    def pmul(x, y):
-        return (g.table[x[0]][y[0]], h.table[x[1]][y[1]])
-
-    labels = [f"({g.labels[a]},{h.labels[b]})" for a, b in elems]
-    return FiniteGroup(elems, pmul, labels,
-                       name=name or f"{g.name}x{h.name}")
-
-
 def semidirect_product(n: FiniteGroup, h: FiniteGroup,
                        action: Sequence[Sequence[int]],
                        name: str = "") -> FiniteGroup:
@@ -471,6 +433,13 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
                        name=name or f"{n.name}:{h.name}")
 
 
+def direct_product(g: FiniteGroup, h: FiniteGroup,
+                   name: str = "") -> FiniteGroup:
+    """The semidirect product of g and h under the trivial action."""
+    return semidirect_product(g, h, [range(g.order)] * h.order,
+                              name=name or f"{g.name}x{h.name}")
+
+
 def conjugation_action(g: FiniteGroup, normal: Sequence[int],
                        section: Sequence[int]) -> list[list[int]]:
     """Action of a transversal on a normal subgroup by conjugation.
@@ -497,12 +466,9 @@ class GroupMap:
     images: list[int]
 
     def is_homomorphism(self) -> bool:
-        return not self.homomorphism_failures()
-
-    def homomorphism_failures(self) -> list[tuple[int, int]]:
         src, tgt, img = self.source, self.target, self.images
-        return [(i, j) for i in range(src.order) for j in range(src.order)
-                if img[src.table[i][j]] != tgt.table[img[i]][img[j]]]
+        return all(img[src.table[i][j]] == tgt.table[img[i]][img[j]]
+                   for i in range(src.order) for j in range(src.order))
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
@@ -650,7 +616,3 @@ class ShortExactSequence:
             if gm.is_homomorphism():
                 out.append(gm)
         return out
-
-    def find_splitting(self) -> Optional[GroupMap]:
-        secs = self.sections()
-        return secs[0] if secs else None

@@ -44,16 +44,6 @@ class Mat4:
         return Mat4([[ONE if i == j else ZERO for j in range(4)]
                      for i in range(4)])
 
-    @staticmethod
-    def from_blocks(a: Sequence, b: Sequence, c: Sequence, d: Sequence) -> "Mat4":
-        """Assemble [[A, B], [C, D]] from four 2x2 blocks."""
-        rows = []
-        for i in range(2):
-            rows.append(list(a[i]) + list(b[i]))
-        for i in range(2):
-            rows.append(list(c[i]) + list(d[i]))
-        return Mat4(rows)
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "Mat4") -> "Mat4":
@@ -152,10 +142,6 @@ class Mat4:
     def to_json(self):
         return [[x.to_json() for x in row] for row in self.rows]
 
-    @classmethod
-    def from_json(cls, data) -> "Mat4":
-        return cls([[Scalar.from_json(x) for x in row] for row in data])
-
 
 def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
     """Bring `rows` to reduced row echelon form in its first `ncols`
@@ -192,11 +178,12 @@ SIGMA1 = ((ZERO, ONE), (ONE, ZERO))
 SIGMA2 = ((ZERO, -I), (I, ZERO))
 SIGMA3 = ((ONE, ZERO), (ZERO, MINUS_ONE))
 ID2 = ((ONE, ZERO), (ZERO, ONE))
-ZERO2 = ((ZERO, ZERO), (ZERO, ZERO))
 
 
-def _neg2(block):
-    return tuple(tuple(-x for x in row) for row in block)
+def _kron(a, b) -> Mat4:
+    """The Kronecker product of two 2x2 blocks."""
+    return Mat4([[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)]
+                 for i in range(4)])
 
 
 # -- canonical basis ----------------------------------------------------------
@@ -337,12 +324,12 @@ TRANSFORMS = {RepTag.WEYL: weyl_transform, RepTag.MAJORANA: majorana_transform}
 def get_rep(tag: RepTag) -> GammaRep:
     """The presentation `tag`, built once: a GammaRep is immutable, so
     every caller can share it.  The standard one has gamma_0 diagonal and
-    Pauli off-blocks; the others are its conjugates S g S† by the
-    `TRANSFORMS` of their tags."""
+    Pauli off-blocks, in the two-qubit form gamma_0 = s3 x 1, gamma_k =
+    i s2 x sk; the others are its conjugates S g S† by the `TRANSFORMS`
+    of their tags."""
     if tag is RepTag.DIRAC_PAULI:
-        g0 = Mat4.from_blocks(ID2, ZERO2, ZERO2, _neg2(ID2))
-        gk = [Mat4.from_blocks(ZERO2, s, _neg2(s), ZERO2)
-              for s in (SIGMA1, SIGMA2, SIGMA3)]
+        g0 = _kron(SIGMA3, ID2)
+        gk = [_kron(SIGMA2, s).scale(I) for s in (SIGMA1, SIGMA2, SIGMA3)]
         return _build_rep(tag, [g0] + gk)
     dp = get_rep(RepTag.DIRAC_PAULI)
     s = TRANSFORMS[tag](dp)
@@ -366,23 +353,21 @@ class MatrixClass:
     real_entries: bool
     imaginary_entries: bool
 
-    @property
-    def in_K(self) -> bool:
-        """Traceless hermitian unitary unimodular antisymmetric."""
-        return (self.traceless and self.hermitian and self.unitary
-                and self.unimodular and self.antisymmetric)
+    def in_class(self, name: str) -> bool:
+        """Membership of class K, M or N: traceless, unitary and unimodular,
+        with the adjoint and transpose signs of `CLASS_SIGNS[name]`."""
+        adjoint, _, transpose, _ = CLASS_SIGNS[name]
+        return (self.traceless and self.unitary and self.unimodular
+                and (self.hermitian if adjoint == 1 else self.antihermitian)
+                and (self.symmetric if transpose == 1
+                     else self.antisymmetric))
 
-    @property
-    def in_M(self) -> bool:
-        """Traceless antihermitian unitary unimodular symmetric."""
-        return (self.traceless and self.antihermitian and self.unitary
-                and self.unimodular and self.symmetric)
 
-    @property
-    def in_N(self) -> bool:
-        """Traceless antihermitian unitary unimodular antisymmetric."""
-        return (self.traceless and self.antihermitian and self.unitary
-                and self.unimodular and self.antisymmetric)
+# the signs s with M† = sM, M^-1 = sM, M~ = sM and M* = sM shared by the
+# unitary members of each class: K hermitian and antisymmetric, M
+# antihermitian and symmetric, N antihermitian and antisymmetric
+CLASS_SIGNS = {"K": (1, 1, -1, -1), "M": (-1, -1, 1, -1),
+               "N": (-1, -1, -1, 1)}
 
 
 def classify(m: Mat4) -> MatrixClass:

@@ -107,10 +107,6 @@ class Scalar:
         """Complex conjugation: i -> -i, sqrt(2) fixed."""
         return _make(self.a, -self.b, self.c, -self.d, self.den)
 
-    def sqrt2_conjugate(self) -> "Scalar":
-        """Galois conjugation sqrt(2) -> -sqrt(2), i fixed."""
-        return _make(self.a, self.b, -self.c, -self.d, self.den)
-
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero.
 
@@ -183,10 +179,6 @@ class Scalar:
     def to_json(self) -> list[str]:
         """The 4-tuple of rational strings ["p","q","r","s"]."""
         return [str(self.p), str(self.q), str(self.r), str(self.s)]
-
-    @classmethod
-    def from_json(cls, data) -> "Scalar":
-        return cls(*data)
 
 
 # zero and the units +-1, +-i, by numerators: each has one shared Scalar

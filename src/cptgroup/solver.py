@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .matrices import (GammaRep, Mat4, RepTag, TRANSFORMS, classify, get_rep,
-                       row_reduce)
+from .matrices import (CLASS_SIGNS, GammaRep, Mat4, RepTag, TRANSFORMS,
+                       classify, get_rep, row_reduce)
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
 
 UNIT_SCALARS: tuple[Scalar, ...] = (ONE, MINUS_ONE, I, -I)
@@ -61,31 +61,21 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def parity_system(rep: GammaRep) -> ConstraintSystem:
-    rels = [Relation(rep.gamma[0], rep.gamma[0], +1)]
-    rels += [Relation(rep.gamma[k], rep.gamma[k], -1) for k in (1, 2, 3)]
-    return ConstraintSystem(tuple(rels))
+# each symmetry by its one-letter name: its name, and the twist f and signs
+# s_mu of its defining relations X f(gmu) = s_mu gmu X.  The time-reversed,
+# conjugated Dirac equation constrains T through the conjugated gamma
+# matrices; in presentations with real g0 (standard, Weyl) its first
+# relation is the familiar "T commutes with g0".
+SYSTEMS = {"p": ("parity", lambda m: m, (1, -1, -1, -1)),
+           "c": ("charge-conjugation", Mat4.transpose, (-1, -1, -1, -1)),
+           "t": ("time-reversal", Mat4.conj, (1, -1, -1, -1))}
 
 
-def charge_conjugation_system(rep: GammaRep) -> ConstraintSystem:
-    return ConstraintSystem(tuple(
-        Relation(rep.gamma[mu].transpose(), rep.gamma[mu], -1)
-        for mu in range(4)))
-
-
-def time_reversal_system(rep: GammaRep) -> ConstraintSystem:
-    # The time-reversed, conjugated Dirac equation constrains T through the
-    # conjugated gamma matrices: X gmu* = (+g0 / -gk) X.  In presentations
-    # with real g0 (standard, Weyl) the first relation is the familiar
-    # "T commutes with g0".
-    rels = [Relation(rep.gamma[0].conj(), rep.gamma[0], +1)]
-    rels += [Relation(rep.gamma[k].conj(), rep.gamma[k], -1) for k in (1, 2, 3)]
-    return ConstraintSystem(tuple(rels))
-
-
-# each symmetry's constraint system, by its one-letter name
-SYSTEMS = {"p": parity_system, "c": charge_conjugation_system,
-           "t": time_reversal_system}
+def constraint_system(symmetry: str, rep: GammaRep) -> ConstraintSystem:
+    """The relations X f(gmu) = s_mu gmu X of `SYSTEMS[symmetry]` in `rep`."""
+    _, twist, signs = SYSTEMS[symmetry]
+    return ConstraintSystem(tuple(Relation(twist(g), g, s)
+                                  for g, s in zip(rep.gamma, signs)))
 
 
 def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
@@ -138,7 +128,7 @@ def kernel(symmetry: str, rep: GammaRep) -> SolutionSpace:
     """The kernel of the `SYSTEMS[symmetry]` system in `rep`, solved once.
     It is keyed on the name and the shared, immutable rep, not on the
     system: solving a fresh system with `solve_system` fills no cache."""
-    return solve_system(SYSTEMS[symmetry](rep), rep)
+    return solve_system(constraint_system(symmetry, rep), rep)
 
 
 # -- compatibility -------------------------------------------------------------
@@ -183,6 +173,11 @@ class CptSolutionSet:
 
 
 SQUARE_SIGNATURES = {1: (1, -1, 1), 2: (-1, -1, -1)}
+
+# the class (see `CLASS_SIGNS`) of each matrix of a set, per variant: P and
+# θ agree across the families, while C and T are real only in the second
+CLASSES = {1: {"C": "K", "P": "M", "T": "K", "theta": "K"},
+           2: {"C": "N", "P": "M", "T": "N", "theta": "K"}}
 
 
 def enumerate_consistent_sets(rep: GammaRep) -> list[CptSolutionSet]:
@@ -294,48 +289,30 @@ def transform_constraint_solutions(sol: CptSolutionSet, s: Mat4,
 # -- per-solution property report ------------------------------------------------
 
 
-# signs s with M† = sM, M^-1 = sM, M~ = sM and M* = sM, per variant:
-# P and θ agree across the families, while C and T are real only in the
-# second
-_IMAGE_SIGNS = {
-    1: {"C": (1, 1, -1, -1), "P": (-1, -1, 1, -1), "T": (1, 1, -1, -1),
-        "theta": (1, 1, -1, -1)},
-    2: {"C": (-1, -1, -1, 1), "P": (-1, -1, 1, -1), "T": (-1, -1, -1, 1),
-        "theta": (1, 1, -1, -1)},
-}
-
-
 def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
-    """Exact checks of every identity claimed for a consistent set."""
+    """Exact checks of every identity claimed for a consistent set: each
+    matrix has the `CLASS_SIGNS` of its class in `CLASSES`, and a matrix
+    equal to its own conjugate has real entries."""
     ident = Mat4.identity()
     c, p, t = sol.C, sol.P, sol.T
     theta = sol.theta
     checks: dict[str, bool] = {}
-    sig = SQUARE_SIGNATURES[sol.variant]
-    checks["squares"] = sol.squares() == sig
+    checks["squares"] = sol.squares() == SQUARE_SIGNATURES[sol.variant]
     for name, m in (("C", c), ("P", p), ("T", t), ("theta", theta)):
+        kind = CLASSES[sol.variant][name]
+        signs = CLASS_SIGNS[kind]
         images = (m.dagger(), m.inverse(), m.transpose(), m.conj())
         for op, image, sign in zip(("adjoint", "inverse", "transpose",
-                                    "conjugate"), images,
-                                   _IMAGE_SIGNS[sol.variant][name]):
+                                    "conjugate"), images, signs):
             checks[f"{name}_{op}"] = image == (m if sign == 1 else -m)
         checks[f"{name}_unimodular"] = m.det() == ONE
         checks[f"{name}_traceless"] = m.trace().is_zero()
+        membership = classify(m)
+        checks[f"{name}_in_{kind}"] = membership.in_class(kind)
+        if signs[3] == 1:
+            checks[f"{name}_real"] = membership.real_entries
 
     checks["CCstar"] = c * c.conj() == -ident
     checks["PT_commute"] = p * t == t * p
     checks["theta_square"] = theta * theta == ident
-
-    # class memberships: theta always in K; P in M; C, T in K (variant 1)
-    # or N (variant 2)
-    checks["theta_in_K"] = classify(theta).in_K
-    checks["P_in_M"] = classify(p).in_M
-    if sol.variant == 1:
-        checks["C_in_K"] = classify(c).in_K
-        checks["T_in_K"] = classify(t).in_K
-    else:
-        checks["C_in_N"] = classify(c).in_N
-        checks["T_in_N"] = classify(t).in_N
-        checks["C_real"] = classify(c).real_entries
-        checks["T_real"] = classify(t).real_entries
     return checks

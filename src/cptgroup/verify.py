@@ -15,22 +15,24 @@ fail too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import claims
 from .groups import (DICYCLIC_GENERATORS, DIHEDRAL_GENERATORS,
                      SIXTEEN_E_GENERATORS, FiniteGroup, GroupError, GroupMap,
-                     Permutation, ShortExactSequence, cycle_set_from_string,
-                     dicyclic_8, dicyclic_8_x_z2, dihedral_8, dihedral_8_x_z2,
+                     Permutation, ShortExactSequence, dicyclic_8,
+                     dicyclic_8_x_z2, dihedral_8, dihedral_8_x_z2,
                      direct_product, conjugation_action,
                      extend_generator_images, find_isomorphism, klein_four,
                      quaternion_group, semidirect_product, sign_group,
                      sixteen_e)
-from .matrices import (Grade, Mat4, RepTag, TRANSFORMS, classify, get_rep,
-                       majorana_transform, weyl_transform)
+from .matrices import (CLASS_SIGNS, Grade, Mat4, RepTag, TRANSFORMS,
+                       classify, get_rep, majorana_transform, weyl_transform)
 from .scalars import I, INV_SQRT2, Scalar
-from .solver import (SYSTEMS, UNIT_SCALARS, canonical_sets,
-                     check_cp_compatibility, check_ct_compatibility,
-                     conjugate_group_matrices, enumerate_consistent_sets,
+from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, UNIT_SCALARS,
+                     SolutionSpace, canonical_sets, check_cp_compatibility,
+                     check_ct_compatibility, conjugate_group_matrices,
+                     constraint_system, enumerate_consistent_sets,
                      incompatible_parity_squares, kernel,
                      solve_system,  # unused, but benchmarks/tracer.py wraps it
                      transform_constraint_solutions, verify_solution_properties)
@@ -80,50 +82,48 @@ class VerificationReport:
 
 
 class Context:
-    """Everything the pipeline and the CLI need, built once."""
+    """Everything the pipeline and the CLI need, each group built on first
+    use and then kept."""
 
     def __init__(self) -> None:
         self.dp = get_rep(RepTag.DIRAC_PAULI)
         self.solutions = canonical_sets()
-        self.g1 = matrix_groups.build_matrix_group(self.solutions[1])
-        self.g2 = matrix_groups.build_matrix_group(self.solutions[2])
-        self.gtheta = operator_group.build_operator_group()
-        self.dh8 = dihedral_8()
-        self.dh8xz2 = dihedral_8_x_z2()
-        self.e16 = sixteen_e()
-        self.dc8 = dicyclic_8()
-        self.dc8xz2 = dicyclic_8_x_z2()
-        self.q = quaternion_group()
-        self.qxs0 = direct_product(self.q, sign_group(), name="QxS0")
 
-    def group(self, key: str) -> FiniteGroup:
-        return {"g1": self.g1, "g2": self.g2, "gtheta": self.gtheta}[key]
+    g1 = cached_property(
+        lambda self: matrix_groups.build_matrix_group(self.solutions[1]))
+    g2 = cached_property(
+        lambda self: matrix_groups.build_matrix_group(self.solutions[2]))
+    gtheta = cached_property(
+        lambda self: operator_group.build_operator_group())
+    dh8 = cached_property(lambda self: dihedral_8())
+    dh8xz2 = cached_property(lambda self: dihedral_8_x_z2())
+    e16 = cached_property(lambda self: sixteen_e())
+    dc8 = cached_property(lambda self: dicyclic_8())
+    dc8xz2 = cached_property(lambda self: dicyclic_8_x_z2())
+    q = cached_property(lambda self: quaternion_group())
+    qxs0 = cached_property(
+        lambda self: direct_product(self.q, sign_group(), name="QxS0"))
 
 
 def word_in_group(word: str, group: FiniteGroup,
-                  letters: dict[str, int],
-                  minus: int | None = None) -> int:
-    """Evaluate a word like "-adn" or "xxyz" or "1" to an element index.
-
-    `letters` maps generator characters to element indices; `minus` is
-    the index of the central element acting as -1 (required whenever a
-    word carries a leading minus sign)."""
+                  letters: dict[str, int]) -> int:
+    """Evaluate a word like "-adn" or "xxyz" or "1" to an element index:
+    the product of its letters, left to right, where `letters` maps each
+    character to an element index ("-" to the central -1, "1" to the
+    identity)."""
     idx = group.identity
-    body = word
-    if body.startswith("-"):
-        if minus is None:
-            raise ValueError("no -1 element supplied")
-        idx = minus
-        body = body[1:]
-    for ch in body:
-        if ch == "1":
-            continue
+    for ch in word:
         idx = group.table[idx][letters[ch]]
     return idx
 
 
 def _perm_matches(p: Permutation, printed: str) -> bool:
-    return p.cycle_set() == cycle_set_from_string(printed)
+    """Whether `printed` lists p's cycles; a malformed listing matches
+    nothing."""
+    try:
+        return p == Permutation.from_cycles(printed, p.degree)
+    except ValueError:
+        return False
 
 
 def _table_diffs(group: FiniteGroup, printed: list[list[str]]) -> list[dict]:
@@ -170,21 +170,29 @@ def _check_clifford(ctx: Context, report: VerificationReport) -> None:
     report.add("identity-15a", ok)
 
 
+def _multiple(space: SolutionSpace, m: Mat4) -> Scalar | None:
+    """The nonzero r with m = r·b, for the one basis matrix b of a
+    one-dimensional `space`; None if there is none."""
+    if space.dimension != 1:
+        return None
+    b = space.basis[0]
+    i, j = next((i, j) for i in range(4) for j in range(4)
+                if not b.rows[i][j].is_zero())
+    r = m.rows[i][j] / b.rows[i][j]
+    return r if not r.is_zero() and m == b.scale(r) else None
+
+
 def _check_kernels(ctx: Context, report: VerificationReport) -> None:
     dp = ctx.dp
     sol = ctx.solutions[2]
     closed = {"p": ("kernel-7", sol.P), "c": ("kernel-18", sol.C),
               "t": ("kernel-27", sol.T)}
     for sym, (claim_id, expected) in closed.items():
-        system = SYSTEMS[sym](dp)
         space = kernel(sym, dp)
-        ok = space.dimension == 1
-        # the normalized kernel basis must be a unit multiple of the
-        # closed form, and satisfy the system by substitution
-        if ok:
-            basis = space.basis[0]
-            ok = (any(basis == expected.scale(u) for u in UNIT_SCALARS)
-                  and system.satisfied_by(basis))
+        # the closed form must be a unit multiple of the normalized kernel
+        # basis, which must satisfy the system by substitution
+        ok = (_multiple(space, expected) in UNIT_SCALARS
+              and constraint_system(sym, dp).satisfied_by(space.basis[0]))
         report.add(claim_id, ok, {"dimension": space.dimension})
     # extra printed facts about the closed forms
     c, t, g0 = sol.C, sol.T, dp.gamma[0]
@@ -197,19 +205,9 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
         moved = transform_constraint_solutions(sol, transform(dp), g0,
                                                rep.gamma[0])
         expect = {"p": moved.P, "c": moved.C, "t": moved.T}
-        ok_all = True
-        for sym in SYSTEMS:
-            space = kernel(sym, rep)
-            ok = space.dimension == 1
-            if ok:
-                basis = space.basis[0]
-                coeffs = rep.basis_expand(expect[sym])
-                base = rep.basis_expand(basis)
-                ratio = next((a / b for a, b in zip(coeffs, base)
-                              if not b.is_zero()), None)
-                ok = ratio is not None and expect[sym] == basis.scale(ratio)
-            ok_all = ok_all and ok
-        report.add(f"kernel-{tag.value}", ok_all)
+        report.add(f"kernel-{tag.value}",
+                   all(_multiple(kernel(sym, rep), expect[sym]) is not None
+                       for sym in SYSTEMS))
 
 
 def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
@@ -227,8 +225,7 @@ def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
         by_variant[s.variant].append(s)
     ok = (len(sets) == 16 and len(by_variant[1]) == 8
           and len(by_variant[2]) == 8
-          and all(s.squares() == (1, -1, 1) for s in by_variant[1])
-          and all(s.squares() == (-1, -1, -1) for s in by_variant[2]))
+          and all(s.squares() == SQUARE_SIGNATURES[s.variant] for s in sets))
     report.add("families-36-37", ok,
                {"total": len(sets), "variant1": len(by_variant[1]),
                 "variant2": len(by_variant[2])})
@@ -266,16 +263,18 @@ def _check_solution_properties(ctx: Context,
         failed = sorted(k for k, v in checks.items() if not v)
         report.add(f"properties-variant{variant}", not failed,
                    {"failed": failed})
-    s1, s2 = ctx.solutions[1], ctx.solutions[2]
-    ok = (classify(s1.C).in_K and classify(s1.T).in_K
-          and classify(s1.theta).in_K and classify(s1.P).in_M
-          and all(classify(m).imaginary_entries
-                  for m in (s1.C, s1.T, s1.theta, s1.P)))
-    report.add("classes-41", ok)
-    ok = (classify(s2.theta).in_K and classify(s2.P).in_M
-          and classify(s2.C).in_N and classify(s2.T).in_N
-          and classify(s2.C).real_entries and classify(s2.T).real_entries)
-    report.add("classes-42", ok)
+    # each matrix in its class, with real entries where the class makes
+    # it equal to its conjugate and imaginary ones where it is minus it
+    for variant, claim_id in ((1, "classes-41"), (2, "classes-42")):
+        sol = ctx.solutions[variant]
+        named = {"C": sol.C, "P": sol.P, "T": sol.T, "theta": sol.theta}
+        ok = True
+        for name, kind in CLASSES[variant].items():
+            membership = classify(named[name])
+            ok = ok and membership.in_class(kind) and (
+                membership.real_entries if CLASS_SIGNS[kind][3] == 1
+                else membership.imaginary_entries)
+        report.add(claim_id, ok)
 
 
 def _check_matrix_groups(ctx: Context, report: VerificationReport) -> None:
@@ -348,20 +347,23 @@ def _check_isomorphisms(ctx: Context, report: VerificationReport) -> None:
     report.add("iso-53", ok)
 
 
-def _sixteen_e_letters(e16: FiniteGroup) -> tuple[dict[str, int], int]:
+def _sixteen_e_letters(e16: FiniteGroup) -> dict[str, int]:
+    """The letters of the printed words in 16E: its generators a, d, n,
+    the central -1 = aa and the identity 1."""
     letters = {ch: e16.index[Permutation.from_cycles(g, 8)]
                for ch, g in zip("adn", SIXTEEN_E_GENERATORS)}
-    minus = e16.table[letters["a"]][letters["a"]]
-    return letters, minus
+    letters["-"] = e16.table[letters["a"]][letters["a"]]
+    letters["1"] = e16.identity
+    return letters
 
 
 def _check_map_55(ctx: Context, report: VerificationReport) -> None:
     e16 = ctx.e16
-    letters, minus = _sixteen_e_letters(e16)
+    letters = _sixteen_e_letters(e16)
     images = {}
     mismatches = []
     for label, word, equalities, printed_cycles in claims.ISO_55:
-        idx = word_in_group(word, e16, letters, minus)
+        idx = word_in_group(word, e16, letters)
         images[label] = idx
         if printed_cycles is not None:
             perm = e16.elements[idx]
@@ -370,9 +372,9 @@ def _check_map_55(ctx: Context, report: VerificationReport) -> None:
                                    "printed": printed_cycles,
                                    "computed": perm.cycle_string()})
         for sign, other in equalities:
-            rhs = word_in_group(other, e16, letters, minus)
+            rhs = word_in_group(other, e16, letters)
             if sign == -1:
-                rhs = e16.table[minus][rhs]
+                rhs = e16.table[letters["-"]][rhs]
             if rhs != idx:
                 mismatches.append({
                     "element": label, "kind": "annotation",
@@ -404,6 +406,15 @@ def _quotient_ses(middle: FiniteGroup,
         kernel, middle, quotient, GroupMap(kernel, middle, list(members)),
         GroupMap(middle, quotient,
                  [coset_of[i] for i in range(middle.order)]))
+
+
+def _splits_by(ses: ShortExactSequence, image: int) -> bool:
+    """Whether sending the generator of the two-element quotient to
+    `image` is a section: a homomorphism that the projection takes back
+    to the generator."""
+    section = GroupMap(ses.quotient_group, ses.middle_group,
+                       [ses.middle_group.identity, image])
+    return section.is_homomorphism() and ses.projection.images[image] == 1
 
 
 def _semidirect(g: FiniteGroup, normal: FiniteGroup, members: list[int],
@@ -438,8 +449,8 @@ def _printed_semidirect_map(semi: FiniteGroup, index: dict,
 
 def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     e16 = ctx.e16
-    letters, minus = _sixteen_e_letters(e16)
-    ev = lambda w: word_in_group(w, e16, letters, minus)
+    letters = _sixteen_e_letters(e16)
+    ev = lambda w: word_in_group(w, e16, letters)
 
     # the subgroup generated by d and n: order 8, dihedral, normal
     members = sorted(e16.closure_of({letters["d"], letters["n"]}))
@@ -463,35 +474,23 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     ses54 = _quotient_ses(middle, sorted(middle.closure_of(
         middle.index[Permutation.from_cycles(g, 6)]
         for g in DIHEDRAL_GENERATORS)))
-    sec54 = GroupMap(ses54.quotient_group, middle,
-                     [middle.identity,
-                      middle.index[Permutation.from_cycles("(5 6)", 6)]])
-    ok = (ses54.verify()
-          and sec54.is_homomorphism()
-          and all(ses54.projection.images[m] == i
-                  for i, m in enumerate(sec54.images))
-          and ses54.find_splitting() is not None)
-    report.add("ses-54", ok)
+    z2 = middle.index[Permutation.from_cycles("(5 6)", 6)]
+    report.add("ses-54", ses54.verify() and _splits_by(ses54, z2)
+               and bool(ses54.sections()))
 
     # sequence (56): DH8<d,n> -> 16E -> Z2, split by -1 -> adn (or and)
     ses56 = _quotient_ses(e16, members)
-    ok = ses56.verify()
-    for word in claims.SES_56_SECTIONS:
-        sec = GroupMap(ses56.quotient_group, e16, [e16.identity, ev(word)])
-        ok = ok and sec.is_homomorphism() \
-            and ses56.projection.images[ev(word)] == 1
-    report.add("ses-56", ok and ses56.find_splitting() is not None)
+    ok = (ses56.verify()
+          and all(_splits_by(ses56, ev(w)) for w in claims.SES_56_SECTIONS))
+    report.add("ses-56", ok and bool(ses56.sections()))
 
     # sequence (61): Z4 -> DH8<d,n> -> Z2, split by -1 -> n (or dn)
     z4_members = sorted(dh8_dn.closure_of({pos[letters["d"]]}))
     ses61 = _quotient_ses(dh8_dn, z4_members)
-    ok = ses61.verify() and len(z4_members) == 4
-    for word in claims.SES_61_SECTIONS:
-        image = pos[ev(word)]
-        sec = GroupMap(ses61.quotient_group, dh8_dn, [dh8_dn.identity, image])
-        ok = ok and sec.is_homomorphism() \
-            and ses61.projection.images[image] == 1
-    report.add("ses-61", ok and ses61.find_splitting() is not None)
+    ok = (ses61.verify() and len(z4_members) == 4
+          and all(_splits_by(ses61, pos[ev(w)])
+                  for w in claims.SES_61_SECTIONS))
+    report.add("ses-61", ok and bool(ses61.sections()))
 
     # semidirect reconstruction (57)/(59): DH8 x_Φ γ2(Z2) ≅ 16E, and the
     # printed map (59): ψ2(g, γ2(h)) = g·γ2(h), entry by entry
@@ -536,8 +535,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     x, y = (dc8.index[Permutation.from_cycles(g, 8)]
             for g in DICYCLIC_GENERATORS)
     ses74 = _quotient_ses(dc8, sorted(dc8.closure_of({x})))
-    report.add("ses-74-no-split",
-               ses74.verify() and ses74.find_splitting() is None)
+    report.add("ses-74-no-split", ses74.verify() and not ses74.sections())
 
     ses75 = _quotient_ses(dc8, sorted(dc8.closure_of({dc8.table[x][x]})))
     # printed isomorphism ρ of the quotient with the Klein group
@@ -550,7 +548,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     rho_map = GroupMap(ses75.quotient_group, v, rho)
     report.add("ses-75-no-split",
                ses75.verify() and rho_map.is_isomorphism()
-               and ses75.find_splitting() is None)
+               and not ses75.sections())
 
     # every subgroup of the dicyclic group is normal
     report.add("hamiltonian-dc8",

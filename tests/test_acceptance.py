@@ -148,7 +148,7 @@ def test_acceptance_11_property_suites(pipeline):
     # every constructed group already passed the Latin-square and
     # associativity scans in its constructor; re-assert on the big three
     for key in ("g1", "g2", "gtheta"):
-        group = ctx.group(key)
+        group = getattr(ctx, key)
         group._check_table()
         perms = group.regular_representation()
         ok = ok and len(set(perms)) == group.order

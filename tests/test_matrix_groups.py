@@ -3,7 +3,7 @@
 import pytest
 
 from cptgroup import claims
-from cptgroup.groups import GroupError, find_isomorphism
+from cptgroup.groups import GroupError, Permutation, find_isomorphism
 from cptgroup.matrix_groups import (BASE_NAMES, basic_table,
                                     build_matrix_group, cpt_group,
                                     render_table)
@@ -52,8 +52,7 @@ def test_regular_cycles_match_printed_listings(groups):
     for variant, printed in ((1, claims.CYCLES_45), (2, claims.CYCLES_46)):
         g = groups[variant]
         for label, perm in zip(g.labels, g.regular_representation()):
-            from cptgroup.groups import cycle_set_from_string
-            assert perm.cycle_set() == cycle_set_from_string(printed[label])
+            assert perm == Permutation.from_cycles(printed[label], 16)
 
 
 def test_regular_representation_permutes_all_positions(groups):

@@ -4,10 +4,10 @@ and the criterion that selects one matrix family."""
 import pytest
 
 from cptgroup import claims
-from cptgroup.groups import (GroupError, Permutation, cycle_set_from_string,
-                             dicyclic_8_x_z2, dihedral_8_x_z2,
-                             direct_product, find_isomorphism,
-                             quaternion_group, sign_group, sixteen_e)
+from cptgroup.groups import (GroupError, Permutation, dicyclic_8_x_z2,
+                             dihedral_8_x_z2, direct_product,
+                             find_isomorphism, quaternion_group, sign_group,
+                             sixteen_e)
 from cptgroup.operator_group import (C_OP, IDENTITY, P_OP, T_OP,
                                      build_operator_group, op_mul, op_neg,
                                      presentation_checks, select_matrix_group,
@@ -80,7 +80,7 @@ def test_s10_embedding_is_a_faithful_homomorphism(gtheta):
 def test_s10_images_match_printed_chain(gtheta):
     printed = {row[0]: row[3] for row in claims.CHAIN_73}
     for label, image in zip(gtheta.labels, map(to_s10, gtheta.elements)):
-        assert image.cycle_set() == cycle_set_from_string(printed[label])
+        assert image == Permutation.from_cycles(printed[label], 10)
 
 
 def test_selection_criterion_picks_variant_two():

@@ -5,15 +5,12 @@ import pytest
 
 from cptgroup.matrices import Mat4, RepTag, get_rep
 from cptgroup.scalars import I, Scalar
-from cptgroup.solver import (SQUARE_SIGNATURES, canonical_sets,
-                             charge_conjugation_system,
+from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, canonical_sets,
                              check_cp_compatibility, check_ct_compatibility,
-                             conjugate_group_matrices,
+                             conjugate_group_matrices, constraint_system,
                              enumerate_consistent_sets,
                              incompatible_parity_squares, kernel,
-                             parity_system, solve_system,
-                             time_reversal_system,
-                             transform_constraint_solutions,
+                             solve_system, transform_constraint_solutions,
                              verify_solution_properties)
 
 ALL_TAGS = [RepTag.DIRAC_PAULI, RepTag.WEYL, RepTag.MAJORANA]
@@ -32,10 +29,8 @@ def test_kernels_are_lines(rep):
 
 
 def test_kernel_elements_satisfy_their_systems(rep):
-    for system, sym in ((parity_system, "p"),
-                        (charge_conjugation_system, "c"),
-                        (time_reversal_system, "t")):
-        sys_ = system(rep)
+    for sym in SYSTEMS:
+        sys_ = constraint_system(sym, rep)
         x = kernel(sym, rep).basis[0]
         assert sys_.satisfied_by(x)
         assert all(r.is_zero() for r in sys_.residuals(x))
@@ -122,9 +117,9 @@ def test_transport_maps_solutions_to_solutions():
         for sol in canonical_sets().values():
             moved = transform_constraint_solutions(
                 sol, s, dp.gamma[0], rep.gamma[0])
-            assert parity_system(rep).satisfied_by(moved.P)
-            assert charge_conjugation_system(rep).satisfied_by(moved.C)
-            assert time_reversal_system(rep).satisfied_by(moved.T)
+            assert constraint_system("p", rep).satisfied_by(moved.P)
+            assert constraint_system("c", rep).satisfied_by(moved.C)
+            assert constraint_system("t", rep).satisfied_by(moved.T)
             assert check_cp_compatibility(moved.C, moved.P)
             assert check_ct_compatibility(moved.C, moved.T)
 

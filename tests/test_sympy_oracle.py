@@ -4,8 +4,11 @@ The kernels, determinants and inverses computed by `cptgroup` are checked
 against sympy, which shares no arithmetic with `cptgroup.scalars`.  Each
 constraint system is rebuilt here straight from the gamma matrices, as
 equations in the sixteen entries of the unknown matrix X, without going
-through the Clifford basis.
+through the Clifford basis; the Clifford-basis expansion itself is checked
+against sympy's inverse of each representation's basis system.
 """
+
+from functools import cache
 
 import pytest
 
@@ -15,7 +18,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from cptgroup.matrices import (Mat4, RepTag, get_rep,  # noqa: E402
                                majorana_transform, weyl_transform)
-from cptgroup.solver import SYSTEMS, canonical_sets, solve_system  # noqa: E402
+from cptgroup.solver import (SYSTEMS, canonical_sets,  # noqa: E402
+                             constraint_system, solve_system)
 
 K = sympy.QQ.algebraic_field(sympy.I, sympy.sqrt(2))
 
@@ -80,7 +84,7 @@ def test_kernel_is_the_sympy_nullspace(symmetry, tag):
     rep = get_rep(tag)
     a = _equations(_relations(symmetry, [_sym(g) for g in rep.gamma]))
     assert a.nullspace().shape[0] == 1
-    space = solve_system(SYSTEMS[symmetry](rep), rep)
+    space = solve_system(constraint_system(symmetry, rep), rep)
     assert space.dimension == 1
     x = _sym(space.basis[0]).reshape(16, 1)
     assert not x.is_zero_matrix
@@ -105,3 +109,25 @@ def test_det_and_inverse_agree_with_sympy():
         want = _field(_sym(m))
         assert K.from_sympy(_number(m.det())) == want.det()
         assert _field(_sym(m.inverse())) == want.inv()
+
+
+def test_basis_expand_agrees_with_sympy():
+    matrices = _paper_matrices()
+    # the paper's matrices share a handful of distinct entries, and each
+    # conversion into K costs milliseconds
+    entry = cache(lambda x: K.from_sympy(_number(x)))
+
+    def columns(ms: list) -> DomainMatrix:
+        """The sixteen entries of each matrix, one matrix per column."""
+        return DomainMatrix([[entry(m.rows[i][j]) for m in ms]
+                             for i in range(4) for j in range(4)],
+                            (16, len(ms)), K)
+
+    targets = columns(matrices)
+    for tag in RepTag:
+        rep = get_rep(tag)
+        # column k of the basis system is basis word k, so its inverse
+        # takes a matrix's entries to its coefficients
+        want = columns(rep.basis).inv().matmul(targets).to_list()
+        got = [[entry(c) for c in rep.basis_expand(m)] for m in matrices]
+        assert [list(col) for col in zip(*got)] == want

@@ -6,7 +6,7 @@ import pytest
 
 from cptgroup import claims, cli, solver, verify
 from cptgroup.groups import FiniteGroup, Permutation
-from cptgroup.matrices import RepTag, get_rep
+from cptgroup.matrices import Mat4, RepTag, get_rep
 from cptgroup.scalars import I
 from cptgroup.verify import ClaimResult, VerificationReport
 
@@ -58,7 +58,7 @@ def test_context_accessors(pipeline):
     assert get_rep(RepTag.WEYL) is get_rep(RepTag.WEYL)
     assert get_rep(RepTag.WEYL).tag is RepTag.WEYL
     for key in ("g1", "g2", "gtheta"):
-        assert ctx.group(key).order == 16
+        assert getattr(ctx, key).order == 16
 
 
 def _cell(table, i, j, value):
@@ -210,3 +210,16 @@ def test_section_word_inside_the_kernel_fails(ctx, monkeypatch, dataset,
     report = VerificationReport()
     verify._check_extensions(ctx, report)
     assert report.status_of(claim_id) == "fail"
+
+
+def test_zero_transported_solution_fails_kernel_claims(ctx, monkeypatch):
+    # a zero matrix is a multiple of every kernel basis, but not a nonzero
+    # one: the transported line must be spanned, not merely contain zero
+    zero = Mat4.zero()
+    monkeypatch.setattr(verify, "transform_constraint_solutions",
+                        lambda sol, *args: solver.CptSolutionSet(
+                            sol.variant, C=zero, P=zero, T=zero))
+    report = VerificationReport()
+    verify._check_kernels(ctx, report)
+    assert report.status_of("kernel-weyl") == "fail"
+    assert report.status_of("kernel-majorana") == "fail"
