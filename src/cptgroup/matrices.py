@@ -16,9 +16,13 @@ from typing import Iterable, Sequence
 
 from .scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
 
+_QUARTER = Scalar("1/4")
+
 
 class Mat4:
-    """Immutable 4x4 matrix over Q(i, sqrt(2))."""
+    """4x4 matrix over Q(i, sqrt(2)), immutable by convention like `Scalar`:
+    its rows are four 4-tuples of Scalars, each zero the shared `ZERO`.
+    Results of its algebra are built by `_mat`, with no re-check."""
 
     __slots__ = ("rows", "_hash")
 
@@ -27,68 +31,63 @@ class Mat4:
                               for x in row) for row in rows)
         if len(entries) != 4 or any(len(r) != 4 for r in entries):
             raise ValueError("Mat4 requires a 4x4 array")
-        object.__setattr__(self, "rows", entries)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat4 is immutable")
+        self.rows = entries
+        self._hash = None
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def zero() -> "Mat4":
-        return Mat4([[ZERO] * 4 for _ in range(4)])
+        return _ZERO_MAT
 
     @staticmethod
     def identity() -> "Mat4":
-        return Mat4([[ONE if i == j else ZERO for j in range(4)]
-                     for i in range(4)])
+        return _IDENTITY
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4([[self.rows[i][j] + other.rows[i][j] for j in range(4)]
-                     for i in range(4)])
+        return _mat(tuple(tuple(x + y for x, y in zip(r, s))
+                          for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Mat4") -> "Mat4":
-        return Mat4([[self.rows[i][j] - other.rows[i][j] for j in range(4)]
-                     for i in range(4)])
+        return _mat(tuple(tuple(x - y for x, y in zip(r, s))
+                          for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Mat4":
-        return Mat4([[-x for x in row] for row in self.rows])
+        return _mat(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __mul__(self, other):
-        if isinstance(other, Mat4):
-            # skip zero entries: the gamma-matrix products handled here
-            # are sparse, with typically one nonzero entry per row
-            out = []
-            for i in range(4):
-                row = [ZERO, ZERO, ZERO, ZERO]
-                for k in range(4):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    brow = other.rows[k]
-                    for j in range(4):
-                        if not brow[j].is_zero():
-                            row[j] = row[j] + a * brow[j]
-                out.append(row)
-            return Mat4(out)
-        return self.scale(other)
+        if not isinstance(other, Mat4):
+            return self.scale(other)
+        # skip zero entries: the gamma-matrix products handled here
+        # are sparse, with typically one nonzero entry per row
+        out = []
+        for arow in self.rows:
+            row = [ZERO, ZERO, ZERO, ZERO]
+            for a, brow in zip(arow, other.rows):
+                if a is ZERO:
+                    continue
+                for j, b in enumerate(brow):
+                    if b is not ZERO:
+                        row[j] = row[j] + a * b
+            out.append(tuple(row))
+        return _mat(tuple(out))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Mat4":
         c = c if isinstance(c, Scalar) else Scalar(c)
-        return Mat4([[c * x for x in row] for row in self.rows])
+        return _mat(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def transpose(self) -> "Mat4":
-        return Mat4([[self.rows[j][i] for j in range(4)] for i in range(4)])
+        return _mat(tuple(zip(*self.rows)))
 
     def conj(self) -> "Mat4":
         """Entrywise complex conjugate."""
-        return Mat4([[x.conjugate() for x in row] for row in self.rows])
+        return _mat(tuple(tuple(x.conjugate() for x in row)
+                          for row in self.rows))
 
     def dagger(self) -> "Mat4":
         return self.transpose().conj()
@@ -101,7 +100,7 @@ class Mat4:
         total = ZERO
         for j in range(4):
             a = self.rows[0][j]
-            if a.is_zero():
+            if a is ZERO:
                 continue
             minor = [[self.rows[i][k] for k in range(4) if k != j]
                      for i in range(1, 4)]
@@ -112,16 +111,16 @@ class Mat4:
     def inverse(self) -> "Mat4":
         """Inverse by Gauss-Jordan elimination of [M | 1]; raises
         ZeroDivisionError if singular."""
-        m = [list(row) + [ONE if i == j else ZERO for j in range(4)]
-             for i, row in enumerate(self.rows)]
+        m = [list(row) + list(ident)
+             for row, ident in zip(self.rows, _IDENTITY.rows)]
         if row_reduce(m, 4) != [0, 1, 2, 3]:
             raise ZeroDivisionError("singular matrix")
-        return Mat4(row[4:] for row in m)
+        return _mat(tuple(tuple(row[4:]) for row in m))
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
+        return all(x is ZERO for row in self.rows for x in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat4):
@@ -131,8 +130,7 @@ class Mat4:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.rows)
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(self.rows)
         return h
 
     def __repr__(self) -> str:
@@ -143,6 +141,19 @@ class Mat4:
         return [[x.to_json() for x in row] for row in self.rows]
 
 
+def _mat(rows: tuple[tuple[Scalar, ...], ...]) -> Mat4:
+    """The Mat4 of `rows`, already four 4-tuples of Scalars, unchecked."""
+    m = object.__new__(Mat4)
+    m.rows = rows
+    m._hash = None
+    return m
+
+
+_ZERO_MAT = _mat(((ZERO,) * 4,) * 4)
+_IDENTITY = _mat(tuple(tuple(ONE if i == j else ZERO for j in range(4))
+                       for i in range(4)))
+
+
 def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
     """Bring `rows` to reduced row echelon form in its first `ncols`
     columns, in place, by Gauss-Jordan elimination that skips zero
@@ -151,7 +162,7 @@ def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
     for col in range(ncols):
         rank = len(pivots)
         piv = next((r for r in range(rank, len(rows))
-                    if not rows[r][col].is_zero()), None)
+                    if rows[r][col] is not ZERO), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
@@ -159,8 +170,8 @@ def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
         prow = rows[rank] = [x * inv for x in rows[rank]]
         for r, row in enumerate(rows):
             f = row[col]
-            if r != rank and not f.is_zero():
-                rows[r] = [x - f * y if not y.is_zero() else x
+            if r != rank and f is not ZERO:
+                rows[r] = [x - f * y if y is not ZERO else x
                            for x, y in zip(row, prow)]
         pivots.append(col)
     return pivots
@@ -182,8 +193,8 @@ ID2 = ((ONE, ZERO), (ZERO, ONE))
 
 def _kron(a, b) -> Mat4:
     """The Kronecker product of two 2x2 blocks."""
-    return Mat4([[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)]
-                 for i in range(4)])
+    return _mat(tuple(tuple(a[i // 2][j // 2] * b[i % 2][j % 2]
+                            for j in range(4)) for i in range(4)))
 
 
 # -- canonical basis ----------------------------------------------------------
@@ -231,7 +242,7 @@ class GammaRep:
 
     @cached_property
     def _duals(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
-        """The nonzero entries (i, j, d) of each dual B_k^-1 / 4.
+        """The nonzero entries (i, j, u) of each B_k^-1, all units.
 
         The basis words are trace-orthogonal, tr(B_j^-1 B_k) = 4 delta_jk,
         and each squares to +-1, so B_k^-1 = (B_k^2)_00 * B_k.
@@ -243,22 +254,25 @@ class GammaRep:
             if sign not in (ONE, MINUS_ONE) or \
                     square != Mat4.identity().scale(sign):
                 raise ValueError("basis word does not square to +-1")
-            dual = b.scale(sign * Scalar("1/4"))
-            duals.append(tuple((i, j, x) for i, row in enumerate(dual.rows)
-                               for j, x in enumerate(row) if not x.is_zero()))
+            unit = b.scale(sign)
+            duals.append(tuple((i, j, x) for i, row in enumerate(unit.rows)
+                               for j, x in enumerate(row) if x is not ZERO))
         return tuple(duals)
 
     def basis_expand(self, m: Mat4) -> list[Scalar]:
         """Coefficients c_k with m = sum(c_k * basis_k), as c_k =
-        tr(B_k^-1 m) / 4: only the diagonal of the product is formed."""
+        tr(B_k^-1 m) / 4: only the diagonal of the product is formed,
+        over the nonzero entries of m, and 1/4 is applied once."""
         rows = m.rows
-        return [sum((d * rows[j][i] for i, j, d in dual), ZERO)
-                for dual in self._duals]
+        sums = (sum((u * x for i, j, u in dual
+                     if (x := rows[j][i]) is not ZERO), ZERO)
+                for dual in self._duals)
+        return [ZERO if c is ZERO else c * _QUARTER for c in sums]
 
     def recombine(self, coeffs: Sequence[Scalar]) -> Mat4:
         out = Mat4.zero()
         for c, b in zip(coeffs, self.basis):
-            if not c.is_zero():
+            if c is not ZERO:
                 out = out + b.scale(c)
         return out
 
@@ -285,7 +299,7 @@ class GammaRep:
         for mu in range(4):
             w = ag * self.gamma[mu] * ginv
             coeffs = self.basis_expand(w)
-            support = {k for k, c in enumerate(coeffs) if not c.is_zero()}
+            support = {k for k, c in enumerate(coeffs) if c is not ZERO}
             if not support <= span_indices:
                 return False
         return True

@@ -81,6 +81,8 @@ class Scalar:
                 return NotImplemented
         if self is ZERO or other is ZERO:
             return ZERO
+        if self is ONE or other is ONE:
+            return other if self is ONE else self
         # (a + b i + c R + d iR)(e + f i + g R + h iR), R^2 = 2, i^2 = -1
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = other.a, other.b, other.c, other.d

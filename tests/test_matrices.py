@@ -10,7 +10,7 @@ import pytest
 from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, Grade, Mat4, RepTag,
                                classify, get_rep, majorana_transform,
                                weyl_transform)
-from cptgroup.scalars import I, INV_SQRT2, Scalar, ZERO
+from cptgroup.scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
 
 DP = get_rep(RepTag.DIRAC_PAULI)
 ETA = (Scalar(2), Scalar(-2), Scalar(-2), Scalar(-2))
@@ -119,27 +119,25 @@ def test_preserves_gamma_span():
     assert not DP.preserves_gamma_span(bad)
 
 
+def leibniz_det(rows) -> Scalar:
+    """The determinant as a signed sum over permutations."""
+    n = len(rows)
+    total = Scalar(0)
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n)
+                         for j in range(i + 1, n))
+        term = Scalar((-1) ** inversions)
+        for i in range(n):
+            term = term * rows[i][p[i]]
+        total = total + term
+    return total
+
+
 def test_determinant_against_permutation_expansion():
     rng = random.Random(5)
-    perms = list(itertools.permutations(range(4)))
-
-    def sign(p):
-        s = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-
     for _ in range(25):
         m = random_mat(rng)
-        oracle = Scalar(0)
-        for p in perms:
-            term = Scalar(sign(p))
-            for i in range(4):
-                term = term * m.rows[i][p[i]]
-            oracle = oracle + term
-        assert m.det() == oracle
+        assert m.det() == leibniz_det(m.rows)
 
 
 def test_inverse_and_errors():
@@ -227,3 +225,80 @@ def test_basis_names_order():
 def test_serialization_roundtrip():
     m = DP.gamma5.scale(Scalar(1, 2, 3, 4))
     assert Mat4([[Scalar(*x) for x in row] for row in m.to_json()]) == m
+
+
+def entrywise(f) -> Mat4:
+    """The reference Mat4 with entry f(i, j), through the public
+    constructor."""
+    return Mat4([[f(i, j) for j in range(4)] for i in range(4)])
+
+
+def reference_inverse(m: Mat4) -> Mat4:
+    """The adjugate over the determinant, by permutation expansion."""
+    det = leibniz_det(m.rows)
+
+    def minor(i, j):
+        return [[m.rows[r][c] for c in range(4) if c != j]
+                for r in range(4) if r != i]
+    return entrywise(lambda i, j: Scalar((-1) ** (i + j))
+                     * leibniz_det(minor(j, i)) / det)
+
+
+def sample_matrices():
+    """Seeded dense matrices and basis words of every representation
+    times the units +-1, +-i, plus the negatives of some of them."""
+    rng = random.Random(1018)
+    units = (ONE, MINUS_ONE, I, -I)
+    mats = [random_dense_mat(rng) for _ in range(6)]
+    mats += [get_rep(tag).basis[rng.randrange(16)].scale(rng.choice(units))
+             for tag in RepTag for _ in range(6)]
+    return mats + [-m for m in mats[::5]]
+
+
+def assert_canonical(m: Mat4) -> None:
+    """Rows are four 4-tuples of Scalars, and every zero is ZERO."""
+    assert type(m.rows) is tuple and len(m.rows) == 4
+    for row in m.rows:
+        assert type(row) is tuple and len(row) == 4
+        for x in row:
+            assert type(x) is Scalar and (x is ZERO) == x.is_zero()
+
+
+def test_algebra_results_are_canonical_and_match_entrywise_references():
+    rng = random.Random(7)
+    mats = sample_matrices()
+    pairs = [(a, b) for a in mats for b in (a, -a, rng.choice(mats))]
+    c = Scalar(Fraction(-3, 2), 1, 0, Fraction(1, 3))
+    for a, b in pairs:
+        x, y = a.rows, b.rows
+        for got, want in (
+                (a + b, entrywise(lambda i, j: x[i][j] + y[i][j])),
+                (a - b, entrywise(lambda i, j: x[i][j] - y[i][j])),
+                (a * b, entrywise(lambda i, j: sum(
+                    (x[i][k] * y[k][j] for k in range(4)), Scalar(0))))):
+            assert_canonical(got)
+            assert got == want
+    for a in mats:
+        x = a.rows
+        for got, want in (
+                (-a, entrywise(lambda i, j: -x[i][j])),
+                (a.scale(c), entrywise(lambda i, j: c * x[i][j])),
+                (a.scale(ZERO), entrywise(lambda i, j: Scalar(0))),
+                (a.transpose(), entrywise(lambda i, j: x[j][i])),
+                (a.conj(), entrywise(lambda i, j: x[i][j].conjugate())),
+                (a.dagger(), entrywise(lambda i, j: x[j][i].conjugate())),
+                (a.inverse(), reference_inverse(a))):
+            assert_canonical(got)
+            assert got == want
+    assert_canonical(Mat4.zero())
+    assert_canonical(Mat4.identity())
+
+
+def test_basis_expand_is_the_trace_against_each_inverse_word(rep):
+    for m in sample_matrices():
+        coeffs = rep.basis_expand(m)
+        for b, c in zip(rep.basis, coeffs):
+            inv = b.scale((b * b).rows[0][0])
+            assert inv * b == Mat4.identity()
+            assert c == (inv * m).trace() / 4
+            assert (c is ZERO) == c.is_zero()

@@ -159,6 +159,23 @@ def test_run_all_solves_each_kernel_once(monkeypatch):
     assert {tag for _, tag in calls} == set(RepTag)
 
 
+def test_run_all_builds_no_matrix_through_the_checking_constructor(
+        monkeypatch):
+    # products, sums, transposes and inverses of Mat4s take their rows as
+    # they are; only matrices built from outside re-check their entries
+    solver.kernel.cache_clear()
+    calls = []
+    init = Mat4.__init__
+
+    def counting(self, rows):
+        calls.append(None)
+        init(self, rows)
+
+    monkeypatch.setattr(Mat4, "__init__", counting)
+    verify.run_all()
+    assert len(calls) == 0
+
+
 def test_trivial_regular_representation_fails(ctx, monkeypatch):
     # the map sending every element to the identity moves no point and is
     # a homomorphism: only faithfulness rejects it
