@@ -119,10 +119,8 @@ class FiniteGroup:
 
     def __init__(self, elements: Sequence[Hashable],
                  mul: Callable[[Hashable, Hashable], Hashable],
-                 labels: Optional[Sequence[str]] = None,
-                 name: str = "") -> None:
+                 labels: Optional[Sequence[str]] = None) -> None:
         self.elements = list(elements)
-        self.name = name
         n = len(self.elements)
         index = {}
         for i, e in enumerate(self.elements):
@@ -190,18 +188,9 @@ class FiniteGroup:
     # -- structure ----------------------------------------------------------
 
     def closure_of(self, seed: Iterable[int]) -> frozenset[int]:
-        current = {self.identity, *seed}
-        frontier = list(current)
-        while frontier:
-            nxt = []
-            for a in list(current):
-                for b in frontier:
-                    for c in (self.table[a][b], self.table[b][a]):
-                        if c not in current:
-                            current.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return frozenset(current)
+        table = self.table
+        return frozenset(_closure(seed, lambda a, b: table[a][b],
+                                  self.identity))
 
     def subgroups(self) -> list[frozenset[int]]:
         """All subgroups, by closing single extensions of known subgroups."""
@@ -256,10 +245,9 @@ class FiniteGroup:
 
         labels = ["{" + ",".join(self.labels[m] for m in sorted(c)) + "}"
                   for c in cosets]
-        return FiniteGroup(cosets, cmul, labels,
-                           name=f"{self.name}/N" if self.name else "")
+        return FiniteGroup(cosets, cmul, labels)
 
-    def subgroup(self, subset: Iterable[int], name: str = "") -> "FiniteGroup":
+    def subgroup(self, subset: Iterable[int]) -> "FiniteGroup":
         members = sorted(set(subset))
         elems = [self.elements[i] for i in members]
         back = {e: i for e, i in zip(elems, members)}
@@ -267,8 +255,7 @@ class FiniteGroup:
         def smul(a, b):
             return self.elements[self.table[back[a]][back[b]]]
 
-        return FiniteGroup(elems, smul, [self.labels[i] for i in members],
-                           name=name)
+        return FiniteGroup(elems, smul, [self.labels[i] for i in members])
 
     def regular_representation(self) -> list[Permutation]:
         """Left multiplication on the element list, as permutations of the
@@ -276,25 +263,18 @@ class FiniteGroup:
         return [Permutation(self.table[g]) for g in range(self.order)]
 
 
-# the largest group `generate_closure` builds before giving up
+# the most elements `_closure` finds before giving up
 CLOSURE_CAP = 256
 
 
-def generate_closure(generators: Sequence[Hashable],
-                     mul: Callable[[Hashable, Hashable], Hashable],
-                     identity: Hashable,
-                     labeler: Optional[Callable[[Hashable], str]] = None,
-                     name: str = "") -> FiniteGroup:
-    """Breadth-first closure of a generator set under the product; raises
-    ClosureCapExceeded past `CLOSURE_CAP` elements."""
-    elements = [identity]
-    seen = {identity}
+def _closure(generators: Iterable[Hashable],
+             mul: Callable[[Hashable, Hashable], Hashable],
+             identity: Hashable) -> list[Hashable]:
+    """Breadth-first closure of a generator set under the product, from the
+    identity through each new product of a found element with a generator,
+    on either side; raises ClosureCapExceeded past `CLOSURE_CAP` elements."""
+    elements, seen, frontier = [identity], {identity}, [identity]
     gens = list(generators)
-    for g in gens:
-        if g not in seen:
-            elements.append(g)
-            seen.add(g)
-    frontier = list(elements)
     while frontier:
         nxt = []
         for a in frontier:
@@ -308,16 +288,27 @@ def generate_closure(generators: Sequence[Hashable],
                             raise ClosureCapExceeded(
                                 f"closure exceeded cap {CLOSURE_CAP}")
         frontier = nxt
+    return elements
+
+
+def generate_closure(generators: Sequence[Hashable],
+                     mul: Callable[[Hashable, Hashable], Hashable],
+                     identity: Hashable,
+                     labeler: Optional[Callable[[Hashable], str]] = None
+                     ) -> FiniteGroup:
+    """The group generated by `generators`, its elements in the
+    breadth-first order of `_closure`."""
+    elements = _closure(generators, mul, identity)
     labels = [labeler(e) for e in elements] if labeler else None
-    return FiniteGroup(elements, mul, labels, name=name)
+    return FiniteGroup(elements, mul, labels)
 
 
-def permutation_group(cycle_strings: Sequence[str], degree: int,
-                      name: str = "") -> FiniteGroup:
+def permutation_group(cycle_strings: Sequence[str],
+                      degree: int) -> FiniteGroup:
     gens = [Permutation.from_cycles(s, degree) for s in cycle_strings]
     return generate_closure(gens, lambda a, b: a * b,
                             Permutation.identity(degree),
-                            labeler=lambda p: p.cycle_string(), name=name)
+                            labeler=lambda p: p.cycle_string())
 
 
 # -- named groups ----------------------------------------------------------------
@@ -332,29 +323,27 @@ DICYCLIC_GENERATORS = ("(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)")
 
 def dihedral_8() -> FiniteGroup:
     """Symmetries of the square, as <(1234), (24)> in S_4."""
-    return permutation_group(DIHEDRAL_GENERATORS, 4, name="DH8")
+    return permutation_group(DIHEDRAL_GENERATORS, 4)
 
 
 def dihedral_8_x_z2() -> FiniteGroup:
     """DH8 x Z2 as <(1234), (24), (56)> in S_6."""
-    return permutation_group([*DIHEDRAL_GENERATORS, "(5 6)"], 6,
-                             name="DH8xZ2")
+    return permutation_group([*DIHEDRAL_GENERATORS, "(5 6)"], 6)
 
 
 def sixteen_e() -> FiniteGroup:
     """The nontrivial split extension of DH8 by Z2, in S_8."""
-    return permutation_group(SIXTEEN_E_GENERATORS, 8, name="16E")
+    return permutation_group(SIXTEEN_E_GENERATORS, 8)
 
 
 def dicyclic_8() -> FiniteGroup:
     """The dicyclic group of order 8, as <x, y> in S_8."""
-    return permutation_group(DICYCLIC_GENERATORS, 8, name="DC8")
+    return permutation_group(DICYCLIC_GENERATORS, 8)
 
 
 def dicyclic_8_x_z2() -> FiniteGroup:
     """DC8 x Z2 in S_10, with the Z2 factor generated by (9 10)."""
-    return permutation_group([*DICYCLIC_GENERATORS, "(9 10)"], 10,
-                             name="DC8xZ2")
+    return permutation_group([*DICYCLIC_GENERATORS, "(9 10)"], 10)
 
 
 _QUATERNION_TABLE = {
@@ -383,26 +372,25 @@ def quaternion_group() -> FiniteGroup:
         return ("" if s > 0 else "-") + u
 
     return generate_closure([(1, "i"), (1, "j")], _quat_mul, (1, "1"),
-                            labeler=label, name="Q")
+                            labeler=label)
 
 
 def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(list(range(n)), lambda a, b: (a + b) % n,
-                       [str(k) for k in range(n)], name=f"Z{n}")
+                       [str(k) for k in range(n)])
 
 
 def klein_four() -> FiniteGroup:
-    return direct_product(cyclic(2), cyclic(2), name="V")
+    return direct_product(cyclic(2), cyclic(2))
 
 
 def sign_group() -> FiniteGroup:
     """The multiplicative group {1, -1} (the 0-sphere)."""
-    return FiniteGroup([1, -1], lambda a, b: a * b, ["1", "-1"], name="S0")
+    return FiniteGroup([1, -1], lambda a, b: a * b, ["1", "-1"])
 
 
 def semidirect_product(n: FiniteGroup, h: FiniteGroup,
-                       action: Sequence[Sequence[int]],
-                       name: str = "") -> FiniteGroup:
+                       action: Sequence[Sequence[int]]) -> FiniteGroup:
     """Pairs (a, b) with (a', b')(a, b) = (a' * action[b'](a), b' * b).
 
     `action[b]` is the permutation of N's element indices giving the
@@ -429,15 +417,12 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
         return (n.table[x[0]][action[x[1]][y[0]]], h.table[x[1]][y[1]])
 
     labels = [f"({n.labels[a]},{h.labels[b]})" for a, b in elems]
-    return FiniteGroup(elems, smul, labels,
-                       name=name or f"{n.name}:{h.name}")
+    return FiniteGroup(elems, smul, labels)
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup,
-                   name: str = "") -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """The semidirect product of g and h under the trivial action."""
-    return semidirect_product(g, h, [range(g.order)] * h.order,
-                              name=name or f"{g.name}x{h.name}")
+    return semidirect_product(g, h, [range(g.order)] * h.order)
 
 
 def conjugation_action(g: FiniteGroup, normal: Sequence[int],
@@ -501,14 +486,18 @@ class GroupMap:
                         [self.images[m] for m in other.images])
 
 
-def minimal_generating_set(g: FiniteGroup, max_size: int = 3) -> list[int]:
+# the most generators `minimal_generating_set` tries
+_MAX_GENERATORS = 3
+
+
+def minimal_generating_set(g: FiniteGroup) -> list[int]:
     candidates = sorted(range(g.order),
                         key=lambda i: -g.element_order(i))
-    for size in range(1, max_size + 1):
+    for size in range(1, _MAX_GENERATORS + 1):
         for combo in itertools.combinations(candidates, size):
             if len(g.closure_of(combo)) == g.order:
                 return list(combo)
-    raise GroupError(f"no generating set of size <= {max_size}")
+    raise GroupError(f"no generating set of size <= {_MAX_GENERATORS}")
 
 
 def extend_generator_images(g: FiniteGroup, h: FiniteGroup,

@@ -79,7 +79,8 @@ class Mat4:
 
     def scale(self, c) -> "Mat4":
         c = c if isinstance(c, Scalar) else Scalar(c)
-        return _mat(tuple(tuple(c * x for x in row) for row in self.rows))
+        return _mat(tuple(tuple(x if x is ZERO else c * x for x in row)
+                          for row in self.rows))
 
     def transpose(self) -> "Mat4":
         return _mat(tuple(zip(*self.rows)))
@@ -229,13 +230,15 @@ class RepTag(Enum):
 
 @dataclass(frozen=True)
 class GammaRep:
-    """A gamma-matrix presentation plus derived structure.
+    """A gamma-matrix presentation gamma_mu = s g_mu s† of the standard
+    g_mu, plus derived structure.
 
     `basis` is the canonical 16-element basis of the full matrix algebra,
     in the fixed `BASIS_WORDS` order.
     """
 
-    tag: RepTag
+    tag: RepTag | None
+    s: Mat4
     gamma: tuple[Mat4, Mat4, Mat4, Mat4]
     gamma5: Mat4
     basis: tuple[Mat4, ...]
@@ -305,11 +308,23 @@ class GammaRep:
         return True
 
 
-def _build_rep(tag: RepTag, gammas: Sequence[Mat4]) -> GammaRep:
-    g = tuple(gammas)
+# the standard presentation, gamma_0 diagonal with Pauli off-blocks, in
+# the two-qubit form gamma_0 = s3 x 1, gamma_k = i s2 x sk
+_STANDARD_GAMMA = (_kron(SIGMA3, ID2),
+                   *(_kron(SIGMA2, s).scale(I)
+                     for s in (SIGMA1, SIGMA2, SIGMA3)))
+
+
+def _build_rep(tag: RepTag | None, s: Mat4) -> GammaRep:
+    """The presentation with the change of basis s, which must be unitary;
+    `tag` names it, if it has a name."""
+    sd = s.dagger()
+    if s * sd != Mat4.identity():
+        raise ValueError("change of basis must be unitary")
+    g = tuple(s * x * sd for x in _STANDARD_GAMMA)
     gamma5 = (-I) * (g[0] * g[1] * g[2] * g[3])
     basis = tuple(_word_product(g, w) for w in BASIS_WORDS)
-    return GammaRep(tag=tag, gamma=g, gamma5=gamma5, basis=basis)
+    return GammaRep(tag=tag, s=s, gamma=g, gamma5=gamma5, basis=basis)
 
 
 def _word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
@@ -319,38 +334,19 @@ def _word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
     return out
 
 
-def weyl_transform(dp: GammaRep) -> Mat4:
-    """S = (1/sqrt 2)(gamma_0 - gamma_5); satisfies S = S† = S^-1."""
-    return (dp.gamma[0] - dp.gamma5).scale(INV_SQRT2)
-
-
-def majorana_transform(dp: GammaRep) -> Mat4:
-    """S = (1/sqrt 2)(gamma_2 gamma_0 + gamma_0); satisfies S = S† = S^-1."""
-    return (dp.gamma[2] * dp.gamma[0] + dp.gamma[0]).scale(INV_SQRT2)
-
-
-# the change of basis from the standard presentation to each other one;
-# each transform is involutive, so it also maps back to the standard one
-TRANSFORMS = {RepTag.WEYL: weyl_transform, RepTag.MAJORANA: majorana_transform}
-
-
 @cache
 def get_rep(tag: RepTag) -> GammaRep:
     """The presentation `tag`, built once: a GammaRep is immutable, so
-    every caller can share it.  The standard one has gamma_0 diagonal and
-    Pauli off-blocks, in the two-qubit form gamma_0 = s3 x 1, gamma_k =
-    i s2 x sk; the others are its conjugates S g S† by the `TRANSFORMS`
-    of their tags."""
+    every caller can share it.  Its change of basis s from the standard
+    presentation is the identity, S_W = (gamma_0 - gamma_5)/sqrt 2 (Weyl)
+    or S_M = (gamma_2 gamma_0 + gamma_0)/sqrt 2 (Majorana), in standard
+    gamma matrices."""
     if tag is RepTag.DIRAC_PAULI:
-        g0 = _kron(SIGMA3, ID2)
-        gk = [_kron(SIGMA2, s).scale(I) for s in (SIGMA1, SIGMA2, SIGMA3)]
-        return _build_rep(tag, [g0] + gk)
+        return _build_rep(tag, Mat4.identity())
     dp = get_rep(RepTag.DIRAC_PAULI)
-    s = TRANSFORMS[tag](dp)
-    sd = s.dagger()
-    if s != sd or (s * s) != Mat4.identity():
-        raise AssertionError("transform must be hermitian and involutive")
-    return _build_rep(tag, [s * g * sd for g in dp.gamma])
+    g0 = dp.gamma[0]
+    s = g0 - dp.gamma5 if tag is RepTag.WEYL else dp.gamma[2] * g0 + g0
+    return _build_rep(tag, s.scale(INV_SQRT2))
 
 
 # -- matrix classification -----------------------------------------------------

@@ -28,7 +28,7 @@ _BASE_POSITIONS = range(1, 8)
 def cpt_group(c: Hashable, p: Hashable, t: Hashable,
               mul: Callable[[Hashable, Hashable], Hashable],
               neg: Callable[[Hashable], Hashable], identity: Hashable,
-              base_names: Sequence[str], name: str) -> FiniteGroup:
+              base_names: Sequence[str]) -> FiniteGroup:
     """The group {±1, ±C, ±P, ±T, ±CP, ±CT, ±PT, ±θ} in the standard order,
     with `base_names` naming C, P, T, CP, CT, PT, θ.
 
@@ -39,7 +39,7 @@ def cpt_group(c: Hashable, p: Hashable, t: Hashable,
     positive = [identity, c, p, t, cp, mul(c, t), mul(p, t), mul(cp, t)]
     elements = positive + [neg(e) for e in positive[1:]] + [neg(identity)]
     labels = ["1", *base_names, *("-" + n for n in base_names), "-1"]
-    group = FiniteGroup(elements, mul, labels=labels, name=name)
+    group = FiniteGroup(elements, mul, labels=labels)
     # the sixteen are closed under the product, since their table exists;
     # C, P, T must also generate all of them
     if len(group.closure_of(_BASE_POSITIONS[:3])) != group.order:
@@ -50,8 +50,7 @@ def cpt_group(c: Hashable, p: Hashable, t: Hashable,
 def build_matrix_group(sol: CptSolutionSet) -> FiniteGroup:
     """The group generated by a solution set, in the standard order."""
     return cpt_group(sol.C, sol.P, sol.T, lambda a, b: a * b,
-                     lambda a: -a, Mat4.identity(), BASE_NAMES,
-                     f"G_theta({sol.variant})")
+                     lambda a: -a, Mat4.identity(), BASE_NAMES)
 
 
 def base_labels(group: FiniteGroup) -> list[str]:

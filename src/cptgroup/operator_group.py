@@ -71,8 +71,7 @@ def build_operator_group() -> FiniteGroup:
     failed = [rel for rel, ok in presentation_checks().items() if not ok]
     if failed:
         raise GroupError(f"realization violates relations: {failed}")
-    return cpt_group(C_OP, P_OP, T_OP, op_mul, op_neg, IDENTITY, BASE_NAMES,
-                     "G_Theta")
+    return cpt_group(C_OP, P_OP, T_OP, op_mul, op_neg, IDENTITY, BASE_NAMES)
 
 
 # -- embeddings into permutation groups ------------------------------------------

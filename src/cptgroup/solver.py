@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .matrices import (CLASS_SIGNS, GammaRep, Mat4, RepTag, TRANSFORMS,
-                       classify, get_rep, row_reduce)
+from .matrices import (CLASS_SIGNS, GammaRep, Mat4, RepTag, classify,
+                       get_rep, row_reduce)
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
 
 UNIT_SCALARS: tuple[Scalar, ...] = (ONE, MINUS_ONE, I, -I)
@@ -96,7 +96,7 @@ def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
     kernel = _nullspace(rows, 16)
     basis = []
     for vec in kernel:
-        lead = next(c for c in vec if not c.is_zero())
+        lead = next(c for c in vec if c is not ZERO)
         inv = lead.inverse()
         basis.append(rep.recombine([c * inv for c in vec]))
     space = SolutionSpace(tuple(basis))
@@ -109,7 +109,7 @@ def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
 def _nullspace(rows: list[list[Scalar]], n: int) -> list[list[Scalar]]:
     """Kernel basis of a matrix with n columns, one vector per free
     column of its reduced row echelon form."""
-    m = [row for row in rows if any(not c.is_zero() for c in row)]
+    m = [row for row in rows if any(c is not ZERO for c in row)]
     pivots = row_reduce(m, n)
     kernel = []
     for fc in range(n):
@@ -220,12 +220,8 @@ def _classify_variant(c: Mat4, p: Mat4, t: Mat4, rep: GammaRep) -> int:
     where the spatial gamma matrices have the standard reality properties;
     a triple found in another presentation is transported back first.
     """
-    sol = CptSolutionSet(0, C=c, P=p, T=t)
-    if rep.tag is not RepTag.DIRAC_PAULI:
-        dp = get_rep(RepTag.DIRAC_PAULI)
-        sol = transform_constraint_solutions(sol, TRANSFORMS[rep.tag](dp),
-                                             rep.gamma[0], dp.gamma[0])
-    sig = sol.squares()
+    sig = transport(CptSolutionSet(0, C=c, P=p, T=t), rep,
+                    get_rep(RepTag.DIRAC_PAULI)).squares()
     for v, known in SQUARE_SIGNATURES.items():
         if known == sig:
             return v
@@ -263,24 +259,27 @@ def conjugate_group_matrices(sol: CptSolutionSet, s: Mat4) -> CptSolutionSet:
 
     This preserves the group generated by the set (and hence all
     multiplication tables), but does not in general land on solutions of
-    the conjugated constraint systems; see `transform_constraint_solutions`.
+    the conjugated constraint systems; see `transport`.
     """
     sd = s.dagger()
     return CptSolutionSet(sol.variant, C=s * sol.C * sd, P=s * sol.P * sd,
                           T=s * sol.T * sd)
 
 
-def transform_constraint_solutions(sol: CptSolutionSet, s: Mat4,
-                                   old_g0: Mat4, new_g0: Mat4) -> CptSolutionSet:
-    """Covariant transport of a consistent set under a change of spinor
-    basis psi -> S psi.
+def transport(sol: CptSolutionSet, src: GammaRep,
+              dst: GammaRep) -> CptSolutionSet:
+    """Covariant transport of a consistent set from presentation `src` to
+    `dst`, under the change of spinor basis psi -> S psi, S = dst.s src.s†.
 
     P conjugates plainly; the C and T equations each involve one complex
     conjugation of the field, so their matrices pick up a transposed
     factor:  C' = S C g0 S~ g0'^-1  and  T' = S T S~.
     """
+    if src is dst:
+        return sol
+    s = dst.s * src.s.dagger()
     st = s.transpose()
-    c_new = s * sol.C * old_g0 * st * new_g0.inverse()
+    c_new = s * sol.C * src.gamma[0] * st * dst.gamma[0].inverse()
     p_new = s * sol.P * s.dagger()
     t_new = s * sol.T * st
     return CptSolutionSet(sol.variant, C=c_new, P=p_new, T=t_new)

@@ -26,16 +26,15 @@ from .groups import (DICYCLIC_GENERATORS, DIHEDRAL_GENERATORS,
                      extend_generator_images, find_isomorphism, klein_four,
                      quaternion_group, semidirect_product, sign_group,
                      sixteen_e)
-from .matrices import (CLASS_SIGNS, Grade, Mat4, RepTag, TRANSFORMS,
-                       classify, get_rep, majorana_transform, weyl_transform)
-from .scalars import I, INV_SQRT2, Scalar
+from .matrices import CLASS_SIGNS, Grade, Mat4, RepTag, classify, get_rep
+from .scalars import I, INV_SQRT2, Scalar, ZERO
 from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, UNIT_SCALARS,
                      SolutionSpace, canonical_sets, check_cp_compatibility,
                      check_ct_compatibility, conjugate_group_matrices,
                      constraint_system, enumerate_consistent_sets,
                      incompatible_parity_squares, kernel,
                      solve_system,  # unused, but benchmarks/tracer.py wraps it
-                     transform_constraint_solutions, verify_solution_properties)
+                     transport, verify_solution_properties)
 from . import matrix_groups, operator_group
 
 
@@ -102,7 +101,7 @@ class Context:
     dc8xz2 = cached_property(lambda self: dicyclic_8_x_z2())
     q = cached_property(lambda self: quaternion_group())
     qxs0 = cached_property(
-        lambda self: direct_product(self.q, sign_group(), name="QxS0"))
+        lambda self: direct_product(self.q, sign_group()))
 
 
 def word_in_group(word: str, group: FiniteGroup,
@@ -146,6 +145,9 @@ def _profile_ok(group: FiniteGroup, profile: dict[int, int],
 
 # -- pipeline stages ------------------------------------------------------------
 
+# the presentations other than the standard one, Weyl (77) and Majorana (77a)
+_CONJUGATES = (RepTag.WEYL, RepTag.MAJORANA)
+
 
 def _check_clifford(ctx: Context, report: VerificationReport) -> None:
     two = Scalar(2)
@@ -177,9 +179,9 @@ def _multiple(space: SolutionSpace, m: Mat4) -> Scalar | None:
         return None
     b = space.basis[0]
     i, j = next((i, j) for i in range(4) for j in range(4)
-                if not b.rows[i][j].is_zero())
+                if b.rows[i][j] is not ZERO)
     r = m.rows[i][j] / b.rows[i][j]
-    return r if not r.is_zero() and m == b.scale(r) else None
+    return r if r is not ZERO and m == b.scale(r) else None
 
 
 def _check_kernels(ctx: Context, report: VerificationReport) -> None:
@@ -200,12 +202,10 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
     report.add("claim-27-trace", (t * g0 == g0 * t)
                and t.trace() == Scalar(0) and t.det() == Scalar(1))
     # other representations: dimension 1, spanning the transported line
-    for tag, transform in TRANSFORMS.items():
-        rep = get_rep(tag)
-        moved = transform_constraint_solutions(sol, transform(dp), g0,
-                                               rep.gamma[0])
+    for rep in map(get_rep, _CONJUGATES):
+        moved = transport(sol, dp, rep)
         expect = {"p": moved.P, "c": moved.C, "t": moved.T}
-        report.add(f"kernel-{tag.value}",
+        report.add(f"kernel-{rep.tag.value}",
                    all(_multiple(kernel(sym, rep), expect[sym]) is not None
                        for sym in SYSTEMS))
 
@@ -235,12 +235,10 @@ def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
     # non-DP solutions back to DP reproduces the same set of triples
     dp_keys = {(s.variant, s.C, s.P, s.T) for s in sets}
     ok = True
-    for tag, transform in TRANSFORMS.items():
-        rep, s_mat = get_rep(tag), transform(ctx.dp)
+    for rep in map(get_rep, _CONJUGATES):
         moved = set()
         for sol in enumerate_consistent_sets(rep):
-            back = transform_constraint_solutions(sol, s_mat, rep.gamma[0],
-                                                  ctx.dp.gamma[0])
+            back = transport(sol, rep, ctx.dp)
             moved.add((back.variant, back.C, back.P, back.T))
         ok = ok and moved == dp_keys
     report.add("families-rep-invariance", ok)
@@ -454,7 +452,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
 
     # the subgroup generated by d and n: order 8, dihedral, normal
     members = sorted(e16.closure_of({letters["d"], letters["n"]}))
-    dh8_dn = e16.subgroup(members, name="DH8<d,n>")
+    dh8_dn = e16.subgroup(members)
     pos = {m: k for k, m in enumerate(members)}
     iso_dn = None
     if dh8_dn.order == 8:
@@ -603,9 +601,7 @@ def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
 
 def _check_representations(ctx: Context,
                            report: VerificationReport) -> None:
-    dp = ctx.dp
-    s_w = weyl_transform(dp)
-    s_m = majorana_transform(dp)
+    s_w, s_m = (get_rep(tag).s for tag in _CONJUGATES)
     ok = (s_w == claims.S_W_UNSCALED.scale(INV_SQRT2)
           and s_w == s_w.dagger() and s_w * s_w == Mat4.identity()
           and s_w.trace() == Scalar(0))

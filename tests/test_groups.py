@@ -145,7 +145,7 @@ def test_regular_representation_is_faithful_and_regular():
 def test_subgroup_objects():
     g = dihedral_8()
     rot = g.closure_of([g.labels.index("(1 2 3 4)")])
-    sub = g.subgroup(rot, name="C4")
+    sub = g.subgroup(rot)
     assert sub.order == 4 and len(sub.center()) == 4
 
 

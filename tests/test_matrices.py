@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, Grade, Mat4, RepTag,
-                               classify, get_rep, majorana_transform,
-                               weyl_transform)
+                               _build_rep, classify, get_rep)
 from cptgroup.scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
 
 DP = get_rep(RepTag.DIRAC_PAULI)
@@ -47,11 +46,9 @@ def test_dp_transpose_identity():
 
 
 def test_conjugate_representation_preserves_products(rep):
-    if rep.tag == RepTag.DIRAC_PAULI:
-        pytest.skip("identity transform")
-    s = {RepTag.WEYL: weyl_transform(DP),
-         RepTag.MAJORANA: majorana_transform(DP)}[rep.tag]
+    s = rep.s
     move = lambda m: s * m * s.dagger()
+    assert tuple(map(move, DP.gamma)) == rep.gamma
     for a, b in itertools.product(DP.basis, repeat=2):
         assert move(a * b) == move(a) * move(b)
 
@@ -193,12 +190,15 @@ def test_singular_dense_matrices_raise():
 
 
 def test_transform_matrices():
-    s_w, s_m = weyl_transform(DP), majorana_transform(DP)
+    assert DP.s == Mat4.identity()
+    s_w, s_m = get_rep(RepTag.WEYL).s, get_rep(RepTag.MAJORANA).s
     for s in (s_w, s_m):
         assert s == s.dagger()
         assert s * s == Mat4.identity()
         assert s.trace() == Scalar(0)
     assert s_m.det() == Scalar(1)
+    with pytest.raises(ValueError, match="unitary"):
+        _build_rep(None, Mat4.identity().scale(2))
     rep_m = get_rep(RepTag.MAJORANA)
     for gamma in rep_m.gamma:
         assert all(e.is_imaginary() for row in gamma.rows for e in row)

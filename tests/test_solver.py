@@ -1,16 +1,18 @@
 """Kernel computations, compatibility filters, and the two consistent
 solution families."""
 
+import random
+
 import pytest
 
-from cptgroup.matrices import Mat4, RepTag, get_rep
-from cptgroup.scalars import I, Scalar
+from cptgroup.matrices import ID2, Mat4, RepTag, _build_rep, _kron, get_rep
+from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, canonical_sets,
                              check_cp_compatibility, check_ct_compatibility,
                              conjugate_group_matrices, constraint_system,
                              enumerate_consistent_sets,
                              incompatible_parity_squares, kernel,
-                             solve_system, transform_constraint_solutions,
+                             solve_system, transport,
                              verify_solution_properties)
 
 ALL_TAGS = [RepTag.DIRAC_PAULI, RepTag.WEYL, RepTag.MAJORANA]
@@ -108,26 +110,49 @@ def test_squares_signature_values():
     assert sols[2].squares() == (-1, -1, -1)
 
 
+def random_clifford(rng: random.Random) -> Mat4:
+    """A word of 12 gates in H x 1, 1 x H, S x 1, 1 x S and CNOT: a
+    unitary change of basis that is in general neither hermitian nor
+    involutive."""
+    h = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+    phase = ((ONE, ZERO), (ZERO, I))
+    cnot = Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    gates = [_kron(h, ID2), _kron(ID2, h), _kron(phase, ID2),
+             _kron(ID2, phase), cnot]
+    s = Mat4.identity()
+    for _ in range(12):
+        s = rng.choice(gates) * s
+    return s
+
+
 def test_transport_maps_solutions_to_solutions():
-    from cptgroup.matrices import majorana_transform, weyl_transform
     dp = get_rep(RepTag.DIRAC_PAULI)
-    for tag, s in ((RepTag.WEYL, weyl_transform(dp)),
-                   (RepTag.MAJORANA, majorana_transform(dp))):
-        rep = get_rep(tag)
+    standard = {(s.variant, s.C, s.P, s.T)
+                for s in enumerate_consistent_sets(dp)}
+    rng = random.Random(2004)
+    reps = [get_rep(RepTag.WEYL), get_rep(RepTag.MAJORANA)]
+    reps += [_build_rep(None, random_clifford(rng)) for _ in range(20)]
+    for rep in reps:
         for sol in canonical_sets().values():
-            moved = transform_constraint_solutions(
-                sol, s, dp.gamma[0], rep.gamma[0])
+            moved = transport(sol, dp, rep)
             assert constraint_system("p", rep).satisfied_by(moved.P)
             assert constraint_system("c", rep).satisfied_by(moved.C)
             assert constraint_system("t", rep).satisfied_by(moved.T)
             assert check_cp_compatibility(moved.C, moved.P)
             assert check_ct_compatibility(moved.C, moved.T)
+        assert all(kernel(sym, rep).dimension == 1 for sym in SYSTEMS)
+        sets = enumerate_consistent_sets(rep)
+        assert len(sets) == 16
+        back = {(b.variant, b.C, b.P, b.T)
+                for b in (transport(s, rep, dp) for s in sets)}
+        assert back == standard
+    sol = canonical_sets()[1]
+    assert transport(sol, dp, dp) is sol
 
 
 def test_group_conjugation_preserves_multiplication():
-    from cptgroup.matrices import weyl_transform
     dp = get_rep(RepTag.DIRAC_PAULI)
-    s = weyl_transform(dp)
+    s = get_rep(RepTag.WEYL).s
     sol = canonical_sets()[2]
     moved = conjugate_group_matrices(sol, s)
     move = lambda m: s * m * s.dagger()

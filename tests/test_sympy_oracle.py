@@ -16,8 +16,7 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from cptgroup.matrices import (Mat4, RepTag, get_rep,  # noqa: E402
-                               majorana_transform, weyl_transform)
+from cptgroup.matrices import Mat4, RepTag, get_rep  # noqa: E402
 from cptgroup.solver import (SYSTEMS, canonical_sets,  # noqa: E402
                              constraint_system, solve_system)
 
@@ -111,9 +110,8 @@ def test_kernel_is_the_sympy_nullspace(symmetry, tag):
 def _paper_matrices() -> list[Mat4]:
     """The 48 basis words of the three presentations, the two changes of
     basis, and C, P, T, θ of both solution families."""
-    dp = get_rep(RepTag.DIRAC_PAULI)
     out = [b for tag in RepTag for b in get_rep(tag).basis]
-    out += [weyl_transform(dp), majorana_transform(dp)]
+    out += [get_rep(RepTag.WEYL).s, get_rep(RepTag.MAJORANA).s]
     for sol in canonical_sets().values():
         out += [sol.C, sol.P, sol.T, sol.theta]
     return out

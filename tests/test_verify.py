@@ -233,7 +233,7 @@ def test_zero_transported_solution_fails_kernel_claims(ctx, monkeypatch):
     # a zero matrix is a multiple of every kernel basis, but not a nonzero
     # one: the transported line must be spanned, not merely contain zero
     zero = Mat4.zero()
-    monkeypatch.setattr(verify, "transform_constraint_solutions",
+    monkeypatch.setattr(verify, "transport",
                         lambda sol, *args: solver.CptSolutionSet(
                             sol.variant, C=zero, P=zero, T=zero))
     report = VerificationReport()

@@ -1,0 +1,24 @@
+"""The CI workflow parses, and its steps run the claims, the tier-1 suite
+and the benchmark's oracle tests."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_tier1_workflow_runs_verify_the_tier1_suite_and_the_oracle_tests():
+    workflow = yaml.safe_load(
+        (ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    # YAML 1.1 reads the bare key `on` as the boolean true
+    assert set(workflow[True]) == {"push", "pull_request"}
+    runs = [step.get("run", "") for job in workflow["jobs"].values()
+            for step in job["steps"]]
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
+                      (ROOT / "ROADMAP.md").read_text()).group(1)
+    for command in ("cptgroup verify", tier1, "benchmarks/test_oracle.py"):
+        assert any(command in run for run in runs), command
