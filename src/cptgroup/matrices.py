@@ -110,8 +110,12 @@ class Mat4:
         return total
 
     def inverse(self) -> "Mat4":
-        """Inverse by Gauss-Jordan elimination of [M | 1]; raises
+        """Inverse of a monomial unit matrix by its `monomial_code`, any
+        other by Gauss-Jordan elimination of [M | 1]; raises
         ZeroDivisionError if singular."""
+        if (code := monomial_code(self)) is not None:
+            rows = sorted(range(4), key=code[0].__getitem__)
+            return from_code((rows, [-code[1][r] % 4 for r in rows]))
         m = [list(row) + list(ident)
              for row, ident in zip(self.rows, _IDENTITY.rows)]
         if row_reduce(m, 4) != [0, 1, 2, 3]:
@@ -153,6 +157,38 @@ def _mat(rows: tuple[tuple[Scalar, ...], ...]) -> Mat4:
 _ZERO_MAT = _mat(((ZERO,) * 4,) * 4)
 _IDENTITY = _mat(tuple(tuple(ONE if i == j else ZERO for j in range(4))
                        for i in range(4)))
+
+
+# the units i**e for e = 0..3, and the exponent e of each
+_UNIT_POWERS = (ONE, I, MINUS_ONE, -I)
+_EXPONENT = {u: e for e, u in enumerate(_UNIT_POWERS)}
+
+
+def monomial_code(m: Mat4) -> tuple | None:
+    """(columns, exponents) of a matrix whose row r holds its one nonzero
+    entry i**exponents[r] at columns[r], in distinct columns; None for any
+    other matrix."""
+    entries = [[(j, x) for j, x in enumerate(row) if x is not ZERO]
+               for row in m.rows]
+    if any(len(e) != 1 or e[0][1] not in _EXPONENT for e in entries):
+        return None
+    cols, units = zip(*(e[0] for e in entries))
+    return ((cols, tuple(map(_EXPONENT.get, units)))
+            if len(set(cols)) == 4 else None)
+
+
+def code_product(a: tuple, b: tuple) -> tuple:
+    """The `monomial_code` of the product of the matrices coded a and b:
+    row r of a picks row a_r of b, so columns compose and exponents add."""
+    (acols, aexps), (bcols, bexps) = a, b
+    return (tuple(bcols[j] for j in acols),
+            tuple((e + bexps[j]) % 4 for j, e in zip(acols, aexps)))
+
+
+def from_code(code: tuple) -> Mat4:
+    """The matrix of a `monomial_code`."""
+    return _mat(tuple(tuple(_UNIT_POWERS[e] if j == c else ZERO
+                            for j in range(4)) for c, e in zip(*code)))
 
 
 def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
@@ -245,22 +281,11 @@ class GammaRep:
 
     @cached_property
     def _duals(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
-        """The nonzero entries (i, j, u) of each B_k^-1, all units.
-
-        The basis words are trace-orthogonal, tr(B_j^-1 B_k) = 4 delta_jk,
-        and each squares to +-1, so B_k^-1 = (B_k^2)_00 * B_k.
-        """
-        duals = []
-        for b in self.basis:
-            square = b * b
-            sign = square.rows[0][0]
-            if sign not in (ONE, MINUS_ONE) or \
-                    square != Mat4.identity().scale(sign):
-                raise ValueError("basis word does not square to +-1")
-            unit = b.scale(sign)
-            duals.append(tuple((i, j, x) for i, row in enumerate(unit.rows)
-                               for j, x in enumerate(row) if x is not ZERO))
-        return tuple(duals)
+        """The nonzero entries (i, j, u) of each B_k^-1: the basis words
+        are trace-orthogonal, tr(B_j^-1 B_k) = 4 delta_jk."""
+        return tuple(tuple((i, j, x) for i, row in enumerate(b.inverse().rows)
+                           for j, x in enumerate(row) if x is not ZERO)
+                     for b in self.basis)
 
     def basis_expand(self, m: Mat4) -> list[Scalar]:
         """Coefficients c_k with m = sum(c_k * basis_k), as c_k =
@@ -323,11 +348,12 @@ def _build_rep(tag: RepTag | None, s: Mat4) -> GammaRep:
         raise ValueError("change of basis must be unitary")
     g = tuple(s * x * sd for x in _STANDARD_GAMMA)
     gamma5 = (-I) * (g[0] * g[1] * g[2] * g[3])
-    basis = tuple(_word_product(g, w) for w in BASIS_WORDS)
+    basis = tuple(word_product(g, w) for w in BASIS_WORDS)
     return GammaRep(tag=tag, s=s, gamma=g, gamma5=gamma5, basis=basis)
 
 
-def _word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
+def word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
+    """The product of the gammas g[k] for k in `word`, in order."""
     out = Mat4.identity()
     for k in word:
         out = out * g[k]

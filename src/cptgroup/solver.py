@@ -8,11 +8,15 @@ on an unknown 4x4 matrix X:
     time reversal:      X g0 = g0 X,      X gk* = -gk X  (k = 1, 2, 3)
 
 The conjugated/transposed gamma matrices are fixed matrices in a given
-representation, so each condition is linear over Q(i, sqrt(2)).  The
-unknown is expanded in the canonical 16-element basis and the kernel of
-the stacked system is computed by exact Gauss-Jordan elimination.  Each
-kernel turns out to be one-dimensional; sweeping the remaining unit
-scalar multiplier and imposing the two cross-compatibility conditions
+representation, so each condition is linear over Q(i, sqrt(2)).  Where
+each twisted gamma is +-itself, f(gmu) = e_mu gmu, and the gammas
+anticommute, the basis word B_w obeys B_w gmu = sigma_wmu gmu B_w with
+sigma_wmu = (-1)^(|w| - [mu in w]), so each relation sends B_w to
+(e_mu - s_mu sigma_wmu) B_w gmu.  The B_w gmu are independent and no two
+words share their signs, so the kernel is the one word with
+sigma_wmu = e_mu s_mu: a line.  Other systems are solved by exact
+Gauss-Jordan elimination.  Sweeping the remaining unit scalar multiplier
+and imposing the two cross-compatibility conditions
 
     C (P^-1)^T C^-1 = P        and        C T* = T C*
 
@@ -24,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .matrices import (CLASS_SIGNS, GammaRep, Mat4, RepTag, classify,
-                       get_rep, row_reduce)
+from .matrices import (BASIS_WORDS, CLASS_SIGNS, GammaRep, Mat4, RepTag,
+                       classify, get_rep, row_reduce, word_product)
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
 
 UNIT_SCALARS: tuple[Scalar, ...] = (ONE, MINUS_ONE, I, -I)
@@ -125,10 +129,26 @@ def _nullspace(rows: list[list[Scalar]], n: int) -> list[list[Scalar]]:
 
 @cache
 def kernel(symmetry: str, rep: GammaRep) -> SolutionSpace:
-    """The kernel of the `SYSTEMS[symmetry]` system in `rep`, solved once.
+    """The kernel of the `SYSTEMS[symmetry]` system in `rep`, found once.
     It is keyed on the name and the shared, immutable rep, not on the
-    system: solving a fresh system with `solve_system` fills no cache."""
-    return solve_system(constraint_system(symmetry, rep), rep)
+    system: solving a fresh system with `solve_system` fills no cache.
+    Where the module docstring's conditions hold, it is the word in
+    `rep.gamma` whose commutation signs match; `solve_system` finds any
+    other."""
+    system = constraint_system(symmetry, rep)
+    signs = [r.sign * (1 if r.right == r.left else
+                       -1 if r.right == -r.left else 0)
+             for r in system.relations]
+    g = rep.gamma
+    if 0 in signs or any(g[m] * g[n] != -(g[n] * g[m])
+                         for m in range(4) for n in range(m)):
+        return solve_system(system, rep)
+    word = word_product(g, next(w for w in BASIS_WORDS
+                                if all((-1) ** (len(w) - (mu in w)) == sign
+                                       for mu, sign in enumerate(signs))))
+    if not system.satisfied_by(word):
+        raise AssertionError("kernel element fails a relation")
+    return SolutionSpace((word,))
 
 
 # -- compatibility -------------------------------------------------------------
@@ -277,12 +297,18 @@ def transport(sol: CptSolutionSet, src: GammaRep,
     """
     if src is dst:
         return sol
+    return CptSolutionSet(sol.variant,
+                          *_transport(sol.C, sol.P, sol.T, src, dst))
+
+
+@cache
+def _transport(c: Mat4, p: Mat4, t: Mat4, src: GammaRep,
+               dst: GammaRep) -> tuple[Mat4, ...]:
+    """C', P', T' of `transport`, found once per set and pair of reps."""
     s = dst.s * src.s.dagger()
     st = s.transpose()
-    c_new = s * sol.C * src.gamma[0] * st * dst.gamma[0].inverse()
-    p_new = s * sol.P * s.dagger()
-    t_new = s * sol.T * st
-    return CptSolutionSet(sol.variant, C=c_new, P=p_new, T=t_new)
+    return (s * c * src.gamma[0] * st * dst.gamma[0].inverse(),
+            s * p * s.dagger(), s * t * st)
 
 
 # -- per-solution property report ------------------------------------------------

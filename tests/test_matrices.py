@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from cptgroup import matrices
 from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, Grade, Mat4, RepTag,
-                               _build_rep, classify, get_rep)
+                               _build_rep, classify, code_product, from_code,
+                               get_rep, monomial_code)
 from cptgroup.scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
 
 DP = get_rep(RepTag.DIRAC_PAULI)
@@ -187,6 +189,62 @@ def test_singular_dense_matrices_raise():
             singular.inverse()
     with pytest.raises(ZeroDivisionError):
         Mat4.zero().inverse()
+
+
+UNITS = (ONE, I, MINUS_ONE, -I)
+
+
+def test_monomial_codes_round_trip_and_multiply_like_matrices(rep):
+    for b in rep.basis:
+        for u in UNITS:
+            m = b.scale(u)
+            code = monomial_code(m)
+            assert code is not None and from_code(code) == m
+    words = [b.scale(u) for b in DP.basis for u in UNITS]
+    codes = [monomial_code(m) for m in words]
+    for a, ca in zip(words, codes):
+        for b, cb in zip(words, codes):
+            assert from_code(code_product(ca, cb)) == a * b
+
+
+def test_monomial_code_rejects_every_other_matrix():
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    assert monomial_code(Mat4(swap)) == ((1, 0, 3, 2), (0, 0, 0, 0))
+    twice = Mat4([[2 * x for x in row] if i == 2 else row
+                  for i, row in enumerate(swap)])
+    same_column = Mat4([swap[0], swap[0], swap[2], swap[3]])
+    others = [get_rep(RepTag.WEYL).s, get_rep(RepTag.MAJORANA).s,
+              Mat4.identity().scale(2), random_dense_mat(random.Random(1)),
+              twice, same_column, Mat4.zero()]
+    assert all(monomial_code(m) is None for m in others)
+
+
+def test_monomial_inverse_matches_the_adjugate_without_elimination(
+        monkeypatch):
+    eliminations = []
+    row_reduce = matrices.row_reduce
+
+    def counting(rows, ncols):
+        eliminations.append(None)
+        return row_reduce(rows, ncols)
+
+    monkeypatch.setattr(matrices, "row_reduce", counting)
+    rng = random.Random(12)
+    ident = Mat4.identity()
+    for _ in range(40):
+        perm = rng.sample(range(4), 4)
+        m = Mat4([[rng.choice(UNITS) if j == perm[i] else ZERO
+                   for j in range(4)] for i in range(4)])
+        inv = m.inverse()
+        assert inv == reference_inverse(m)
+        assert m * inv == ident and inv * m == ident
+    assert not eliminations
+    m = Mat4.identity() + random_dense_mat(rng)
+    assert m.inverse() == reference_inverse(m) and len(eliminations) == 1
+    with pytest.raises(ZeroDivisionError):
+        Mat4([[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+             ).inverse()
+    assert len(eliminations) == 2
 
 
 def test_transform_matrices():

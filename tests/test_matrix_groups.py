@@ -70,11 +70,15 @@ def test_group_isomorphism_types(groups):
 
 
 def test_build_rejects_degenerate_input():
-    from cptgroup.matrices import Mat4
+    from cptgroup.matrices import Mat4, RepTag, get_rep
     ident = Mat4.identity()
-    degenerate = CptSolutionSet(1, C=ident, P=ident, T=ident)
-    with pytest.raises(GroupError):
-        build_matrix_group(degenerate)
+    sol = canonical_sets()[1]
+    # equal generators, and a dense C, which has no code to compose
+    for degenerate in (CptSolutionSet(1, C=ident, P=ident, T=ident),
+                       CptSolutionSet(1, C=get_rep(RepTag.WEYL).s,
+                                      P=sol.P, T=sol.T)):
+        with pytest.raises(GroupError):
+            build_matrix_group(degenerate)
 
 
 def test_cpt_group_requires_c_p_t_to_generate_all_sixteen():

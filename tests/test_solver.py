@@ -2,9 +2,11 @@
 solution families."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from cptgroup import solver
 from cptgroup.matrices import ID2, Mat4, RepTag, _build_rep, _kron, get_rep
 from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, canonical_sets,
@@ -148,6 +150,55 @@ def test_transport_maps_solutions_to_solutions():
         assert back == standard
     sol = canonical_sets()[1]
     assert transport(sol, dp, dp) is sol
+
+
+def test_kernel_by_signature_is_the_eliminated_kernel(rep):
+    for sym in SYSTEMS:
+        assert kernel(sym, rep).basis == \
+            solve_system(constraint_system(sym, rep), rep).basis
+
+
+def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
+        monkeypatch):
+    rng = random.Random(2004)
+    for _ in range(20):
+        rep = _build_rep(None, random_clifford(rng))
+        for sym in SYSTEMS:
+            assert kernel(sym, rep).basis == \
+                solve_system(constraint_system(sym, rep), rep).basis
+    # in the T x 1 basis the gammas still anticommute and parity is
+    # untwisted, but transposed and conjugated gammas are not +-themselves;
+    # in the second presentation g0 and the new g1 commute
+    t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
+    t_rep = _build_rep(None, _kron(t_gate, ID2))
+    g = get_rep(RepTag.DIRAC_PAULI).gamma
+    commuting = replace(get_rep(RepTag.DIRAC_PAULI),
+                        gamma=(g[0], g[0] * g[1] * g[2], g[2], g[3]))
+    solved = []
+    solve = solver.solve_system
+
+    def counting(system, rep):
+        solved.append(system)
+        return solve(system, rep)
+
+    monkeypatch.setattr(solver, "solve_system", counting)
+    for sym, r in [(sym, t_rep) for sym in SYSTEMS] + [("p", commuting)]:
+        assert kernel.__wrapped__(sym, r).basis == \
+            solve(constraint_system(sym, r), r).basis
+    assert solved == [constraint_system(sym, r) for sym, r in
+                      (("c", t_rep), ("t", t_rep), ("p", commuting))]
+    # Weyl gammas beside the Dirac-Pauli basis words: the signature kernel
+    # is a word in the gammas, whatever `basis` holds, and spans the line
+    # that elimination finds in that basis
+    stale = replace(get_rep(RepTag.DIRAC_PAULI),
+                    gamma=get_rep(RepTag.WEYL).gamma)
+    for sym in SYSTEMS:
+        (word,) = kernel.__wrapped__(sym, stale).basis
+        (line,) = solve(constraint_system(sym, stale), stale).basis
+        i, j = next((i, j) for i in range(4) for j in range(4)
+                    if line.rows[i][j] is not ZERO)
+        assert word == line.scale(word.rows[i][j] / line.rows[i][j])
+    assert len(solved) == 3
 
 
 def test_group_conjugation_preserves_multiplication():

@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from cptgroup.matrices import Mat4, RepTag, get_rep  # noqa: E402
 from cptgroup.solver import (SYSTEMS, canonical_sets,  # noqa: E402
-                             constraint_system, solve_system)
+                             constraint_system, kernel, solve_system)
 
 K = sympy.QQ.algebraic_field(sympy.I, sympy.sqrt(2))
 
@@ -100,11 +100,12 @@ def test_kernel_is_the_sympy_nullspace(symmetry, tag):
     rep = get_rep(tag)
     a = _equations(_relations(symmetry, [_sym(g) for g in rep.gamma]))
     assert a.nullspace().shape[0] == 1
-    space = solve_system(constraint_system(symmetry, rep), rep)
-    assert space.dimension == 1
-    x = _sym(space.basis[0]).reshape(16, 1)
-    assert not x.is_zero_matrix
-    assert a.matmul(_field(x)).is_zero_matrix
+    for space in (solve_system(constraint_system(symmetry, rep), rep),
+                  kernel(symmetry, rep)):
+        assert space.dimension == 1
+        x = _sym(space.basis[0]).reshape(16, 1)
+        assert not x.is_zero_matrix
+        assert a.matmul(_field(x)).is_zero_matrix
 
 
 def _paper_matrices() -> list[Mat4]:

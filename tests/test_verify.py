@@ -144,19 +144,23 @@ def test_corrupted_reference_datum_fails(ctx, monkeypatch, dataset, corrupt,
 
 
 def test_run_all_solves_each_kernel_once(monkeypatch):
-    # one solve per (symmetry, representation): p/c/t x dp/weyl/majorana
+    # one kernel per (symmetry, representation): p/c/t x dp/weyl/majorana,
+    # each read off its commutation signs, so no elimination runs at all
     solver.kernel.cache_clear()
     calls = []
-    solve = solver.solve_system
-
-    def counting(system, rep):
-        calls.append((system, rep.tag))
-        return solve(system, rep)
-
-    monkeypatch.setattr(solver, "solve_system", counting)
+    monkeypatch.setattr(solver, "solve_system",
+                        lambda *args: calls.append(args))
     verify.run_all()
-    assert len(calls) == 9 and len(set(calls)) == 9
-    assert {tag for _, tag in calls} == set(RepTag)
+    assert calls == []
+    assert solver.kernel.cache_info().misses == 9
+
+
+def test_run_all_transports_each_set_once():
+    # the 32 Weyl and Majorana sets go back to the standard basis once, to
+    # classify them, and the two kernel claims move one set out
+    solver._transport.cache_clear()
+    verify.run_all()
+    assert solver._transport.cache_info().misses == 34
 
 
 def test_run_all_builds_no_matrix_through_the_checking_constructor(
