@@ -24,8 +24,6 @@ from .matrices import BASIS_NAMES, RepTag, get_rep
 from .solver import SYSTEMS, kernel
 from .verify import Context, run_all
 
-GROUP_CHOICES = ("g1", "g2", "gtheta")
-
 
 def cmd_verify(args) -> int:
     _, report = run_all()
@@ -154,26 +152,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat documented-typo mismatches as failures")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="print a basic multiplication table")
-    p.add_argument("--group", choices=GROUP_CHOICES, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("solve", help="solve a symmetry constraint system")
-    p.add_argument("--symmetry", choices=tuple(SYSTEMS), required=True)
-    p.add_argument("--rep", choices=[t.value for t in RepTag], required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("cycles", help="print regular-representation cycles")
-    p.add_argument("--group", choices=GROUP_CHOICES, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_cycles)
-
-    p = sub.add_parser("identify", help="identify a group up to isomorphism")
-    p.add_argument("--group", choices=GROUP_CHOICES, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_identify)
+    group = (("--group", ("g1", "g2", "gtheta")),)
+    for name, help_, flags in (
+            ("table", "print a basic multiplication table", group),
+            ("solve", "solve a symmetry constraint system",
+             (("--symmetry", tuple(SYSTEMS)),
+              ("--rep", [t.value for t in RepTag]))),
+            ("cycles", "print regular-representation cycles", group),
+            ("identify", "identify a group up to isomorphism", group)):
+        p = sub.add_parser(name, help=help_)
+        for flag, choices in flags:
+            p.add_argument(flag, choices=choices, required=True)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=globals()[f"cmd_{name}"])
 
     return parser
 

@@ -28,10 +28,7 @@ class Permutation:
         imgs = tuple(images)
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a bijection: {imgs}")
-        object.__setattr__(self, "images", imgs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        self.images = imgs
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -39,25 +36,25 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, text: str, n: int) -> "Permutation":
-        """Parse 1-based cycle notation like "(1 2 3)(4 5)"."""
+        """Parse 1-based cycle notation like "(1 2 3)(4 5)", "()" for the
+        identity; raises ValueError unless the whole text is parenthesized
+        cycles of points in 1..n, each point listed once."""
+        if not re.fullmatch(r"(\s*\([\d\s]*\))+\s*", text):
+            raise ValueError(f"not a cycle listing: {text!r}")
+        cycles = [[int(tok) - 1 for tok in cyc.split()]
+                  for cyc in re.findall(r"\(([^()]*)\)", text)]
+        pts = [p for cyc in cycles for p in cyc]
+        if len(set(pts)) != len(pts) or any(not 0 <= p < n for p in pts):
+            raise ValueError(f"point repeated or out of range in {text!r}")
         images = list(range(n))
-        for cyc in re.findall(r"\(([^()]*)\)", text):
-            pts = [int(tok) - 1 for tok in cyc.split()]
-            if not pts:
-                continue
-            if any(not 0 <= p < n for p in pts):
-                raise ValueError(f"point out of range in {text!r}")
-            for a, b in zip(pts, pts[1:] + pts[:1]):
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a] = b
         return cls(images)
 
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        """Image of a 1-based point."""
-        return self.images[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition with the right factor applied first."""
@@ -458,19 +455,9 @@ class GroupMap:
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
 
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
-
     def is_isomorphism(self) -> bool:
         return (self.source.order == self.target.order
                 and self.is_injective() and self.is_homomorphism())
-
-    def kernel(self) -> frozenset[int]:
-        return frozenset(i for i, m in enumerate(self.images)
-                         if m == self.target.identity)
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.images)
 
     def inverse_map(self) -> "GroupMap":
         if not self.is_isomorphism():
@@ -571,21 +558,14 @@ class ShortExactSequence:
     projection: GroupMap
 
     def verify(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.inclusion.is_homomorphism():
-            out.append("inclusion is not a homomorphism")
-        if not self.inclusion.is_injective():
-            out.append("inclusion is not injective")
-        if not self.projection.is_homomorphism():
-            out.append("projection is not a homomorphism")
-        if not self.projection.is_surjective():
-            out.append("projection is not surjective")
-        if self.inclusion.image() != self.projection.kernel():
-            out.append("image of inclusion differs from kernel of projection")
-        return out
+        """Exactness: an injective inclusion and a surjective projection,
+        both homomorphisms, the image of the one the kernel of the other."""
+        inc, proj = self.inclusion, self.projection
+        return (inc.is_homomorphism() and inc.is_injective()
+                and proj.is_homomorphism()
+                and len(set(proj.images)) == proj.target.order
+                and set(inc.images) == {i for i, m in enumerate(proj.images)
+                                        if m == proj.target.identity})
 
     def sections(self) -> list[GroupMap]:
         """All homomorphic sections of the projection (exhaustive)."""

@@ -57,9 +57,7 @@ class Mat4:
     def __neg__(self) -> "Mat4":
         return _mat(tuple(tuple(-x for x in row) for row in self.rows))
 
-    def __mul__(self, other):
-        if not isinstance(other, Mat4):
-            return self.scale(other)
+    def __mul__(self, other: "Mat4") -> "Mat4":
         # skip zero entries: the gamma-matrix products handled here
         # are sparse, with typically one nonzero entry per row
         out = []
@@ -73,9 +71,6 @@ class Mat4:
                         row[j] = row[j] + a * b
             out.append(tuple(row))
         return _mat(tuple(out))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "Mat4":
         c = c if isinstance(c, Scalar) else Scalar(c)
@@ -347,7 +342,7 @@ def _build_rep(tag: RepTag | None, s: Mat4) -> GammaRep:
     if s * sd != Mat4.identity():
         raise ValueError("change of basis must be unitary")
     g = tuple(s * x * sd for x in _STANDARD_GAMMA)
-    gamma5 = (-I) * (g[0] * g[1] * g[2] * g[3])
+    gamma5 = (g[0] * g[1] * g[2] * g[3]).scale(-I)
     basis = tuple(word_product(g, w) for w in BASIS_WORDS)
     return GammaRep(tag=tag, s=s, gamma=g, gamma5=gamma5, basis=basis)
 

@@ -48,12 +48,9 @@ class Relation:
 class ConstraintSystem:
     relations: tuple[Relation, ...]
 
-    def residuals(self, x: Mat4) -> list[Mat4]:
-        return [x * rel.right - (rel.left * x).scale(rel.sign)
-                for rel in self.relations]
-
     def satisfied_by(self, x: Mat4) -> bool:
-        return all(r.is_zero() for r in self.residuals(x))
+        return all(x * rel.right == (rel.left * x).scale(rel.sign)
+                   for rel in self.relations)
 
 
 @dataclass(frozen=True)
@@ -178,6 +175,10 @@ class CptSolutionSet:
     def theta(self) -> Mat4:
         return self.C * self.P * self.T
 
+    def named(self) -> dict[str, Mat4]:
+        """The four matrices by their printed names."""
+        return {"C": self.C, "P": self.P, "T": self.T, "θ": self.theta}
+
     def squares(self) -> tuple[int, int, int]:
         ident = Mat4.identity()
         out = []
@@ -196,23 +197,27 @@ SQUARE_SIGNATURES = {1: (1, -1, 1), 2: (-1, -1, -1)}
 
 # the class (see `CLASS_SIGNS`) of each matrix of a set, per variant: P and
 # θ agree across the families, while C and T are real only in the second
-CLASSES = {1: {"C": "K", "P": "M", "T": "K", "theta": "K"},
-           2: {"C": "N", "P": "M", "T": "N", "theta": "K"}}
+CLASSES = {1: {"C": "K", "P": "M", "T": "K", "θ": "K"},
+           2: {"C": "N", "P": "M", "T": "N", "θ": "K"}}
 
 
 def enumerate_consistent_sets(rep: GammaRep) -> list[CptSolutionSet]:
     """All consistent (C, P, T) unit-multiple triples, grouped by variant.
 
-    The kernel computations leave one matrix line per symmetry; physics
-    narrows the scalar multipliers to the units {1, -1, i, -i} (the squares
-    of C, P, T must be +/-1).  The sweep filters the 64 candidate triples
-    by the two compatibility conditions; the survivors form exactly two
-    families of 8 sign choices, distinguished by their square signature.
+    The kernel computations leave one matrix line per symmetry.  The sweep
+    assumes that each line's generator X0 is unitary, X0 X0† = 1, and
+    raises where it is not: then the multiples of X0 that stay unitary and
+    square to +/-1 are its multiples by the units {1, -1, i, -i}.  It
+    filters the 64 candidate triples by the two compatibility conditions;
+    the survivors form exactly two families of 8 sign choices,
+    distinguished by their square signature.
     """
     p_space, c_space, t_space = (kernel(sym, rep) for sym in "pct")
     if (p_space.dimension, c_space.dimension, t_space.dimension) != (1, 1, 1):
         raise AssertionError("expected one-dimensional solution lines")
     p0, c0, t0 = p_space.basis[0], c_space.basis[0], t_space.basis[0]
+    if any(x * x.dagger() != Mat4.identity() for x in (p0, c0, t0)):
+        raise AssertionError("expected unitary solution lines")
 
     sets: list[CptSolutionSet] = []
     for z in UNIT_SCALARS:
@@ -266,12 +271,10 @@ def canonical_sets() -> dict[int, CptSolutionSet]:
     """The two plus-sign representative solution sets, one per variant,
     in the standard representation: P = i g0 with C = g2 g0, T = i g3 g1
     (variant 1) and C = i g2 g0, T = g3 g1 (variant 2)."""
-    dp = get_rep(RepTag.DIRAC_PAULI)
-    g = dp.gamma
-    return {
-        1: CptSolutionSet(1, C=g[2] * g[0], P=I * g[0], T=I * (g[3] * g[1])),
-        2: CptSolutionSet(2, C=I * (g[2] * g[0]), P=I * g[0], T=g[3] * g[1]),
-    }
+    g = get_rep(RepTag.DIRAC_PAULI).gamma
+    c, p, t = g[2] * g[0], g[0].scale(I), g[3] * g[1]
+    return {1: CptSolutionSet(1, C=c, P=p, T=t.scale(I)),
+            2: CptSolutionSet(2, C=c.scale(I), P=p, T=t)}
 
 
 def conjugate_group_matrices(sol: CptSolutionSet, s: Mat4) -> CptSolutionSet:
@@ -319,11 +322,9 @@ def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
     matrix has the `CLASS_SIGNS` of its class in `CLASSES`, and a matrix
     equal to its own conjugate has real entries."""
     ident = Mat4.identity()
-    c, p, t = sol.C, sol.P, sol.T
-    theta = sol.theta
-    checks: dict[str, bool] = {}
-    checks["squares"] = sol.squares() == SQUARE_SIGNATURES[sol.variant]
-    for name, m in (("C", c), ("P", p), ("T", t), ("theta", theta)):
+    named = sol.named()
+    checks = {"squares": sol.squares() == SQUARE_SIGNATURES[sol.variant]}
+    for name, m in named.items():
         kind = CLASSES[sol.variant][name]
         signs = CLASS_SIGNS[kind]
         images = (m.dagger(), m.inverse(), m.transpose(), m.conj())
@@ -337,7 +338,8 @@ def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
         if signs[3] == 1:
             checks[f"{name}_real"] = membership.real_entries
 
+    c, p, t, theta = named.values()
     checks["CCstar"] = c * c.conj() == -ident
     checks["PT_commute"] = p * t == t * p
-    checks["theta_square"] = theta * theta == ident
+    checks["θ_square"] = theta * theta == ident
     return checks

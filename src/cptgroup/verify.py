@@ -58,12 +58,6 @@ class VerificationReport:
         status = "pass" if ok else ("mismatch" if mismatch else "fail")
         self.sections.append(ClaimResult(claim_id, status, details or {}))
 
-    def status_of(self, claim_id: str) -> str:
-        for s in self.sections:
-            if s.claim_id == claim_id:
-                return s.status
-        raise KeyError(claim_id)
-
     def overall(self, strict: bool = False) -> str:
         bad = {"fail", "mismatch"} if strict else {"fail"}
         return "fail" if any(s.status in bad for s in self.sections) else "pass"
@@ -134,13 +128,14 @@ def _table_diffs(group: FiniteGroup, printed: list[list[str]]) -> list[dict]:
             for i in range(7) for j in range(7) if got[i][j] != printed[i][j]]
 
 
-def _profile_ok(group: FiniteGroup, profile: dict[int, int],
-                order2: list[str], order4: list[str]) -> bool:
-    """The order profile, and the printed elements of orders 2 and 4."""
+def _profile_ok(group: FiniteGroup, order2: list[str],
+                order4: list[str]) -> bool:
+    """The printed elements of orders 2 and 4, and the order profile they
+    make with the identity."""
     of_order = {k: {group.labels[i] for i in range(group.order)
                     if group.element_order(i) == k} for k in (2, 4)}
-    return (group.order_profile() == profile and of_order[2] == set(order2)
-            and of_order[4] == set(order4))
+    return (group.order_profile() == {1: 1, 2: len(order2), 4: len(order4)}
+            and of_order[2] == set(order2) and of_order[4] == set(order4))
 
 
 # -- pipeline stages ------------------------------------------------------------
@@ -187,13 +182,12 @@ def _multiple(space: SolutionSpace, m: Mat4) -> Scalar | None:
 def _check_kernels(ctx: Context, report: VerificationReport) -> None:
     dp = ctx.dp
     sol = ctx.solutions[2]
-    closed = {"p": ("kernel-7", sol.P), "c": ("kernel-18", sol.C),
-              "t": ("kernel-27", sol.T)}
-    for sym, (claim_id, expected) in closed.items():
+    for sym, claim_id in (("p", "kernel-7"), ("c", "kernel-18"),
+                          ("t", "kernel-27")):
         space = kernel(sym, dp)
         # the closed form must be a unit multiple of the normalized kernel
         # basis, which must satisfy the system by substitution
-        ok = (_multiple(space, expected) in UNIT_SCALARS
+        ok = (_multiple(space, getattr(sol, sym.upper())) in UNIT_SCALARS
               and constraint_system(sym, dp).satisfied_by(space.basis[0]))
         report.add(claim_id, ok, {"dimension": space.dimension})
     # extra printed facts about the closed forms
@@ -204,10 +198,9 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
     # other representations: dimension 1, spanning the transported line
     for rep in map(get_rep, _CONJUGATES):
         moved = transport(sol, dp, rep)
-        expect = {"p": moved.P, "c": moved.C, "t": moved.T}
         report.add(f"kernel-{rep.tag.value}",
-                   all(_multiple(kernel(sym, rep), expect[sym]) is not None
-                       for sym in SYSTEMS))
+                   all(_multiple(kernel(sym, rep), getattr(moved, sym.upper()))
+                       is not None for sym in SYSTEMS))
 
 
 def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
@@ -233,14 +226,10 @@ def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
                incompatible_parity_squares(ctx.dp))
     # the enumeration is representation-independent: transporting the
     # non-DP solutions back to DP reproduces the same set of triples
-    dp_keys = {(s.variant, s.C, s.P, s.T) for s in sets}
     ok = True
     for rep in map(get_rep, _CONJUGATES):
-        moved = set()
-        for sol in enumerate_consistent_sets(rep):
-            back = transport(sol, rep, ctx.dp)
-            moved.add((back.variant, back.C, back.P, back.T))
-        ok = ok and moved == dp_keys
+        ok = ok and set(sets) == {transport(sol, rep, ctx.dp)
+                                  for sol in enumerate_consistent_sets(rep)}
     report.add("families-rep-invariance", ok)
     # θ facts across every consistent triple
     gp = ctx.dp.gamma
@@ -264,8 +253,7 @@ def _check_solution_properties(ctx: Context,
     # each matrix in its class, with real entries where the class makes
     # it equal to its conjugate and imaginary ones where it is minus it
     for variant, claim_id in ((1, "classes-41"), (2, "classes-42")):
-        sol = ctx.solutions[variant]
-        named = {"C": sol.C, "P": sol.P, "T": sol.T, "theta": sol.theta}
+        named = ctx.solutions[variant].named()
         ok = True
         for name, kind in CLASSES[variant].items():
             membership = classify(named[name])
@@ -282,12 +270,10 @@ def _check_matrix_groups(ctx: Context, report: VerificationReport) -> None:
                                 ("44", ctx.g2, claims.TABLE_44)):
         diffs = _table_diffs(group, printed)
         report.add(f"table-{key}", not diffs, {"diffs": diffs})
-    for key, group, profile, o2, o4 in (
-            ("g1", ctx.g1, {1: 1, 2: 11, 4: 4}, claims.ORDER2_G1,
-             claims.ORDER4_G1),
-            ("g2", ctx.g2, {1: 1, 2: 7, 4: 8}, claims.ORDER2_G2,
-             claims.ORDER4_G2)):
-        report.add(f"profile-{key}", _profile_ok(group, profile, o2, o4),
+    for key, group, o2, o4 in (
+            ("g1", ctx.g1, claims.ORDER2_G1, claims.ORDER4_G1),
+            ("g2", ctx.g2, claims.ORDER2_G2, claims.ORDER4_G2)):
+        report.add(f"profile-{key}", _profile_ok(group, o2, o4),
                    {"profile": group.order_profile()})
     for key, printed in (("45", claims.CYCLES_45), ("46", claims.CYCLES_46)):
         group = ctx.g1 if key == "45" else ctx.g2
@@ -564,8 +550,8 @@ def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
     diffs = _table_diffs(gt, claims.TABLE_71)
     report.add("table-71", not diffs, {"diffs": diffs})
     report.add("profile-gtheta",
-               _profile_ok(gt, {1: 1, 2: 3, 4: 12}, claims.ORDER2_GT,
-                           claims.ORDER4_GT), {"profile": gt.order_profile()})
+               _profile_ok(gt, claims.ORDER2_GT, claims.ORDER4_GT),
+               {"profile": gt.order_profile()})
     report.add("iso-72", find_isomorphism(gt, ctx.dc8xz2) is not None)
     report.add("iso-gtheta-qxs0",
                find_isomorphism(gt, ctx.qxs0) is not None)
@@ -628,18 +614,15 @@ def _check_representations(ctx: Context,
 
     factor = {name: Scalar(p, q)
               for name, (p, q) in claims.SECOND_FAMILY_FACTORS.items()}
+    # the two standard sets, each conjugated by S_W and by S_M
+    moved = {(s_mat, v): conjugate_group_matrices(ctx.solutions[v], s_mat)
+             for s_mat in (s_w, s_m) for v in (1, 2)}
     for tag, s_mat, printed in (("78", s_w, claims.WEYL_78),
                                 ("78a", s_m, claims.MAJORANA_78A)):
-        first = conjugate_group_matrices(ctx.solutions[1], s_mat)
-        second = conjugate_group_matrices(ctx.solutions[2], s_mat)
-        named1 = {"C": first.C, "P": first.P, "T": first.T,
-                  "θ": first.theta}
-        named2 = {"C": second.C, "P": second.P, "T": second.T,
-                  "θ": second.theta}
-        diffs = []
-        for name, want in printed.items():
-            if named1[name] not in (want, -want):
-                diffs.append({"matrix": name, "family": 1})
+        named1, named2 = (moved[s_mat, v].named() for v in (1, 2))
+        diffs = [{"matrix": name, "family": 1}
+                 for name, want in printed.items()
+                 if named1[name] not in (want, -want)]
         report.add(f"matrices-{tag}", not diffs, {"diffs": diffs})
         # second-family relations C(2)=iC(1), P(2)=P(1), T(2)=iT(1),
         # θ(2)=-θ(1), as printed — checked on the printed forms
@@ -652,13 +635,9 @@ def _check_representations(ctx: Context,
 
     # conjugation preserves the group structure: the transported groups
     # have identical basic tables
-    ok = True
-    for s_mat in (s_w, s_m):
-        for variant in (1, 2):
-            moved = conjugate_group_matrices(ctx.solutions[variant], s_mat)
-            moved_group = matrix_groups.build_matrix_group(moved)
-            base = ctx.g1 if variant == 1 else ctx.g2
-            ok = ok and moved_group.table == base.table
+    ok = all(matrix_groups.build_matrix_group(sol).table
+             == (ctx.g1 if v == 1 else ctx.g2).table
+             for (_, v), sol in moved.items())
     report.add("tables-preserved-under-conjugation", ok)
 
 

@@ -10,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from conftest import status_of
 from cptgroup.groups import find_isomorphism
 from cptgroup.matrices import Mat4, RepTag, get_rep
 from cptgroup.scalars import ONE, ZERO, Scalar
@@ -19,7 +20,7 @@ from cptgroup.solver import (SQUARE_SIGNATURES, canonical_sets,
 
 
 def _passed(report, claim_ids):
-    statuses = {cid: report.status_of(cid) for cid in claim_ids}
+    statuses = {cid: status_of(report, cid) for cid in claim_ids}
     return all(s == "pass" for s in statuses.values()), statuses
 
 
@@ -92,7 +93,7 @@ def test_acceptance_06_isomorphism_suite(pipeline):
               "noniso-gtheta-g2", "iso-53", "iso-63", "chain-73", "iso-55"]
     ok, statuses = _passed(report, needed)
     # the flagged typo entries are reported individually, as a mismatch
-    ok = ok and report.status_of("iso-55-annotations") == "mismatch"
+    ok = ok and status_of(report, "iso-55-annotations") == "mismatch"
     section = next(s for s in report.sections
                    if s.claim_id == "iso-55-annotations")
     ok = ok and bool(section.details)

@@ -23,9 +23,9 @@ from cptgroup.groups import (ClosureCapExceeded, FiniteGroup, GroupError,
 def test_permutation_composition_applies_right_factor_first():
     a = Permutation.from_cycles("(1 2 3)", 3)
     b = Permutation.from_cycles("(1 2)", 3)
-    # (a * b)(x) = a(b(x)): 1 -b-> 2 -a-> 3
-    assert (a * b)(1) == 3
-    assert (b * a)(1) == 1
+    # (a * b)(x) = a(b(x)): 1 -b-> 2 -a-> 3, 2 -> 1 -> 2, 3 -> 3 -> 1
+    assert a * b == Permutation.from_cycles("(1 3)", 3)
+    assert b * a == Permutation.from_cycles("(2 3)", 3)
 
 
 def test_permutation_cycles_and_inverse():
@@ -35,6 +35,14 @@ def test_permutation_cycles_and_inverse():
     assert p.moves_every_point()
     assert not Permutation.from_cycles("(2 4)", 4).moves_every_point()
     assert Permutation.identity(4).cycle_string() == "()"
+
+
+@pytest.mark.parametrize("text", ["(1 2)(1 2)", "(1 1)", "(1 2", "1 2",
+                                  "(1 2)x", "x(1 2)", "(1 2)(3", "(0 1)",
+                                  "(1 5)", "(1 -2)", ""])
+def test_malformed_cycle_listing_raises(text):
+    with pytest.raises(ValueError):
+        Permutation.from_cycles(text, 4)
 
 
 def test_cycle_set_is_rotation_insensitive():
@@ -135,7 +143,7 @@ def test_regular_representation_is_faithful_and_regular():
     assert len(set(perms)) == g.order
     for i, p in enumerate(perms):
         if i != g.identity:
-            assert all(p(k + 1) != k + 1 for k in range(g.order))
+            assert all(p.images[k] != k for k in range(g.order))
     # it is a homomorphism for left multiplication
     for i in range(g.order):
         for j in range(g.order):
@@ -187,11 +195,10 @@ def test_conjugation_action_recovers_dihedral():
 # -- GroupMap -----------------------------------------------------------------
 
 
-def test_groupmap_kernel_image_and_inverse():
+def test_groupmap_homomorphism_and_inverse():
     z4, z2 = cyclic(4), cyclic(2)
     proj = GroupMap(z4, z2, [0, 1, 0, 1])
-    assert proj.is_homomorphism() and proj.is_surjective()
-    assert proj.kernel() == frozenset({0, 2})
+    assert proj.is_homomorphism()
     assert not proj.is_injective()
     iso = find_isomorphism(z4, z4)
     inv = iso.inverse_map()
@@ -241,7 +248,7 @@ def make_sequence(mid, kernel_labels, quotient):
 def test_split_sequence_z2_into_dh8xz2():
     mid = dihedral_8_x_z2()
     seq = make_sequence(mid, ["()", "(5 6)"], None)
-    assert seq.verify() and not seq.failures()
+    assert seq.verify()
     sections = seq.sections()
     assert sections and all(s.is_homomorphism() for s in sections)
     assert all(seq.projection.images[m] == q
@@ -255,10 +262,31 @@ def test_non_split_sequence_center_of_quaternion():
     assert seq.sections() == []
 
 
-def test_failures_are_reported():
-    z4, z2 = cyclic(4), cyclic(2)
-    sub = z4.subgroup([0, 2])
-    bad = ShortExactSequence(sub, z4, z2,
-                             GroupMap(sub, z4, [0, 2]),
-                             GroupMap(z4, z2, [0, 0, 0, 0]))
-    assert "projection is not surjective" in bad.failures()
+def _sequence(kernel, middle, quotient, inclusion, projection):
+    return ShortExactSequence(kernel, middle, quotient,
+                              GroupMap(kernel, middle, inclusion),
+                              GroupMap(middle, quotient, projection))
+
+
+Z4, Z6, V4 = cyclic(4), cyclic(6), klein_four()
+
+# sequences that each break one exactness condition and keep the others
+BROKEN = {
+    "inclusion-not-homomorphism":
+        (Z4.subgroup([0, 2]), Z4, cyclic(2), [2, 0], [0, 1, 0, 1]),
+    "inclusion-not-injective":
+        (Z4, Z4, cyclic(2), [0, 2, 0, 2], [0, 1, 0, 1]),
+    "projection-not-homomorphism":
+        (Z6.subgroup([0, 3]), Z6, cyclic(3), [0, 3], [0, 1, 1, 0, 2, 2]),
+    "projection-not-surjective":
+        (Z4.subgroup([0, 2]), Z4, Z4, [0, 2], [0, 2, 0, 2]),
+    "image-not-kernel":
+        (V4.subgroup([0, 2]), V4, cyclic(2), [0, 2], [0, 0, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("condition", BROKEN)
+def test_exactness_fails_on_each_broken_condition(condition):
+    assert _sequence(Z4.subgroup([0, 2]), Z4, cyclic(2), [0, 2],
+                     [0, 1, 0, 1]).verify()
+    assert not _sequence(*BROKEN[condition]).verify()

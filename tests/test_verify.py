@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import status_of
 
 from cptgroup import claims, cli, solver, verify
 from cptgroup.groups import FiniteGroup, Permutation
@@ -45,8 +46,8 @@ def test_report_accumulation():
     report.add("x", True)
     report.add("y", False, {"why": "test"})
     report.add("z", False, mismatch=True)
-    assert report.status_of("x") == "pass"
-    assert report.status_of("z") == "mismatch"
+    assert status_of(report, "x") == "pass"
+    assert status_of(report, "z") == "mismatch"
     assert report.overall(strict=False) == "fail"
     assert isinstance(report.sections[0], ClaimResult)
 
@@ -126,10 +127,18 @@ MUTATIONS = [
     ("MAJORANA_80", lambda ms: _entry(ms, 0, -ms[0]), "representations",
      "majorana-80"),
 ]
+MUTATION_IDS = [f"{m[0]}-{m[3]}" for m in MUTATIONS]
+# a listing that repeats its first cycle is malformed, not the same
+# permutation; its id names the corruption, as its dataset and claim
+# repeat an earlier row's
+MUTATIONS.append(("CYCLES_45",
+                  lambda c: {**c, "C": c["C"][:c["C"].index(")") + 1]
+                             + c["C"]}, "matrix_groups", "cycles-45"))
+MUTATION_IDS.append("CYCLES_45-repeated-cycle-cycles-45")
 
 
 @pytest.mark.parametrize("dataset, corrupt, stage, claim_id", MUTATIONS,
-                         ids=[f"{m[0]}-{m[3]}" for m in MUTATIONS])
+                         ids=MUTATION_IDS)
 def test_corrupted_reference_datum_fails(ctx, monkeypatch, dataset, corrupt,
                                          stage, claim_id):
     # the verifier must fail on wrong reference data, not only pass on
@@ -140,7 +149,7 @@ def test_corrupted_reference_datum_fails(ctx, monkeypatch, dataset, corrupt,
     monkeypatch.setattr(claims, dataset, corrupted)
     report = VerificationReport()
     getattr(verify, f"_check_{stage}")(ctx, report)
-    assert report.status_of(claim_id) == "fail"
+    assert status_of(report, claim_id) == "fail"
 
 
 def test_run_all_solves_each_kernel_once(monkeypatch):
@@ -188,7 +197,7 @@ def test_trivial_regular_representation_fails(ctx, monkeypatch):
                         * self.order)
     report = verify.VerificationReport()
     verify._check_matrix_groups(ctx, report)
-    assert report.status_of("regular-representation") == "fail"
+    assert status_of(report, "regular-representation") == "fail"
 
 
 def test_a_raising_stage_hides_no_other_claim(ctx, pipeline, monkeypatch,
@@ -208,7 +217,7 @@ def test_a_raising_stage_hides_no_other_claim(ctx, pipeline, monkeypatch,
     assert [s for s in broken.sections
             if s.claim_id not in in_stage and s != error] == \
         [s for s in good.sections if s.claim_id not in in_stage]
-    assert all(s.status == good.status_of(s.claim_id)
+    assert all(s.status == status_of(good, s.claim_id)
                for s in broken.sections if s.claim_id in in_stage)
 
     path = tmp_path / "report.json"
@@ -230,7 +239,7 @@ def test_section_word_inside_the_kernel_fails(ctx, monkeypatch, dataset,
     monkeypatch.setattr(claims, dataset, [getattr(claims, dataset)[0], word])
     report = VerificationReport()
     verify._check_extensions(ctx, report)
-    assert report.status_of(claim_id) == "fail"
+    assert status_of(report, claim_id) == "fail"
 
 
 def test_zero_transported_solution_fails_kernel_claims(ctx, monkeypatch):
@@ -242,5 +251,5 @@ def test_zero_transported_solution_fails_kernel_claims(ctx, monkeypatch):
                             sol.variant, C=zero, P=zero, T=zero))
     report = VerificationReport()
     verify._check_kernels(ctx, report)
-    assert report.status_of("kernel-weyl") == "fail"
-    assert report.status_of("kernel-majorana") == "fail"
+    assert status_of(report, "kernel-weyl") == "fail"
+    assert status_of(report, "kernel-majorana") == "fail"

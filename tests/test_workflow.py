@@ -1,5 +1,5 @@
 """The CI workflow parses, and its steps run the claims, the tier-1 suite
-and the benchmark's oracle tests."""
+and the benchmark's oracle tests and record the source lines."""
 
 import re
 from pathlib import Path
@@ -11,9 +11,13 @@ yaml = pytest.importorskip("yaml")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tier1_workflow_runs_verify_the_tier1_suite_and_the_oracle_tests():
-    workflow = yaml.safe_load(
+def _workflow():
+    return yaml.safe_load(
         (ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+
+
+def test_tier1_workflow_runs_verify_the_tier1_suite_and_the_oracle_tests():
+    workflow = _workflow()
     # YAML 1.1 reads the bare key `on` as the boolean true
     assert set(workflow[True]) == {"push", "pull_request"}
     runs = [step.get("run", "") for job in workflow["jobs"].values()
@@ -22,3 +26,11 @@ def test_tier1_workflow_runs_verify_the_tier1_suite_and_the_oracle_tests():
                       (ROOT / "ROADMAP.md").read_text()).group(1)
     for command in ("cptgroup verify", tier1, "benchmarks/test_oracle.py"):
         assert any(command in run for run in runs), command
+
+
+def test_tier1_workflow_records_the_lines_of_each_module():
+    runs = {step.get("name"): step.get("run", "")
+            for job in _workflow()["jobs"].values() for step in job["steps"]}
+    step = runs["Source line count"]
+    assert "wc -l src/cptgroup/*.py" in step
+    assert '>> "$GITHUB_STEP_SUMMARY"' in step
