@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-from .scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import I, INV_SQRT2, MINUS_ONE, ONE, UNITS, Scalar, ZERO
 
 _QUARTER = Scalar("1/4")
 
@@ -154,9 +154,8 @@ _IDENTITY = _mat(tuple(tuple(ONE if i == j else ZERO for j in range(4))
                        for i in range(4)))
 
 
-# the units i**e for e = 0..3, and the exponent e of each
-_UNIT_POWERS = (ONE, I, MINUS_ONE, -I)
-_EXPONENT = {u: e for e, u in enumerate(_UNIT_POWERS)}
+# the exponent e of each unit i**e
+_EXPONENT = {u: e for e, u in enumerate(UNITS)}
 
 
 def monomial_code(m: Mat4) -> tuple | None:
@@ -182,7 +181,7 @@ def code_product(a: tuple, b: tuple) -> tuple:
 
 def from_code(code: tuple) -> Mat4:
     """The matrix of a `monomial_code`."""
-    return _mat(tuple(tuple(_UNIT_POWERS[e] if j == c else ZERO
+    return _mat(tuple(tuple(UNITS[e] if j == c else ZERO
                             for j in range(4)) for c, e in zip(*code)))
 
 

@@ -222,6 +222,8 @@ def _coerce(x) -> "Scalar | None":
 
 ZERO, ONE, MINUS_ONE, I = (Scalar(p, q) for p, q in
                            ((0, 0), (1, 0), (-1, 0), (0, 1)))
-_SHARED.update(((x.a, x.b, 0, 0), x) for x in (ZERO, ONE, MINUS_ONE, I, -I))
+# the units i**e for e = 0..3
+UNITS = (ONE, I, MINUS_ONE, -I)
+_SHARED.update(((x.a, x.b, 0, 0), x) for x in (ZERO, *UNITS))
 SQRT2 = Scalar(0, 0, 1)
 INV_SQRT2 = Scalar(0, 0, Fraction(1, 2))

@@ -29,10 +29,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .matrices import (BASIS_WORDS, CLASS_SIGNS, GammaRep, Mat4, RepTag,
-                       classify, get_rep, row_reduce, word_product)
-from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO
-
-UNIT_SCALARS: tuple[Scalar, ...] = (ONE, MINUS_ONE, I, -I)
+                       get_rep, row_reduce, word_product)
+from .scalars import I, ONE, UNITS, Scalar, ZERO
 
 
 @dataclass(frozen=True)
@@ -193,12 +191,23 @@ class CptSolutionSet:
         return tuple(out)
 
 
-SQUARE_SIGNATURES = {1: (1, -1, 1), 2: (-1, -1, -1)}
-
 # the class (see `CLASS_SIGNS`) of each matrix of a set, per variant: P and
 # θ agree across the families, while C and T are real only in the second
 CLASSES = {1: {"C": "K", "P": "M", "T": "K", "θ": "K"},
            2: {"C": "N", "P": "M", "T": "N", "θ": "K"}}
+
+# (C², P², T²) per variant: a unitary M with M† = aM squares to a
+SQUARE_SIGNATURES = {v: tuple(CLASS_SIGNS[CLASSES[v][name]][0]
+                              for name in "CPT") for v in CLASSES}
+
+
+@cache
+def compatible_pairs(rep: GammaRep) -> tuple[tuple[Mat4, Mat4], ...]:
+    """The (P, C) pairs of unit multiples of the P and C kernel lines that
+    meet the C-P compatibility condition, swept once per presentation."""
+    p0, c0 = kernel("p", rep).basis[0], kernel("c", rep).basis[0]
+    return tuple((p, c) for p in map(p0.scale, UNITS)
+                 for c in map(c0.scale, UNITS) if check_cp_compatibility(c, p))
 
 
 def enumerate_consistent_sets(rep: GammaRep) -> list[CptSolutionSet]:
@@ -220,21 +229,15 @@ def enumerate_consistent_sets(rep: GammaRep) -> list[CptSolutionSet]:
         raise AssertionError("expected unitary solution lines")
 
     sets: list[CptSolutionSet] = []
-    for z in UNIT_SCALARS:
-        p = p0.scale(z)
-        for eta in UNIT_SCALARS:
-            c = c0.scale(eta)
-            if not check_cp_compatibility(c, p):
+    for p, c in compatible_pairs(rep):
+        for t in map(t0.scale, UNITS):
+            if not check_ct_compatibility(c, t):
                 continue
-            for w in UNIT_SCALARS:
-                t = t0.scale(w)
-                if not check_ct_compatibility(c, t):
-                    continue
-                # time reversal applied twice flips the spinor sign
-                if t * t.conj() != -Mat4.identity():
-                    continue
-                variant = _classify_variant(c, p, t, rep)
-                sets.append(CptSolutionSet(variant=variant, C=c, P=p, T=t))
+            # time reversal applied twice flips the spinor sign
+            if t * t.conj() != -Mat4.identity():
+                continue
+            variant = _classify_variant(c, p, t, rep)
+            sets.append(CptSolutionSet(variant=variant, C=c, P=p, T=t))
     return sets
 
 
@@ -251,20 +254,6 @@ def _classify_variant(c: Mat4, p: Mat4, t: Mat4, rep: GammaRep) -> int:
         if known == sig:
             return v
     raise AssertionError(f"unrecognized square signature {sig}")
-
-
-def incompatible_parity_squares(rep: GammaRep) -> bool:
-    """True iff no P with P^2 = +1 admits a compatible C."""
-    p0, c0 = kernel("p", rep).basis[0], kernel("c", rep).basis[0]
-    ident = Mat4.identity()
-    for z in UNIT_SCALARS:
-        p = p0.scale(z)
-        if p * p != ident:
-            continue
-        for eta in UNIT_SCALARS:
-            if check_cp_compatibility(c0.scale(eta), p):
-                return False
-    return True
 
 
 def canonical_sets() -> dict[int, CptSolutionSet]:
@@ -319,8 +308,9 @@ def _transport(c: Mat4, p: Mat4, t: Mat4, src: GammaRep,
 
 def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
     """Exact checks of every identity claimed for a consistent set: each
-    matrix has the `CLASS_SIGNS` of its class in `CLASSES`, and a matrix
-    equal to its own conjugate has real entries."""
+    matrix has the `CLASS_SIGNS` of its class in `CLASSES`.  Equal
+    adjoint and inverse signs make it unitary, and a conjugate sign of +1
+    makes its entries real, so class membership needs no second check."""
     ident = Mat4.identity()
     named = sol.named()
     checks = {"squares": sol.squares() == SQUARE_SIGNATURES[sol.variant]}
@@ -333,10 +323,6 @@ def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
             checks[f"{name}_{op}"] = image == (m if sign == 1 else -m)
         checks[f"{name}_unimodular"] = m.det() == ONE
         checks[f"{name}_traceless"] = m.trace().is_zero()
-        membership = classify(m)
-        checks[f"{name}_in_{kind}"] = membership.in_class(kind)
-        if signs[3] == 1:
-            checks[f"{name}_real"] = membership.real_entries
 
     c, p, t, theta = named.values()
     checks["CCstar"] = c * c.conj() == -ident

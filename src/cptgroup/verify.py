@@ -27,12 +27,12 @@ from .groups import (DICYCLIC_GENERATORS, DIHEDRAL_GENERATORS,
                      quaternion_group, semidirect_product, sign_group,
                      sixteen_e)
 from .matrices import CLASS_SIGNS, Grade, Mat4, RepTag, classify, get_rep
-from .scalars import I, INV_SQRT2, Scalar, ZERO
-from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, UNIT_SCALARS,
-                     SolutionSpace, canonical_sets, check_cp_compatibility,
-                     check_ct_compatibility, conjugate_group_matrices,
-                     constraint_system, enumerate_consistent_sets,
-                     incompatible_parity_squares, kernel,
+from .scalars import I, INV_SQRT2, UNITS, Scalar, ZERO
+from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, SolutionSpace,
+                     canonical_sets, check_cp_compatibility,
+                     check_ct_compatibility, compatible_pairs,
+                     conjugate_group_matrices, constraint_system,
+                     enumerate_consistent_sets, kernel,
                      solve_system,  # unused, but benchmarks/tracer.py wraps it
                      transport, verify_solution_properties)
 from . import matrix_groups, operator_group
@@ -97,26 +97,38 @@ class Context:
     qxs0 = cached_property(
         lambda self: direct_product(self.q, sign_group()))
 
+    @cached_property
+    def e16_letters(self) -> dict[str, int]:
+        """The letters of the printed words in 16E: its generators a, d, n,
+        the central -1 = aa and the identity 1."""
+        e16 = self.e16
+        letters = {ch: e16.index[Permutation.from_cycles(g, 8)]
+                   for ch, g in zip("adn", SIXTEEN_E_GENERATORS)}
+        letters["-"] = e16.table[letters["a"]][letters["a"]]
+        letters["1"] = e16.identity
+        return letters
 
-def word_in_group(word: str, group: FiniteGroup,
-                  letters: dict[str, int]) -> int:
-    """Evaluate a word like "-adn" or "xxyz" or "1" to an element index:
-    the product of its letters, left to right, where `letters` maps each
-    character to an element index ("-" to the central -1, "1" to the
-    identity)."""
-    idx = group.identity
-    for ch in word:
-        idx = group.table[idx][letters[ch]]
-    return idx
+    def e16_word(self, word: str) -> int:
+        """The index of the element of 16E that a printed word like "-adn"
+        or "1" names: the product of its `e16_letters`, left to right."""
+        idx = self.e16.identity
+        for ch in word:
+            idx = self.e16.table[idx][self.e16_letters[ch]]
+        return idx
+
+
+def _listed(printed: str, degree: int) -> Permutation | None:
+    """The permutation a printed cycle listing names, or None if the
+    listing is malformed: then it matches no permutation."""
+    try:
+        return Permutation.from_cycles(printed, degree)
+    except ValueError:
+        return None
 
 
 def _perm_matches(p: Permutation, printed: str) -> bool:
-    """Whether `printed` lists p's cycles; a malformed listing matches
-    nothing."""
-    try:
-        return p == Permutation.from_cycles(printed, p.degree)
-    except ValueError:
-        return False
+    """Whether `printed` lists p's cycles."""
+    return p == _listed(printed, p.degree)
 
 
 def _table_diffs(group: FiniteGroup, printed: list[list[str]]) -> list[dict]:
@@ -187,7 +199,7 @@ def _check_kernels(ctx: Context, report: VerificationReport) -> None:
         space = kernel(sym, dp)
         # the closed form must be a unit multiple of the normalized kernel
         # basis, which must satisfy the system by substitution
-        ok = (_multiple(space, getattr(sol, sym.upper())) in UNIT_SCALARS
+        ok = (_multiple(space, getattr(sol, sym.upper())) in UNITS
               and constraint_system(sym, dp).satisfied_by(space.basis[0]))
         report.add(claim_id, ok, {"dimension": space.dimension})
     # extra printed facts about the closed forms
@@ -222,8 +234,10 @@ def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
     report.add("families-36-37", ok,
                {"total": len(sets), "variant1": len(by_variant[1]),
                 "variant2": len(by_variant[2])})
+    # no P with P² = +1 admits a compatible C
     report.add("parity-square-rejection",
-               incompatible_parity_squares(ctx.dp))
+               all(p * p != Mat4.identity()
+                   for p, _ in compatible_pairs(ctx.dp)))
     # the enumeration is representation-independent: transporting the
     # non-DP solutions back to DP reproduces the same set of triples
     ok = True
@@ -313,42 +327,27 @@ def _check_isomorphisms(ctx: Context, report: VerificationReport) -> None:
     report.add("noniso-g1-g2", find_isomorphism(ctx.g1, ctx.g2) is None)
     report.add("iso-dc8-q", find_isomorphism(ctx.dc8, ctx.q) is not None)
     # printed element list of DH8
-    report.add("elements-50",
-               set(ctx.dh8.labels) ==
-               {Permutation.from_cycles(s, 4).cycle_string()
-                for s in claims.DH8_ELEMENTS})
+    report.add("elements-50", set(ctx.dh8.elements) ==
+               {_listed(s, 4) for s in claims.DH8_ELEMENTS})
     # printed map (53): matrix group one onto DH8 x Z2
-    images, ok = [], True
-    for label in ctx.g1.labels:
-        perm = Permutation.from_cycles(claims.ISO_53[label], 6)
-        if perm not in ctx.dh8xz2.index:
-            ok = False
-            break
-        images.append(ctx.dh8xz2.index[perm])
-    if ok:
-        gm = GroupMap(ctx.g1, ctx.dh8xz2, images)
-        ok = gm.is_isomorphism()
-    report.add("iso-53", ok)
+    images = [ctx.dh8xz2.index.get(_listed(claims.ISO_53[label], 6))
+              for label in ctx.g1.labels]
+    report.add("iso-53", None not in images and GroupMap(
+        ctx.g1, ctx.dh8xz2, images).is_isomorphism())
 
 
-def _sixteen_e_letters(e16: FiniteGroup) -> dict[str, int]:
-    """The letters of the printed words in 16E: its generators a, d, n,
-    the central -1 = aa and the identity 1."""
-    letters = {ch: e16.index[Permutation.from_cycles(g, 8)]
-               for ch, g in zip("adn", SIXTEEN_E_GENERATORS)}
-    letters["-"] = e16.table[letters["a"]][letters["a"]]
-    letters["1"] = e16.identity
-    return letters
+def _psi2(ctx: Context) -> GroupMap:
+    """ψ⁽²⁾, the printed map (55) from matrix group two onto 16E, read
+    from its words."""
+    images = {label: ctx.e16_word(w) for label, w, _, _ in claims.ISO_55}
+    return GroupMap(ctx.g2, ctx.e16, [images[lbl] for lbl in ctx.g2.labels])
 
 
 def _check_map_55(ctx: Context, report: VerificationReport) -> None:
-    e16 = ctx.e16
-    letters = _sixteen_e_letters(e16)
-    images = {}
+    e16, ev = ctx.e16, ctx.e16_word
     mismatches = []
     for label, word, equalities, printed_cycles in claims.ISO_55:
-        idx = word_in_group(word, e16, letters)
-        images[label] = idx
+        idx = ev(word)
         if printed_cycles is not None:
             perm = e16.elements[idx]
             if not _perm_matches(perm, printed_cycles):
@@ -356,17 +355,14 @@ def _check_map_55(ctx: Context, report: VerificationReport) -> None:
                                    "printed": printed_cycles,
                                    "computed": perm.cycle_string()})
         for sign, other in equalities:
-            rhs = word_in_group(other, e16, letters)
-            if sign == -1:
-                rhs = e16.table[letters["-"]][rhs]
+            rhs = ev("-" + other if sign == -1 else other)
             if rhs != idx:
                 mismatches.append({
                     "element": label, "kind": "annotation",
                     "printed": f"{word} = {'-' if sign < 0 else ''}{other}",
                     "computed": e16.elements[idx].cycle_string(),
                     "annotation_value": e16.elements[rhs].cycle_string()})
-    gm = GroupMap(ctx.g2, e16, [images[lbl] for lbl in ctx.g2.labels])
-    report.add("iso-55", gm.is_isomorphism())
+    report.add("iso-55", _psi2(ctx).is_isomorphism())
     # the "-C" annotation (see `claims.ISO_55`) is the one documented typo;
     # any other disagreement, a printed cycle listing included, fails
     typo_only = [(e["element"], e["kind"], e["printed"])
@@ -401,13 +397,14 @@ def _splits_by(ses: ShortExactSequence, image: int) -> bool:
     return section.is_homomorphism() and ses.projection.images[image] == 1
 
 
-def _semidirect(g: FiniteGroup, normal: FiniteGroup, members: list[int],
+def _semidirect(ses: ShortExactSequence,
                 section: list[int]) -> tuple[FiniteGroup, dict]:
-    """N x_Φ H for N = `normal` (the subgroup of g on `members`) and
-    H = `section`, acting on N by conjugation in g; also the position of
-    each pair (n, h) of g-indices in the product."""
+    """N x_Φ H for the kernel N of `ses` and H = `section`, acting on N by
+    conjugation in the middle group G; also the position of each pair
+    (n, h) of G-indices in the product."""
+    g, members = ses.middle_group, ses.inclusion.images
     h = sorted(section)
-    semi = semidirect_product(normal, g.subgroup(h),
+    semi = semidirect_product(ses.kernel_group, g.subgroup(h),
                               conjugation_action(g, members, h))
     index = {(members[a], h[b]): k for k, (a, b) in enumerate(semi.elements)}
     return semi, index
@@ -432,24 +429,20 @@ def _printed_semidirect_map(semi: FiniteGroup, index: dict,
 
 
 def _check_extensions(ctx: Context, report: VerificationReport) -> None:
-    e16 = ctx.e16
-    letters = _sixteen_e_letters(e16)
-    ev = lambda w: word_in_group(w, e16, letters)
+    e16, ev = ctx.e16, ctx.e16_word
 
-    # the subgroup generated by d and n: order 8, dihedral, normal
-    members = sorted(e16.closure_of({letters["d"], letters["n"]}))
+    # the subgroup generated by d and n: order 8, dihedral, normal; the
+    # generator images and the isomorphism check both reject another order
+    members = sorted(e16.closure_of({ev("d"), ev("n")}))
     dh8_dn = e16.subgroup(members)
     pos = {m: k for k, m in enumerate(members)}
-    iso_dn = None
-    if dh8_dn.order == 8:
-        # printed generator correspondence d -> (1234), n -> (24)
-        dh8_gens = [ctx.dh8.index[Permutation.from_cycles(g, 4)]
-                    for g in DIHEDRAL_GENERATORS]
-        full = extend_generator_images(
-            dh8_dn, ctx.dh8, [pos[letters["d"]], pos[letters["n"]]], dh8_gens)
-        if full is not None:
-            iso_dn = GroupMap(dh8_dn, ctx.dh8, full)
-    ok = (iso_dn is not None and iso_dn.is_isomorphism()
+    # printed generator correspondence d -> (1234), n -> (24)
+    dh8_gens = [ctx.dh8.index[Permutation.from_cycles(g, 4)]
+                for g in DIHEDRAL_GENERATORS]
+    full = extend_generator_images(
+        dh8_dn, ctx.dh8, [pos[ev("d")], pos[ev("n")]], dh8_gens)
+    ok = (full is not None
+          and GroupMap(dh8_dn, ctx.dh8, full).is_isomorphism()
           and e16.is_normal(frozenset(members)))
     report.add("subgroup-dn-dh8", ok)
 
@@ -469,7 +462,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     report.add("ses-56", ok and bool(ses56.sections()))
 
     # sequence (61): Z4 -> DH8<d,n> -> Z2, split by -1 -> n (or dn)
-    z4_members = sorted(dh8_dn.closure_of({pos[letters["d"]]}))
+    z4_members = sorted(dh8_dn.closure_of({pos[ev("d")]}))
     ses61 = _quotient_ses(dh8_dn, z4_members)
     ok = (ses61.verify() and len(z4_members) == 4
           and all(_splits_by(ses61, pos[ev(w)])
@@ -478,8 +471,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
 
     # semidirect reconstruction (57)/(59): DH8 x_Φ γ2(Z2) ≅ 16E, and the
     # printed map (59): ψ2(g, γ2(h)) = g·γ2(h), entry by entry
-    semi, semi_index = _semidirect(e16, dh8_dn, members,
-                                   [e16.identity, ev("adn")])
+    semi, semi_index = _semidirect(ses56, [e16.identity, ev("adn")])
     report.add("semidirect-57", find_isomorphism(semi, e16) is not None)
     gm59 = _printed_semidirect_map(semi, semi_index, e16, claims.ISO_59, ev)
     report.add("iso-59", gm59 is not None)
@@ -490,9 +482,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
                     for label in ctx.g2.labels]
         gm60 = GroupMap(ctx.g2, semi, images60)
         # (60) is defined as ψ2⁻¹ ∘ ψ⁽²⁾; rebuild ψ⁽²⁾ and compare
-        images55 = {lbl: ev(w) for lbl, w, _, _ in claims.ISO_55}
-        gm55 = GroupMap(ctx.g2, e16, [images55[lbl] for lbl in ctx.g2.labels])
-        composed = gm59.inverse_map().compose(gm55)
+        composed = gm59.inverse_map().compose(_psi2(ctx))
         report.add("iso-60", gm60.is_isomorphism()
                    and composed.images == gm60.images)
     else:
@@ -500,8 +490,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
 
     # semidirect reconstruction (62)/(63): Z4 x_Φ γ(Z2) ≅ DH8<d,n>
     semi62, semi62_index = _semidirect(
-        dh8_dn, dh8_dn.subgroup(z4_members), z4_members,
-        [dh8_dn.identity, pos[letters["n"]]])
+        ses61, [dh8_dn.identity, pos[ev("n")]])
     report.add("semidirect-62",
                find_isomorphism(semi62, ctx.dh8) is not None)
     report.add("iso-63", _printed_semidirect_map(

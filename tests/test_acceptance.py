@@ -11,12 +11,10 @@ import random
 from fractions import Fraction
 
 from conftest import status_of
-from cptgroup.groups import find_isomorphism
 from cptgroup.matrices import Mat4, RepTag, get_rep
 from cptgroup.scalars import ONE, ZERO, Scalar
-from cptgroup.solver import (SQUARE_SIGNATURES, canonical_sets,
-                             enumerate_consistent_sets,
-                             incompatible_parity_squares, kernel)
+from cptgroup.solver import (canonical_sets, compatible_pairs,
+                             enumerate_consistent_sets, kernel)
 
 
 def _passed(report, claim_ids):
@@ -52,7 +50,7 @@ def test_acceptance_02_two_families(pipeline):
     sigs = sorted({(s.variant, s.squares()) for s in sets})
     ok = ok and len(sets) == 16
     ok = ok and sigs == [(1, (1, -1, 1)), (2, (-1, -1, -1))]
-    ok = ok and incompatible_parity_squares(dp)
+    ok = ok and all(p * p != Mat4.identity() for p, _ in compatible_pairs(dp))
     _announce(2, ok, "16 consistent triples in 2 families; P^2=+1 rejected")
 
 

@@ -12,7 +12,7 @@ from cptgroup.operator_group import (C_OP, IDENTITY, P_OP, T_OP,
                                      build_operator_group, op_mul, op_neg,
                                      presentation_checks, select_matrix_group,
                                      to_s10)
-from cptgroup.solver import CptSolutionSet, canonical_sets
+from cptgroup.solver import canonical_sets
 
 
 @pytest.fixture(scope="module")

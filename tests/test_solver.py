@@ -11,10 +11,9 @@ from cptgroup.matrices import ID2, Mat4, RepTag, _build_rep, _kron, get_rep
 from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, canonical_sets,
                              check_cp_compatibility, check_ct_compatibility,
-                             conjugate_group_matrices, constraint_system,
-                             enumerate_consistent_sets,
-                             incompatible_parity_squares, kernel,
-                             solve_system, transport,
+                             compatible_pairs, conjugate_group_matrices,
+                             constraint_system, enumerate_consistent_sets,
+                             kernel, solve_system, transport,
                              verify_solution_properties)
 
 ALL_TAGS = [RepTag.DIRAC_PAULI, RepTag.WEYL, RepTag.MAJORANA]
@@ -78,7 +77,7 @@ def test_enumeration_counts(rep):
 
 
 def test_no_positive_parity_square(rep):
-    assert incompatible_parity_squares(rep)
+    assert all(p * p != Mat4.identity() for p, _ in compatible_pairs(rep))
 
 
 def test_canonical_sets_are_among_enumerated():

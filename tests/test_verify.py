@@ -5,7 +5,7 @@ import json
 import pytest
 from conftest import status_of
 
-from cptgroup import claims, cli, solver, verify
+from cptgroup import claims, cli, matrices, solver, verify
 from cptgroup.groups import FiniteGroup, Permutation
 from cptgroup.matrices import Mat4, RepTag, get_rep
 from cptgroup.scalars import I
@@ -135,6 +135,14 @@ MUTATIONS.append(("CYCLES_45",
                   lambda c: {**c, "C": c["C"][:c["C"].index(")") + 1]
                              + c["C"]}, "matrix_groups", "cycles-45"))
 MUTATION_IDS.append("CYCLES_45-repeated-cycle-cycles-45")
+# a malformed listing matches no element, so it fails its claim instead of
+# raising out of the stage
+MUTATIONS += [("DH8_ELEMENTS", lambda xs: _entry(xs, 0, "(1 2"),
+               "isomorphisms", "elements-50"),
+              ("ISO_53", lambda m: {**m, "C": "(1 2"}, "isomorphisms",
+               "iso-53")]
+MUTATION_IDS += ["DH8_ELEMENTS-malformed-listing-elements-50",
+                 "ISO_53-malformed-listing-iso-53"]
 
 
 @pytest.mark.parametrize("dataset, corrupt, stage, claim_id", MUTATIONS,
@@ -170,6 +178,42 @@ def test_run_all_transports_each_set_once():
     solver._transport.cache_clear()
     verify.run_all()
     assert solver._transport.cache_info().misses == 34
+
+
+def test_run_all_classifies_each_matrix_once(monkeypatch):
+    # `classes-41/42` classify the four matrices of each canonical set, and
+    # the property checks read class signs instead; one C-P sweep per
+    # presentation serves the enumeration and `parity-square-rejection`
+    for cached in (solver.kernel, solver._transport, solver.compatible_pairs):
+        cached.cache_clear()
+    calls = {"classify": 0, "check_cp_compatibility": 0, "__init__": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (matrices.classify, solver.check_cp_compatibility):
+        for module in (matrices, solver, verify):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    monkeypatch.setattr(FiniteGroup, "__init__",
+                        counting(FiniteGroup.__init__))
+    verify.run_all()
+    assert calls["classify"] == 8
+    assert calls["check_cp_compatibility"] <= 59
+    assert calls["__init__"] <= 34
+
+
+def test_positive_parity_square_fails_rejection(ctx, monkeypatch):
+    # P = g0 squares to +1: a sweep that let it through must be caught
+    pairs = solver.compatible_pairs(ctx.dp)
+    monkeypatch.setattr(verify, "compatible_pairs",
+                        lambda rep: (*pairs, (ctx.dp.gamma[0], pairs[0][1])))
+    report = VerificationReport()
+    verify._check_compatibility(ctx, report)
+    assert status_of(report, "parity-square-rejection") == "fail"
 
 
 def test_run_all_builds_no_matrix_through_the_checking_constructor(
