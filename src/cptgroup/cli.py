@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import cache
 
 from . import matrix_groups, operator_group
 from .groups import find_isomorphism
@@ -137,7 +138,9 @@ def cmd_identify(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cptgroup",
         description="Exact derivation and verification of the CPT groups "
@@ -150,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the machine-readable report here")
     p.add_argument("--strict", action="store_true",
                    help="treat documented-typo mismatches as failures")
-    p.set_defaults(func=cmd_verify)
 
     group = (("--group", ("g1", "g2", "gtheta")),)
     for name, help_, flags in (
@@ -164,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, choices in flags:
             p.add_argument(flag, choices=choices, required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=globals()[f"cmd_{name}"])
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up at call time, so a wrapper set on the module is used
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

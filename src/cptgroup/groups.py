@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from functools import cache
+from typing import (Callable, Hashable, Iterable, NamedTuple, Optional,
+                    Sequence)
 
 
 class Permutation:
@@ -60,7 +61,9 @@ class Permutation:
         """Composition with the right factor applied first."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation([self.images[j] for j in other.images])
+        p = object.__new__(Permutation)    # bijections compose to one
+        p.images = tuple(map(self.images.__getitem__, other.images))
+        return p
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -311,33 +314,39 @@ def permutation_group(cycle_strings: Sequence[str],
 # -- named groups ----------------------------------------------------------------
 
 # generators as printed: the rotation and reflection of the square; a, d,
-# n of 16E; x, y of the dicyclic group
+# n of 16E; x, y of the dicyclic group.  Each named group is built once
+# per process and shared, so no caller may change it
 DIHEDRAL_GENERATORS = ("(1 2 3 4)", "(2 4)")
 SIXTEEN_E_GENERATORS = ("(1 2 3 4)(5 6 7 8)", "(1 6 3 8)(2 5 4 7)",
                         "(1 7)(2 8)(3 5)(4 6)")
 DICYCLIC_GENERATORS = ("(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)")
 
 
+@cache
 def dihedral_8() -> FiniteGroup:
     """Symmetries of the square, as <(1234), (24)> in S_4."""
     return permutation_group(DIHEDRAL_GENERATORS, 4)
 
 
+@cache
 def dihedral_8_x_z2() -> FiniteGroup:
     """DH8 x Z2 as <(1234), (24), (56)> in S_6."""
     return permutation_group([*DIHEDRAL_GENERATORS, "(5 6)"], 6)
 
 
+@cache
 def sixteen_e() -> FiniteGroup:
     """The nontrivial split extension of DH8 by Z2, in S_8."""
     return permutation_group(SIXTEEN_E_GENERATORS, 8)
 
 
+@cache
 def dicyclic_8() -> FiniteGroup:
     """The dicyclic group of order 8, as <x, y> in S_8."""
     return permutation_group(DICYCLIC_GENERATORS, 8)
 
 
+@cache
 def dicyclic_8_x_z2() -> FiniteGroup:
     """DC8 x Z2 in S_10, with the Z2 factor generated by (9 10)."""
     return permutation_group([*DICYCLIC_GENERATORS, "(9 10)"], 10)
@@ -362,6 +371,7 @@ def _quat_mul(a: tuple[int, str], b: tuple[int, str]) -> tuple[int, str]:
     return (sa * sb * sg, u)
 
 
+@cache
 def quaternion_group() -> FiniteGroup:
     """The quaternion group built from the imaginary-unit table."""
     def label(e):
@@ -377,13 +387,21 @@ def cyclic(n: int) -> FiniteGroup:
                        [str(k) for k in range(n)])
 
 
+@cache
 def klein_four() -> FiniteGroup:
     return direct_product(cyclic(2), cyclic(2))
 
 
+@cache
 def sign_group() -> FiniteGroup:
     """The multiplicative group {1, -1} (the 0-sphere)."""
     return FiniteGroup([1, -1], lambda a, b: a * b, ["1", "-1"])
+
+
+@cache
+def quaternion_x_sign() -> FiniteGroup:
+    """Q x S0, the quaternion group times the sign group."""
+    return direct_product(quaternion_group(), sign_group())
 
 
 def semidirect_product(n: FiniteGroup, h: FiniteGroup,
@@ -441,8 +459,7 @@ def conjugation_action(g: FiniteGroup, normal: Sequence[int],
 # -- homomorphisms -----------------------------------------------------------------
 
 
-@dataclass
-class GroupMap:
+class GroupMap(NamedTuple):
     source: FiniteGroup
     target: FiniteGroup
     images: list[int]
@@ -549,8 +566,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[GroupMap]:
 # -- short exact sequences ----------------------------------------------------------
 
 
-@dataclass
-class ShortExactSequence:
+class ShortExactSequence(NamedTuple):
     kernel_group: FiniteGroup
     middle_group: FiniteGroup
     quotient_group: FiniteGroup

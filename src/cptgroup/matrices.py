@@ -9,10 +9,9 @@ the standard (Dirac-Pauli) one, and its Weyl and Majorana conjugates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import I, INV_SQRT2, MINUS_ONE, ONE, UNITS, Scalar, ZERO
 
@@ -22,9 +21,11 @@ _QUARTER = Scalar("1/4")
 class Mat4:
     """4x4 matrix over Q(i, sqrt(2)), immutable by convention like `Scalar`:
     its rows are four 4-tuples of Scalars, each zero the shared `ZERO`.
-    Results of its algebra are built by `_mat`, with no re-check."""
+    Results of its algebra are built by `_mat`, with no re-check; those of
+    monomial unit matrices compose their `monomial_code`s, kept in `_code`,
+    and are the one object per code of `from_code`."""
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("rows", "_hash", "_code")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         entries = tuple(tuple(x if isinstance(x, Scalar) else Scalar(x)
@@ -33,6 +34,7 @@ class Mat4:
             raise ValueError("Mat4 requires a 4x4 array")
         self.rows = entries
         self._hash = None
+        self._code = _UNSCANNED
 
     # -- construction -----------------------------------------------------
 
@@ -55,11 +57,16 @@ class Mat4:
                           for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Mat4":
-        return _mat(tuple(tuple(-x for x in row) for row in self.rows))
+        if monomial_code(self) is not None:
+            return self.scale(MINUS_ONE)
+        return _mat(tuple(tuple(-x for x in row) for row in self.rows), None)
 
     def __mul__(self, other: "Mat4") -> "Mat4":
-        # skip zero entries: the gamma-matrix products handled here
-        # are sparse, with typically one nonzero entry per row
+        a, b = monomial_code(self), monomial_code(other)
+        if a is not None and b is not None:
+            return from_code(code_product(a, b))
+        # skip zero entries: a product with a monomial factor has at most
+        # one nonzero term per entry
         out = []
         for arow in self.rows:
             row = [ZERO, ZERO, ZERO, ZERO]
@@ -74,16 +81,25 @@ class Mat4:
 
     def scale(self, c) -> "Mat4":
         c = c if isinstance(c, Scalar) else Scalar(c)
+        code, e = monomial_code(self), _EXPONENT.get(id(c))
+        if code is not None and e is not None:
+            return from_code((code[0], tuple((x + e) % 4 for x in code[1])))
         return _mat(tuple(tuple(x if x is ZERO else c * x for x in row)
                           for row in self.rows))
 
     def transpose(self) -> "Mat4":
-        return _mat(tuple(zip(*self.rows)))
+        if (code := monomial_code(self)) is not None:
+            # the entry of row r moves to row cols[r]
+            rows = tuple(sorted(range(4), key=code[0].__getitem__))
+            return from_code((rows, tuple(code[1][r] for r in rows)))
+        return _mat(tuple(zip(*self.rows)), None)
 
     def conj(self) -> "Mat4":
         """Entrywise complex conjugate."""
+        if (code := monomial_code(self)) is not None:
+            return from_code((code[0], tuple(-e % 4 for e in code[1])))
         return _mat(tuple(tuple(x.conjugate() for x in row)
-                          for row in self.rows))
+                          for row in self.rows), None)
 
     def dagger(self) -> "Mat4":
         return self.transpose().conj()
@@ -105,12 +121,11 @@ class Mat4:
         return total
 
     def inverse(self) -> "Mat4":
-        """Inverse of a monomial unit matrix by its `monomial_code`, any
+        """The adjoint of a unitary monomial unit matrix, the inverse of any
         other by Gauss-Jordan elimination of [M | 1]; raises
         ZeroDivisionError if singular."""
-        if (code := monomial_code(self)) is not None:
-            rows = sorted(range(4), key=code[0].__getitem__)
-            return from_code((rows, [-code[1][r] % 4 for r in rows]))
+        if monomial_code(self) is not None:
+            return self.dagger()
         m = [list(row) + list(ident)
              for row, ident in zip(self.rows, _IDENTITY.rows)]
         if row_reduce(m, 4) != [0, 1, 2, 3]:
@@ -125,7 +140,7 @@ class Mat4:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat4):
             return NotImplemented
-        return self.rows == other.rows
+        return self is other or self.rows == other.rows
 
     def __hash__(self) -> int:
         h = self._hash
@@ -141,34 +156,37 @@ class Mat4:
         return [[x.to_json() for x in row] for row in self.rows]
 
 
-def _mat(rows: tuple[tuple[Scalar, ...], ...]) -> Mat4:
-    """The Mat4 of `rows`, already four 4-tuples of Scalars, unchecked."""
+_UNSCANNED = object()    # the `_code` of a matrix not yet scanned
+
+
+def _mat(rows: tuple[tuple[Scalar, ...], ...], code=_UNSCANNED) -> Mat4:
+    """The Mat4 of `rows`, already four 4-tuples of Scalars, unchecked,
+    with its `monomial_code` if known."""
     m = object.__new__(Mat4)
     m.rows = rows
     m._hash = None
+    m._code = code
     return m
 
 
-_ZERO_MAT = _mat(((ZERO,) * 4,) * 4)
-_IDENTITY = _mat(tuple(tuple(ONE if i == j else ZERO for j in range(4))
-                       for i in range(4)))
-
-
-# the exponent e of each unit i**e
-_EXPONENT = {u: e for e, u in enumerate(UNITS)}
+# the exponent e of each unit i**e, by the identity of the shared unit
+_EXPONENT = {id(u): e for e, u in enumerate(UNITS)}
 
 
 def monomial_code(m: Mat4) -> tuple | None:
     """(columns, exponents) of a matrix whose row r holds its one nonzero
     entry i**exponents[r] at columns[r], in distinct columns; None for any
-    other matrix."""
-    entries = [[(j, x) for j, x in enumerate(row) if x is not ZERO]
-               for row in m.rows]
-    if any(len(e) != 1 or e[0][1] not in _EXPONENT for e in entries):
-        return None
-    cols, units = zip(*(e[0] for e in entries))
-    return ((cols, tuple(map(_EXPONENT.get, units)))
-            if len(set(cols)) == 4 else None)
+    other matrix.  Found once per matrix."""
+    if m._code is _UNSCANNED:
+        entries = [[(j, x) for j, x in enumerate(row) if x is not ZERO]
+                   for row in m.rows]
+        m._code = None
+        if all(len(e) == 1 and id(e[0][1]) in _EXPONENT for e in entries):
+            cols, units = zip(*(e[0] for e in entries))
+            if len(set(cols)) == 4:    # share the tuple `from_code` keeps
+                m._code = from_code(
+                    (cols, tuple(_EXPONENT[id(u)] for u in units)))._code
+    return m._code
 
 
 def code_product(a: tuple, b: tuple) -> tuple:
@@ -179,10 +197,22 @@ def code_product(a: tuple, b: tuple) -> tuple:
             tuple((e + bexps[j]) % 4 for j, e in zip(acols, aexps)))
 
 
+_BY_CODE: dict[tuple, Mat4] = {}    # at most 4! 4**4 matrices
+
+
 def from_code(code: tuple) -> Mat4:
-    """The matrix of a `monomial_code`."""
-    return _mat(tuple(tuple(UNITS[e] if j == c else ZERO
-                            for j in range(4)) for c, e in zip(*code)))
+    """The matrix of a `monomial_code`, a pair of 4-tuples: one object per
+    code, built on first use."""
+    m = _BY_CODE.get(code)
+    if m is None:
+        m = _BY_CODE[code] = _mat(tuple(
+            tuple(UNITS[e] if j == c else ZERO for j in range(4))
+            for c, e in zip(*code)), code)
+    return m
+
+
+_ZERO_MAT = _mat(((ZERO,) * 4,) * 4, None)
+_IDENTITY = from_code(((0, 1, 2, 3), (0, 0, 0, 0)))
 
 
 def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
@@ -258,20 +288,19 @@ class RepTag(Enum):
     MAJORANA = "majorana"
 
 
-@dataclass(frozen=True)
 class GammaRep:
     """A gamma-matrix presentation gamma_mu = s g_mu s† of the standard
-    g_mu, plus derived structure.
+    g_mu, plus derived structure, immutable by convention.
 
     `basis` is the canonical 16-element basis of the full matrix algebra,
     in the fixed `BASIS_WORDS` order.
     """
 
-    tag: RepTag | None
-    s: Mat4
-    gamma: tuple[Mat4, Mat4, Mat4, Mat4]
-    gamma5: Mat4
-    basis: tuple[Mat4, ...]
+    def __init__(self, tag: RepTag | None, s: Mat4,
+                 gamma: tuple[Mat4, Mat4, Mat4, Mat4], gamma5: Mat4,
+                 basis: tuple[Mat4, ...]) -> None:
+        self.tag, self.s, self.gamma = tag, s, gamma
+        self.gamma5, self.basis = gamma5, basis
 
     @cached_property
     def _duals(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
@@ -281,10 +310,23 @@ class GammaRep:
                            for j, x in enumerate(row) if x is not ZERO)
                      for b in self.basis)
 
+    @cached_property
+    def _unit_words(self) -> dict[tuple, tuple[int, Scalar]]:
+        """(k, u) by the `monomial_code` of each u·B_k, u a unit, for the
+        monomial basis words B_k."""
+        return {monomial_code(b.scale(u)): (k, u)
+                for k, b in enumerate(self.basis)
+                if monomial_code(b) is not None for u in UNITS}
+
     def basis_expand(self, m: Mat4) -> list[Scalar]:
-        """Coefficients c_k with m = sum(c_k * basis_k), as c_k =
-        tr(B_k^-1 m) / 4: only the diagonal of the product is formed,
-        over the nonzero entries of m, and 1/4 is applied once."""
+        """Coefficients c_k with m = sum(c_k * basis_k): the one unit of a
+        unit multiple of a monomial basis word, read off its code; else
+        c_k = tr(B_k^-1 m) / 4, where only the diagonal of the product is
+        formed, over the nonzero entries of m, and 1/4 is applied once."""
+        if (hit := self._unit_words.get(monomial_code(m))) is not None:
+            out = [ZERO] * 16
+            out[hit[0]] = hit[1]
+            return out
         rows = m.rows
         sums = (sum((u * x for i, j, u in dual
                      if (x := rows[j][i]) is not ZERO), ZERO)
@@ -315,16 +357,9 @@ class GammaRep:
     def preserves_gamma_span(self, g: Mat4) -> bool:
         """Twisted-adjoint check: alpha(g) gamma_mu g^-1 stays in the
         complex span of the four gamma matrices, for every mu."""
-        ginv = g.inverse()
-        ag = self.alpha(g)
-        span_indices = {1, 2, 3, 4}
-        for mu in range(4):
-            w = ag * self.gamma[mu] * ginv
-            coeffs = self.basis_expand(w)
-            support = {k for k, c in enumerate(coeffs) if c is not ZERO}
-            if not support <= span_indices:
-                return False
-        return True
+        ginv, ag = g.inverse(), self.alpha(g)
+        return all(c is ZERO or k in (1, 2, 3, 4) for gm in self.gamma
+                   for k, c in enumerate(self.basis_expand(ag * gm * ginv)))
 
 
 # the standard presentation, gamma_0 diagonal with Pauli off-blocks, in
@@ -343,7 +378,7 @@ def _build_rep(tag: RepTag | None, s: Mat4) -> GammaRep:
     g = tuple(s * x * sd for x in _STANDARD_GAMMA)
     gamma5 = (g[0] * g[1] * g[2] * g[3]).scale(-I)
     basis = tuple(word_product(g, w) for w in BASIS_WORDS)
-    return GammaRep(tag=tag, s=s, gamma=g, gamma5=gamma5, basis=basis)
+    return GammaRep(tag, s, g, gamma5, basis)
 
 
 def word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
@@ -371,8 +406,7 @@ def get_rep(tag: RepTag) -> GammaRep:
 
 # -- matrix classification -----------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixClass:
+class MatrixClass(NamedTuple):
     unitary: bool
     unimodular: bool
     traceless: bool

@@ -13,10 +13,12 @@ FiniteGroup objects in the standard element order
 
 from __future__ import annotations
 
+from functools import cache
+from operator import mul, neg
 from typing import Callable, Hashable, Sequence
 
 from .groups import FiniteGroup, GroupError
-from .matrices import Mat4, code_product, from_code, monomial_code
+from .matrices import Mat4, monomial_code
 from .solver import CptSolutionSet
 
 BASE_NAMES = ("C", "P", "T", "CP", "CT", "PT", "θ")
@@ -47,31 +49,16 @@ def cpt_group(c: Hashable, p: Hashable, t: Hashable,
     return group
 
 
+@cache
 def build_matrix_group(sol: CptSolutionSet) -> FiniteGroup:
-    """The group generated by a solution set, in the standard order.  C, P
-    and T must be monomial unit matrices, as in every Clifford basis: the
-    table composes their `monomial_code`s.  Raises GroupError otherwise."""
-    code_of: dict[Mat4, tuple] = {}
-    matrix_of: dict[tuple, Mat4] = {}
-
-    def code(m: Mat4) -> tuple:
-        c = code_of.get(m)
-        if c is None:
-            c = code_of[m] = monomial_code(m)
-            if c is None:
-                raise GroupError("not a monomial unit matrix")
-            matrix_of.setdefault(c, m)
-        return c
-
-    def mul(a: Mat4, b: Mat4) -> Mat4:
-        ab = code_product(code(a), code(b))
-        if ab not in matrix_of:
-            code(from_code(ab))
-        return matrix_of[ab]
-
-    minus = -Mat4.identity()
-    return cpt_group(sol.C, sol.P, sol.T, mul, lambda a: mul(a, minus),
-                     Mat4.identity(), BASE_NAMES)
+    """The group generated by a solution set, in the standard order, built
+    once per process.  C, P and T must be monomial unit matrices, as in
+    every Clifford basis, so that each product composes their codes (see
+    `Mat4`).  Raises GroupError otherwise."""
+    if any(monomial_code(m) is None for m in (sol.C, sol.P, sol.T)):
+        raise GroupError("not a monomial unit matrix")
+    return cpt_group(sol.C, sol.P, sol.T, mul, neg, Mat4.identity(),
+                     BASE_NAMES)
 
 
 def base_labels(group: FiniteGroup) -> list[str]:

@@ -22,6 +22,8 @@ forces T* = T — satisfied by the second solution family only.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .groups import (DICYCLIC_GENERATORS, FiniteGroup, GroupError,
                      Permutation, _quat_mul)
 from .matrix_groups import cpt_group
@@ -66,8 +68,10 @@ def presentation_checks() -> dict[str, bool]:
     }
 
 
+@cache
 def build_operator_group() -> FiniteGroup:
-    """The order-16 operator group in the standard element order."""
+    """The order-16 operator group in the standard element order, built
+    once per process."""
     failed = [rel for rel, ok in presentation_checks().items() if not ok]
     if failed:
         raise GroupError(f"realization violates relations: {failed}")
@@ -87,8 +91,11 @@ _QUAT_TO_DICYCLIC = {
 }
 
 
-def s10_word(word: str) -> Permutation:
-    """The permutation in S10 of a word in the letters x, y, z."""
+def s10_word(word: str) -> Permutation | None:
+    """The permutation in S10 of a word in the letters x, y, z; None if
+    the word has any other letter."""
+    if not set(word) <= _S10_LETTERS.keys():
+        return None
     perm = Permutation.identity(10)
     for letter in word:
         perm = perm * _S10_LETTERS[letter]

@@ -25,16 +25,15 @@ leaves exactly two families of consistent (C, P, T) triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .matrices import (BASIS_WORDS, CLASS_SIGNS, GammaRep, Mat4, RepTag,
                        get_rep, row_reduce, word_product)
 from .scalars import I, ONE, UNITS, Scalar, ZERO
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """One linear condition X * right = sign * left * X."""
 
     right: Mat4
@@ -42,8 +41,7 @@ class Relation:
     sign: int
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     relations: tuple[Relation, ...]
 
     def satisfied_by(self, x: Mat4) -> bool:
@@ -51,8 +49,7 @@ class ConstraintSystem:
                    for rel in self.relations)
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
+class SolutionSpace(NamedTuple):
     basis: tuple[Mat4, ...]
 
     @property
@@ -162,8 +159,7 @@ def check_ct_compatibility(c: Mat4, t: Mat4) -> bool:
 # -- consistent solution families ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CptSolutionSet:
+class CptSolutionSet(NamedTuple):
     variant: int
     C: Mat4
     P: Mat4
@@ -178,17 +174,11 @@ class CptSolutionSet:
         return {"C": self.C, "P": self.P, "T": self.T, "θ": self.theta}
 
     def squares(self) -> tuple[int, int, int]:
-        ident = Mat4.identity()
-        out = []
-        for m in (self.C, self.P, self.T):
-            sq = m * m
-            if sq == ident:
-                out.append(1)
-            elif sq == -ident:
-                out.append(-1)
-            else:
-                raise AssertionError("square is not +/-identity")
-        return tuple(out)
+        signs = {Mat4.identity(): 1, -Mat4.identity(): -1}
+        out = tuple(signs.get(m * m) for m in (self.C, self.P, self.T))
+        if None in out:
+            raise AssertionError("square is not +/-identity")
+        return out
 
 
 # the class (see `CLASS_SIGNS`) of each matrix of a set, per variant: P and
@@ -294,13 +284,18 @@ def transport(sol: CptSolutionSet, src: GammaRep,
 
 
 @cache
+def _change(src: GammaRep, dst: GammaRep) -> tuple[Mat4, ...]:
+    """S = dst.s src.s†, S†, S~ and dst's g0^-1, found once per pair."""
+    s = dst.s * src.s.dagger()
+    return s, s.dagger(), s.transpose(), dst.gamma[0].inverse()
+
+
+@cache
 def _transport(c: Mat4, p: Mat4, t: Mat4, src: GammaRep,
                dst: GammaRep) -> tuple[Mat4, ...]:
     """C', P', T' of `transport`, found once per set and pair of reps."""
-    s = dst.s * src.s.dagger()
-    st = s.transpose()
-    return (s * c * src.gamma[0] * st * dst.gamma[0].inverse(),
-            s * p * s.dagger(), s * t * st)
+    s, sd, st, g0_inv = _change(src, dst)
+    return s * (c * src.gamma[0]) * st * g0_inv, s * p * sd, s * t * st
 
 
 # -- per-solution property report ------------------------------------------------

@@ -14,18 +14,17 @@ fail too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import claims
 from .groups import (DICYCLIC_GENERATORS, DIHEDRAL_GENERATORS,
                      SIXTEEN_E_GENERATORS, FiniteGroup, GroupError, GroupMap,
                      Permutation, ShortExactSequence, dicyclic_8,
                      dicyclic_8_x_z2, dihedral_8, dihedral_8_x_z2,
-                     direct_product, conjugation_action,
-                     extend_generator_images, find_isomorphism, klein_four,
-                     quaternion_group, semidirect_product, sign_group,
-                     sixteen_e)
+                     conjugation_action, extend_generator_images,
+                     find_isomorphism, klein_four, quaternion_group,
+                     quaternion_x_sign, semidirect_product, sixteen_e)
 from .matrices import CLASS_SIGNS, Grade, Mat4, RepTag, classify, get_rep
 from .scalars import I, INV_SQRT2, UNITS, Scalar, ZERO
 from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, SolutionSpace,
@@ -38,20 +37,19 @@ from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, SolutionSpace,
 from . import matrix_groups, operator_group
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     status: str                      # pass | fail | mismatch
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json(self) -> dict:
         return {"claim_id": self.claim_id, "status": self.status,
                 "details": self.details}
 
 
-@dataclass
 class VerificationReport:
-    sections: list[ClaimResult] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.sections: list[ClaimResult] = []
 
     def add(self, claim_id: str, ok: bool, details: dict | None = None,
             mismatch: bool = False) -> None:
@@ -75,27 +73,25 @@ class VerificationReport:
 
 
 class Context:
-    """Everything the pipeline and the CLI need, each group built on first
-    use and then kept."""
+    """Everything the pipeline and the CLI need.  Each group is built once
+    per process, on first use by any Context, and then shared."""
 
     def __init__(self) -> None:
         self.dp = get_rep(RepTag.DIRAC_PAULI)
         self.solutions = canonical_sets()
 
-    g1 = cached_property(
+    g1 = property(
         lambda self: matrix_groups.build_matrix_group(self.solutions[1]))
-    g2 = cached_property(
+    g2 = property(
         lambda self: matrix_groups.build_matrix_group(self.solutions[2]))
-    gtheta = cached_property(
-        lambda self: operator_group.build_operator_group())
-    dh8 = cached_property(lambda self: dihedral_8())
-    dh8xz2 = cached_property(lambda self: dihedral_8_x_z2())
-    e16 = cached_property(lambda self: sixteen_e())
-    dc8 = cached_property(lambda self: dicyclic_8())
-    dc8xz2 = cached_property(lambda self: dicyclic_8_x_z2())
-    q = cached_property(lambda self: quaternion_group())
-    qxs0 = cached_property(
-        lambda self: direct_product(self.q, sign_group()))
+    gtheta = property(lambda self: operator_group.build_operator_group())
+    dh8 = property(lambda self: dihedral_8())
+    dh8xz2 = property(lambda self: dihedral_8_x_z2())
+    e16 = property(lambda self: sixteen_e())
+    dc8 = property(lambda self: dicyclic_8())
+    dc8xz2 = property(lambda self: dicyclic_8_x_z2())
+    q = property(lambda self: quaternion_group())
+    qxs0 = property(lambda self: quaternion_x_sign())
 
     @cached_property
     def e16_letters(self) -> dict[str, int]:
@@ -162,17 +158,12 @@ def _check_clifford(ctx: Context, report: VerificationReport) -> None:
     ident = Mat4.identity()
     for tag in RepTag:
         rep = get_rep(tag)
-        ok = True
-        for mu in range(4):
-            for nu in range(4):
-                anti = rep.gamma[mu] * rep.gamma[nu] + \
-                    rep.gamma[nu] * rep.gamma[mu]
-                want = ident.scale(eta[mu]) if mu == nu else Mat4.zero()
-                ok = ok and anti == want
-        g5 = (rep.gamma[0] * rep.gamma[1] * rep.gamma[2]
-              * rep.gamma[3]).scale(-I)
-        ok = ok and rep.gamma5 == g5
-        report.add(f"clifford-{tag.value}", ok)
+        g = rep.gamma
+        ok = all(g[mu] * g[nu] + g[nu] * g[mu]
+                 == (ident.scale(eta[mu]) if mu == nu else Mat4.zero())
+                 for mu in range(4) for nu in range(4))
+        g5 = (g[0] * g[1] * g[2] * g[3]).scale(-I)
+        report.add(f"clifford-{tag.value}", ok and rep.gamma5 == g5)
     g = ctx.dp.gamma
     ok = all(g[0] * g[mu].conj() * g[0] == g[mu].transpose()
              for mu in range(4))
@@ -556,9 +547,10 @@ def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
         if e != ((qs, qu), eps):
             diffs.append({"element": label, "kind": "quaternion-pair"})
         perm = operator_group.s10_word(word)
-        if not _perm_matches(perm, s10):
+        if perm is None or not _perm_matches(perm, s10):
             diffs.append({"element": label, "kind": "word-vs-s10",
-                          "printed": s10, "computed": perm.cycle_string()})
+                          "printed": s10,
+                          "computed": perm and perm.cycle_string()})
         if not _perm_matches(operator_group.to_s10(e), s10):
             diffs.append({"element": label, "kind": "realization-vs-s10"})
         if not _perm_matches(regular[label], s16):

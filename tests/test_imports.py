@@ -1,6 +1,10 @@
-"""No source or test module imports a name it never reads."""
+"""No source or test module imports a name it never reads, and the
+command line starts without the modules it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +42,14 @@ def test_every_imported_name_is_read():
              for path in FILES
              for name in unread_imports(ast.parse(path.read_text()))}
     assert found == set(ALLOWED)
+
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    # importing them costs every cold `cptgroup verify` several ms
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cptgroup.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_clifford
 
 from cptgroup import matrices
 from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, Grade, Mat4, RepTag,
                                _build_rep, classify, code_product, from_code,
                                get_rep, monomial_code)
 from cptgroup.scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
+from cptgroup.verify import Context
 
 DP = get_rep(RepTag.DIRAC_PAULI)
 ETA = (Scalar(2), Scalar(-2), Scalar(-2), Scalar(-2))
@@ -360,3 +362,49 @@ def test_basis_expand_is_the_trace_against_each_inverse_word(rep):
             assert inv * b == Mat4.identity()
             assert c == (inv * m).trace() / 4
             assert (c is ZERO) == c.is_zero()
+
+
+def test_coded_algebra_equals_entrywise_algebra():
+    # every u·B_k of the named presentations and of five seeded Clifford
+    # bases is a monomial unit matrix, so its algebra composes codes; each
+    # result must equal the entrywise reference, and so must the results
+    # that mix it with a dense matrix.  The words permute rows by
+    # involutions, so monomial matrices with 3- and 4-cycles join them
+    rng = random.Random(15)
+    reps = [get_rep(tag) for tag in RepTag]
+    reps += [_build_rep(None, random_clifford(rng)) for _ in range(5)]
+    dense = [random_dense_mat(rng) for _ in range(4)]
+    cycles = [Mat4([[rng.choice(UNITS) if j == perm[i] else ZERO
+                     for j in range(4)] for i in range(4)])
+              for perm in ((1, 2, 0, 3), (1, 2, 3, 0), (3, 0, 1, 2))]
+    for rep in reps:
+        words = [b.scale(u) for b in rep.basis for u in UNITS]
+        assert all(monomial_code(m) is not None for m in words + cycles)
+        for a in words + cycles + dense:
+            x = a.rows
+            b, d = rng.choice(words), rng.choice(dense)
+            products = ((a, b), (a, d), (d, a))
+            for got, want in (
+                    *((p * q, entrywise(lambda i, j: sum(
+                        (p.rows[i][k] * q.rows[k][j] for k in range(4)),
+                        Scalar(0)))) for p, q in products),
+                    (-a, entrywise(lambda i, j: -x[i][j])),
+                    (a.conj(), entrywise(lambda i, j: x[i][j].conjugate())),
+                    (a.transpose(), entrywise(lambda i, j: x[j][i])),
+                    (a.dagger(), entrywise(lambda i, j: x[j][i].conjugate())),
+                    (a.inverse(), reference_inverse(a))):
+                assert_canonical(got)
+                assert got == want and hash(got) == hash(want)
+            coeffs = rep.basis_expand(a)
+            assert all(type(c) is Scalar for c in coeffs)
+            assert entrywise(lambda i, j: sum(
+                (c * w.rows[i][j] for c, w in zip(coeffs, rep.basis)),
+                Scalar(0))) == a
+            # the same entries, not yet scanned for a code
+            plain = Mat4(x)
+            assert plain == a and hash(plain) == hash(a)
+            assert all((a == m) == (x == m.rows) for m in (b, d, -a))
+    code = monomial_code(DP.basis[7])
+    assert from_code(code) is from_code(code)
+    assert DP.basis[7] * DP.basis[7] is Mat4.identity()
+    assert Context().g1 is Context().g1

@@ -2,12 +2,13 @@
 solution families."""
 
 import random
-from dataclasses import replace
 
 import pytest
+from conftest import random_clifford
 
 from cptgroup import solver
-from cptgroup.matrices import ID2, Mat4, RepTag, _build_rep, _kron, get_rep
+from cptgroup.matrices import (ID2, GammaRep, Mat4, RepTag, _build_rep,
+                               _kron, get_rep)
 from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, canonical_sets,
                              check_cp_compatibility, check_ct_compatibility,
@@ -110,21 +111,6 @@ def test_squares_signature_values():
     assert sols[2].squares() == (-1, -1, -1)
 
 
-def random_clifford(rng: random.Random) -> Mat4:
-    """A word of 12 gates in H x 1, 1 x H, S x 1, 1 x S and CNOT: a
-    unitary change of basis that is in general neither hermitian nor
-    involutive."""
-    h = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
-    phase = ((ONE, ZERO), (ZERO, I))
-    cnot = Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    gates = [_kron(h, ID2), _kron(ID2, h), _kron(phase, ID2),
-             _kron(ID2, phase), cnot]
-    s = Mat4.identity()
-    for _ in range(12):
-        s = rng.choice(gates) * s
-    return s
-
-
 def test_transport_maps_solutions_to_solutions():
     dp = get_rep(RepTag.DIRAC_PAULI)
     standard = {(s.variant, s.C, s.P, s.T)
@@ -169,9 +155,10 @@ def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
     # in the second presentation g0 and the new g1 commute
     t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
     t_rep = _build_rep(None, _kron(t_gate, ID2))
-    g = get_rep(RepTag.DIRAC_PAULI).gamma
-    commuting = replace(get_rep(RepTag.DIRAC_PAULI),
-                        gamma=(g[0], g[0] * g[1] * g[2], g[2], g[3]))
+    dp = get_rep(RepTag.DIRAC_PAULI)
+    g = dp.gamma
+    commuting = GammaRep(None, dp.s, (g[0], g[0] * g[1] * g[2], g[2], g[3]),
+                         dp.gamma5, dp.basis)
     solved = []
     solve = solver.solve_system
 
@@ -188,8 +175,8 @@ def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
     # Weyl gammas beside the Dirac-Pauli basis words: the signature kernel
     # is a word in the gammas, whatever `basis` holds, and spans the line
     # that elimination finds in that basis
-    stale = replace(get_rep(RepTag.DIRAC_PAULI),
-                    gamma=get_rep(RepTag.WEYL).gamma)
+    stale = GammaRep(None, dp.s, get_rep(RepTag.WEYL).gamma, dp.gamma5,
+                     dp.basis)
     for sym in SYSTEMS:
         (word,) = kernel.__wrapped__(sym, stale).basis
         (line,) = solve(constraint_system(sym, stale), stale).basis

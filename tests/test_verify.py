@@ -297,3 +297,19 @@ def test_zero_transported_solution_fails_kernel_claims(ctx, monkeypatch):
     verify._check_kernels(ctx, report)
     assert status_of(report, "kernel-weyl") == "fail"
     assert status_of(report, "kernel-majorana") == "fail"
+
+
+def test_unknown_letter_in_a_chain_word_fails_only_its_claim(monkeypatch):
+    # "q" names no permutation of S10: the row differs from its printed
+    # image, and the stage's later claims are still reported
+    rows = list(claims.CHAIN_73)
+    label, _, pair, s10, s16 = rows[2]
+    rows[2] = (label, "xq", pair, s10, s16)
+    monkeypatch.setattr(claims, "CHAIN_73", rows)
+    _, report = verify.run_all()
+    assert len(report.sections) == 73
+    chain = next(s for s in report.sections if s.claim_id == "chain-73")
+    assert chain.status == "fail"
+    assert chain.details["diffs"] == [{"element": label, "kind": "word-vs-s10",
+                                       "printed": s10, "computed": None}]
+    assert status_of(report, "selection-69") == "pass"

@@ -1,5 +1,6 @@
 """The CI workflow parses, and its steps run the claims, the tier-1 suite
-and the benchmark's oracle tests and record the source lines."""
+and the benchmark's oracle tests, record the source lines and count each
+CLI command in a traced run."""
 
 import re
 from pathlib import Path
@@ -34,3 +35,16 @@ def test_tier1_workflow_records_the_lines_of_each_module():
     step = runs["Source line count"]
     assert "wc -l src/cptgroup/*.py" in step
     assert '>> "$GITHUB_STEP_SUMMARY"' in step
+
+
+def test_tier1_workflow_counts_every_query_command_in_a_traced_run():
+    # the tracer wraps `cli.cmd_*` on the module: a CLI that bound them
+    # elsewhere would run its commands uncounted
+    runs = [step.get("run", "") for job in _workflow()["jobs"].values()
+            for step in job["steps"]]
+    step = next(run for run in runs if "--workload query-mix" in run
+                and "--trace 1" in run)
+    assert 'out["correct"]' in step
+    assert 'f"cli.{c}.calls"' in step and "> 0" in step
+    for command in ("table", "solve", "cycles", "identify"):
+        assert f'"{command}"' in step
