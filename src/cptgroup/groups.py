@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cache
+from functools import cache, cached_property
 from typing import (Callable, Hashable, Iterable, NamedTuple, Optional,
                     Sequence)
 
@@ -22,7 +22,7 @@ from typing import (Callable, Hashable, Iterable, NamedTuple, Optional,
 class Permutation:
     """A bijection of {1..n}, displayed in cycle notation."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_text")    # _text: cycle_string, once computed
 
     def __init__(self, images: Sequence[int]) -> None:
         # images[i] is the (0-based) image of point i
@@ -86,10 +86,12 @@ class Permutation:
         return out
 
     def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
+        try:
+            return self._text
+        except AttributeError:
+            self._text = "".join("(" + " ".join(map(str, c)) + ")"
+                                 for c in self.cycles()) or "()"
+            return self._text
 
     def moves_every_point(self) -> bool:
         return all(self.images[i] != i for i in range(self.degree))
@@ -115,7 +117,9 @@ class ClosureCapExceeded(GroupError):
 
 
 class FiniteGroup:
-    """A finite group as an element list plus a verified Cayley table."""
+    """A finite group as an element list plus a verified Cayley table.  Its
+    orders, inverses, generators and regular representation are computed
+    once, on first use, and kept."""
 
     def __init__(self, elements: Sequence[Hashable],
                  mul: Callable[[Hashable, Hashable], Hashable],
@@ -168,20 +172,30 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        return tuple(row.index(self.identity) for row in self.table)
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        orders = []
+        for i in range(self.order):
+            k, cur = 1, i
+            while cur != self.identity:
+                cur = self.table[cur][i]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
+
     def inv(self, i: int) -> int:
-        return self.table[i].index(self.identity)
+        return self._inverses[i]
 
     def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity:
-            cur = self.table[cur][i]
-            k += 1
-        return k
+        return self._orders[i]
 
     def order_profile(self) -> dict[int, int]:
         profile: dict[int, int] = {}
-        for i in range(self.order):
-            o = self.element_order(i)
+        for o in self._orders:
             profile[o] = profile.get(o, 0) + 1
         return profile
 
@@ -257,14 +271,29 @@ class FiniteGroup:
 
         return FiniteGroup(elems, smul, [self.labels[i] for i in members])
 
+    @cached_property
+    def _regular(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation, self.table))
+
     def regular_representation(self) -> list[Permutation]:
         """Left multiplication on the element list, as permutations of the
         element positions (a faithful embedding into S_n)."""
-        return [Permutation(self.table[g]) for g in range(self.order)]
+        return list(self._regular)
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        candidates = sorted(range(self.order), key=lambda i: -self._orders[i])
+        for size in range(1, _MAX_GENERATORS + 1):
+            for combo in itertools.combinations(candidates, size):
+                if len(self.closure_of(combo)) == self.order:
+                    return combo
+        raise GroupError(f"no generating set of size <= {_MAX_GENERATORS}")
 
 
 # the most elements `_closure` finds before giving up
 CLOSURE_CAP = 256
+# the most generators `minimal_generating_set` tries
+_MAX_GENERATORS = 3
 
 
 def _closure(generators: Iterable[Hashable],
@@ -449,11 +478,8 @@ def conjugation_action(g: FiniteGroup, normal: Sequence[int],
     per acting element.  Returns index permutations of `normal`.
     """
     pos = {m: k for k, m in enumerate(normal)}
-    out = []
-    for s in section:
-        sinv = g.inv(s)
-        out.append([pos[g.table[g.table[s][m]][sinv]] for m in normal])
-    return out
+    return [[pos[g.table[g.table[s][m]][g.inv(s)]] for m in normal]
+            for s in section]
 
 
 # -- homomorphisms -----------------------------------------------------------------
@@ -490,18 +516,9 @@ class GroupMap(NamedTuple):
                         [self.images[m] for m in other.images])
 
 
-# the most generators `minimal_generating_set` tries
-_MAX_GENERATORS = 3
-
-
 def minimal_generating_set(g: FiniteGroup) -> list[int]:
-    candidates = sorted(range(g.order),
-                        key=lambda i: -g.element_order(i))
-    for size in range(1, _MAX_GENERATORS + 1):
-        for combo in itertools.combinations(candidates, size):
-            if len(g.closure_of(combo)) == g.order:
-                return list(combo)
-    raise GroupError(f"no generating set of size <= {_MAX_GENERATORS}")
+    """A smallest generating set, elements of higher order tried first."""
+    return list(g._generators)
 
 
 def extend_generator_images(g: FiniteGroup, h: FiniteGroup,
@@ -546,11 +563,9 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[GroupMap]:
         return None
     if g.order_profile() != h.order_profile():
         return None
-    gens = minimal_generating_set(g)
-    pools = []
-    for a in gens:
-        oa = g.element_order(a)
-        pools.append([b for b in range(h.order) if h.element_order(b) == oa])
+    gens = g._generators
+    pools = [[b for b, ob in enumerate(h._orders) if ob == g._orders[a]]
+             for a in gens]
     for choice in itertools.product(*pools):
         if len(set(choice)) != len(choice):
             continue

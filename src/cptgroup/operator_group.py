@@ -102,9 +102,11 @@ def s10_word(word: str) -> Permutation | None:
     return perm
 
 
+@cache
 def to_s10(e: Operator) -> Permutation:
     """Image of an operator in S10: the quaternion part acts on 1..8
-    through the dicyclic generators, the sign part through (9 10)."""
+    through the dicyclic generators, the sign part through (9 10); built
+    once per operator, so its cycle text is kept with it."""
     quat, eps = e
     return s10_word(_QUAT_TO_DICYCLIC[quat] + ("z" if eps == -1 else ""))
 

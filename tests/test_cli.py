@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cptgroup import groups
 from cptgroup.cli import main
 
 
@@ -130,3 +131,26 @@ def test_identify_reports_isomorphism_matches(capsys):
     out = capsys.readouterr().out
     assert "dh8xz2: isomorphic" in out
     assert "16e: not isomorphic" in out
+
+
+def test_group_queries_recompute_nothing_once_warm(monkeypatch, capsys):
+    queries = [[sub, "--group", g] for sub in ("identify", "cycles", "table")
+               for g in ("g1", "g2", "gtheta")]
+    for argv in queries:
+        main(argv)
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(groups, "_closure",
+                        counting("_closure", groups._closure))
+    monkeypatch.setattr(groups.Permutation, "cycles",
+                        counting("cycles", groups.Permutation.cycles))
+    for argv in queries:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []

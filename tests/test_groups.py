@@ -14,7 +14,8 @@ from cptgroup.groups import (ClosureCapExceeded, FiniteGroup, GroupError,
                              generate_closure, klein_four,
                              minimal_generating_set, permutation_group,
                              quaternion_group, semidirect_product,
-                             sign_group, sixteen_e)
+                             quaternion_x_sign, sign_group, sixteen_e)
+from cptgroup.verify import Context
 
 
 # -- permutations -------------------------------------------------------------
@@ -226,6 +227,61 @@ def test_minimal_generating_set_and_word_extension():
     assert full == list(range(g.order))
     assert extend_generator_images(g, g, gens, [g.identity] * len(gens)) \
         is None
+
+
+# -- invariants kept with each group ---------------------------------------------
+
+
+# every named group and G1, G2, G_Θ, each built once per process
+SHARED_GROUPS = {
+    **{make.__name__: make for make in (
+        dihedral_8, dihedral_8_x_z2, sixteen_e, dicyclic_8, dicyclic_8_x_z2,
+        quaternion_group, klein_four, sign_group, quaternion_x_sign)},
+    **{name: (lambda name=name: getattr(Context(), name))
+       for name in ("g1", "g2", "gtheta")}}
+
+
+def _generated(g: FiniteGroup, gens) -> set[int]:
+    found = {g.identity}
+    while True:
+        more = found | {g.table[a][b] for a in found for b in gens}
+        if more == found:
+            return found
+        found = more
+
+
+@pytest.mark.parametrize("name", SHARED_GROUPS)
+def test_stored_invariants_equal_a_recomputation(name):
+    g = SHARED_GROUPS[name]()
+    for i in range(g.order):
+        k, power = 1, i
+        while power != g.identity:
+            power, k = g.table[power][i], k + 1
+        assert g.element_order(i) == k
+        assert g.inv(i) == next(j for j in range(g.order)
+                                if g.table[i][j] == g.identity)
+    gens = minimal_generating_set(g)
+    assert len(_generated(g, gens)) == g.order
+    assert all(len(_generated(g, smaller)) < g.order
+               for smaller in itertools.combinations(range(g.order),
+                                                     len(gens) - 1))
+    for p in g.regular_representation():
+        want = "".join("(" + " ".join(str(x) for x in c) + ")"
+                       for c in p.cycles()) or "()"
+        assert p.cycle_string() == want
+        assert p.cycle_string() is p.cycle_string()    # kept, not rebuilt
+
+
+def test_returned_lists_are_copies():
+    g = sixteen_e()
+    gens, perms = minimal_generating_set(g), g.regular_representation()
+    want_gens, want_perms = list(gens), list(perms)
+    gens[0] = g.identity
+    gens.append(g.identity)
+    perms.reverse()
+    perms.pop()
+    assert minimal_generating_set(g) == want_gens
+    assert g.regular_representation() == want_perms
 
 
 # -- short exact sequences -------------------------------------------------------
