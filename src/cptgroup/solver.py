@@ -77,18 +77,25 @@ def constraint_system(symmetry: str, rep: GammaRep) -> ConstraintSystem:
 def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
     """Exact kernel of the stacked linear system on the 16-dim matrix space.
 
-    Rows are the basis-expansion of each relation applied to each canonical
-    basis element; the kernel is recombined into matrices whose leading
+    Rows are built by linearity: the image B_j R - s L B_j of each canonical
+    basis element under each relation is the expansion of B_j R plus that
+    of (-s L) B_j, added over the latter's nonzero entries, so a unit
+    multiple of a basis word is read off its code and no dense difference
+    is expanded.  The kernel is recombined into matrices whose leading
     basis coefficient is normalized to 1.
     """
     rows: list[list[Scalar]] = []
     for rel in system.relations:
-        images = [rep.basis_expand(
-            b * rel.right - (rel.left * b).scale(rel.sign))
-            for b in rep.basis]
+        minus_left = rel.left.scale(-rel.sign)
+        images = []
+        for b in rep.basis:
+            image = rep.basis_expand(b * rel.right)
+            for k, c in enumerate(rep.basis_expand(minus_left * b)):
+                if c is not ZERO:
+                    image[k] += c
+            images.append(image)
         # images[j][i]: coefficient i of the image of basis element j.
-        for i in range(16):
-            rows.append([images[j][i] for j in range(16)])
+        rows.extend(map(list, zip(*images)))
     kernel = _nullspace(rows, 16)
     basis = []
     for vec in kernel:

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cptgroup.matrices import ID2, Mat4, _kron
-from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO
+from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 from cptgroup.verify import Context, run_all
 
 
@@ -25,6 +26,19 @@ def random_clifford(rng: random.Random) -> Mat4:
     for _ in range(12):
         s = rng.choice(gates) * s
     return s
+
+
+def random_dense(rng: random.Random) -> Mat4:
+    """An invertible matrix over Q(i, √2) whose entries, as in the
+    dense-algebra benchmark, have each rational component ±(1..9)/(1..9)
+    with probability 0.6 and 0 otherwise."""
+    while True:
+        m = Mat4([[Scalar(*[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                     rng.randint(1, 9))
+                            if rng.random() < 0.6 else 0 for _ in range(4)])
+                   for _ in range(4)] for _ in range(4)])
+        if not m.det().is_zero():
+            return m
 
 
 @pytest.fixture(scope="session")

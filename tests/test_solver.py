@@ -4,18 +4,18 @@ solution families."""
 import random
 
 import pytest
-from conftest import random_clifford
+from conftest import random_clifford, random_dense
 
 from cptgroup import solver
 from cptgroup.matrices import (ID2, GammaRep, Mat4, RepTag, _build_rep,
-                               _kron, get_rep)
+                               _kron, get_rep, monomial_code)
 from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO
-from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, canonical_sets,
-                             check_cp_compatibility, check_ct_compatibility,
-                             compatible_pairs, conjugate_group_matrices,
-                             constraint_system, enumerate_consistent_sets,
-                             kernel, solve_system, transport,
-                             verify_solution_properties)
+from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, ConstraintSystem,
+                             Relation, canonical_sets, check_cp_compatibility,
+                             check_ct_compatibility, compatible_pairs,
+                             conjugate_group_matrices, constraint_system,
+                             enumerate_consistent_sets, kernel, solve_system,
+                             transport, verify_solution_properties)
 
 ALL_TAGS = [RepTag.DIRAC_PAULI, RepTag.WEYL, RepTag.MAJORANA]
 
@@ -23,6 +23,48 @@ ALL_TAGS = [RepTag.DIRAC_PAULI, RepTag.WEYL, RepTag.MAJORANA]
 @pytest.fixture(scope="module", params=ALL_TAGS)
 def rep(request):
     return get_rep(request.param)
+
+
+def _t_rep() -> GammaRep:
+    """The presentation moved by T x 1: its gammas still anticommute, but
+    their transposes and conjugates are not +-themselves, and half of its
+    basis words are not monomial unit matrices."""
+    t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
+    return _build_rep(None, _kron(t_gate, ID2))
+
+
+def _word_systems(rng: random.Random, rep: GammaRep):
+    """Eight seeded systems of 1 to 4 relations X f(B_j) = +-B_k X, f the
+    identity, transpose or conjugation, built as the dense-algebra
+    benchmark builds them: each holds for one basis word X0."""
+    signed = {b.scale(s): (k, s) for k, b in enumerate(rep.basis)
+              for s in (1, -1)}
+    for _ in range(8):
+        x0 = rep.basis[rng.randrange(16)]
+        rels = []
+        for _ in range(rng.randint(1, 4)):
+            right = rng.choice((lambda m: m, Mat4.transpose, Mat4.conj))(
+                rep.basis[rng.randrange(16)])
+            k, s = signed[x0 * right * x0.inverse()]
+            rels.append(Relation(right, rep.basis[k], s))
+        yield ConstraintSystem(tuple(rels))
+
+
+def _reference_basis(system: ConstraintSystem,
+                     rep: GammaRep) -> tuple[Mat4, ...]:
+    """`solve_system`'s basis from rows that expand each relation's dense
+    difference B_j R - s L B_j whole."""
+    rows = []
+    for rel in system.relations:
+        images = [rep.basis_expand(b * rel.right
+                                   - (rel.left * b).scale(rel.sign))
+                  for b in rep.basis]
+        rows += [list(col) for col in zip(*images)]
+    basis = []
+    for vec in solver._nullspace(rows, 16):
+        inv = next(c for c in vec if c is not ZERO).inverse()
+        basis.append(rep.recombine([c * inv for c in vec]))
+    return tuple(basis)
 
 
 def test_kernels_are_lines(rep):
@@ -142,6 +184,43 @@ def test_kernel_by_signature_is_the_eliminated_kernel(rep):
             solve_system(constraint_system(sym, rep), rep).basis
 
 
+def test_rows_by_linearity_equal_the_expanded_difference():
+    rng = random.Random(17)
+    cases = [(rep, system) for rep in map(get_rep, ALL_TAGS)
+             for system in _word_systems(rng, rep)]
+    t_rep = _t_rep()
+    cases += [(t_rep, constraint_system(sym, t_rep)) for sym in SYSTEMS]
+    for rep in map(get_rep, ALL_TAGS):
+        # X A = A X, and X g0 = (A g0 A^-1) X, which A itself solves
+        a, g0 = random_dense(rng), rep.gamma[0]
+        cases += [(rep, ConstraintSystem((Relation(a, a, 1),))),
+                  (rep, ConstraintSystem((Relation(g0, a * g0 * a.inverse(),
+                                                   1),)))]
+    dims = set()
+    for rep, system in cases:
+        want = _reference_basis(system, rep)
+        assert want and solve_system(system, rep).basis == want
+        dims.add(len(want))
+    assert max(dims) > 1
+
+
+def test_unit_relations_take_no_dense_expansion(rep, monkeypatch):
+    # every operand is a unit multiple of a basis word, so every expansion
+    # reads a code: none takes the trace path
+    seen = []
+    expand = GammaRep.basis_expand
+
+    def coded_only(self, m):
+        seen.append(monomial_code(m))
+        return expand(self, m)
+
+    monkeypatch.setattr(GammaRep, "basis_expand", coded_only)
+    systems = [constraint_system(sym, rep) for sym in SYSTEMS]
+    for system in systems + list(_word_systems(random.Random(5), rep)):
+        solve_system(system, rep)
+    assert seen and all(code in rep._unit_words for code in seen)
+
+
 def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
         monkeypatch):
     rng = random.Random(2004)
@@ -150,11 +229,10 @@ def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
         for sym in SYSTEMS:
             assert kernel(sym, rep).basis == \
                 solve_system(constraint_system(sym, rep), rep).basis
-    # in the T x 1 basis the gammas still anticommute and parity is
-    # untwisted, but transposed and conjugated gammas are not +-themselves;
-    # in the second presentation g0 and the new g1 commute
-    t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
-    t_rep = _build_rep(None, _kron(t_gate, ID2))
+    # in the T x 1 basis parity is untwisted, but the C and T systems are
+    # not signature systems; in the second presentation g0 and the new g1
+    # commute
+    t_rep = _t_rep()
     dp = get_rep(RepTag.DIRAC_PAULI)
     g = dp.gamma
     commuting = GammaRep(None, dp.s, (g[0], g[0] * g[1] * g[2], g[2], g[3]),
@@ -190,8 +268,7 @@ def test_enumeration_rejects_non_unitary_lines():
     # in the T x 1 basis the C and T kernel lines are spanned by X0 with
     # X0 X0† = 2·1: no unit multiple is unitary, so the sweep would find
     # nothing; it must say so instead of returning no sets
-    t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
-    t_rep = _build_rep(None, _kron(t_gate, ID2))
+    t_rep = _t_rep()
     lines = [kernel(sym, t_rep).basis[0] for sym in "ct"]
     assert all(x * x.dagger() == Mat4.identity().scale(2) for x in lines)
     with pytest.raises(AssertionError, match="unitary"):
@@ -212,7 +289,6 @@ def test_group_conjugation_preserves_multiplication():
 def test_solve_system_rejects_nothing_spurious(rep):
     # the full Clifford-commutant system (X g = g X for all gammas) has a
     # one-dimensional kernel spanned by the identity (Schur)
-    from cptgroup.solver import ConstraintSystem, Relation
     system = ConstraintSystem(tuple(
         Relation(gm, gm, +1) for gm in rep.gamma))
     space = solve_system(system, rep)

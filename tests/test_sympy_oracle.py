@@ -2,23 +2,25 @@
 
 The kernels, determinants and inverses computed by `cptgroup` are checked
 against sympy, which shares no arithmetic with `cptgroup.scalars`.  Each
-constraint system is rebuilt here straight from the gamma matrices, as
+constraint system is rebuilt here straight from its matrices, as
 equations in the sixteen entries of the unknown matrix X, without going
 through the Clifford basis; the Clifford-basis expansion itself is checked
 against sympy's inverse of each representation's basis system.
 """
 
-from functools import cache
+import random
 
 import pytest
+from conftest import random_dense
 
 sympy = pytest.importorskip("sympy")
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from cptgroup.matrices import Mat4, RepTag, get_rep  # noqa: E402
-from cptgroup.solver import (SYSTEMS, canonical_sets,  # noqa: E402
-                             constraint_system, kernel, solve_system)
+from cptgroup.solver import (SYSTEMS, ConstraintSystem,  # noqa: E402
+                             Relation, canonical_sets, constraint_system,
+                             kernel, solve_system)
 
 K = sympy.QQ.algebraic_field(sympy.I, sympy.sqrt(2))
 
@@ -34,9 +36,16 @@ def _sym(m: Mat4) -> sympy.Matrix:
     return sympy.Matrix([[_number(x) for x in row] for row in m.rows])
 
 
-# the paper's matrices share a handful of distinct entries, and each
-# conversion into K costs milliseconds
-_entry = cache(lambda x: K.from_sympy(_number(x)))
+_I, _SQRT2 = K.from_sympy(sympy.I), K.from_sympy(sympy.sqrt(2))
+
+
+def _entry(x):
+    """The Scalar p + qi + r√2 + si√2 as an element of K, by K's own
+    arithmetic on its rational components: `K.from_sympy` of a dense
+    entry's expression takes tens of milliseconds."""
+    p, q, r, s = (K.convert(sympy.Rational(c.numerator, c.denominator))
+                  for c in (x.p, x.q, x.r, x.s))
+    return p + q * _I + (r + s * _I) * _SQRT2
 
 
 def _entries(ms: list[Mat4]) -> DomainMatrix:
@@ -57,22 +66,23 @@ def _field(m: sympy.Matrix) -> DomainMatrix:
 
 
 def _relations(symmetry: str, g: list) -> list:
-    """(R, s, L) for each defining equation X R = s L X."""
+    """(R, s, L) for each defining equation X R = s L X, R and L in K."""
     if symmetry == "p":                       # X g0 = g0 X, X gk = -gk X
-        return [(g[0], 1, g[0])] + [(g[k], -1, g[k]) for k in (1, 2, 3)]
-    if symmetry == "c":                       # X gmu~ = -gmu X
-        return [(g[mu].T, -1, g[mu]) for mu in range(4)]
-    # X g0* = g0 X, X gk* = -gk X
-    return [(g[0].conjugate(), 1, g[0])] + [
-        (g[k].conjugate(), -1, g[k]) for k in (1, 2, 3)]
+        out = [(g[0], 1, g[0])] + [(g[k], -1, g[k]) for k in (1, 2, 3)]
+    elif symmetry == "c":                     # X gmu~ = -gmu X
+        out = [(g[mu].T, -1, g[mu]) for mu in range(4)]
+    else:                                     # X g0* = g0 X, X gk* = -gk X
+        out = [(g[0].conjugate(), 1, g[0])] + [
+            (g[k].conjugate(), -1, g[k]) for k in (1, 2, 3)]
+    return [(_field(r), s, _field(l)) for r, s, l in out]
 
 
 def _equations(relations: list) -> DomainMatrix:
-    """The linear map X -> (X R - s L X) for every relation, on the
-    entries X[a, b] at column 4a + b."""
+    """The linear map X -> (X R - s L X) for every relation, R and L
+    DomainMatrices over K, on the entries X[a, b] at column 4a + b."""
     rows = []
     for r, s, l in relations:
-        r, s, l = _field(r).to_list(), K.convert(s), _field(l).to_list()
+        r, s, l = r.to_list(), K.convert(s), l.to_list()
         for i in range(4):
             for j in range(4):
                 row = [K.zero] * 16
@@ -106,6 +116,17 @@ def test_kernel_is_the_sympy_nullspace(symmetry, tag):
         x = _sym(space.basis[0]).reshape(16, 1)
         assert not x.is_zero_matrix
         assert a.matmul(_field(x)).is_zero_matrix
+
+
+@pytest.mark.parametrize("tag", list(RepTag), ids=lambda t: t.value)
+def test_dense_commutant_is_the_sympy_nullspace(tag):
+    # X A = A X for a dense A: every expansion in `solve_system` takes the
+    # trace path, which the paper's systems never reach
+    a = random_dense(random.Random(tag.value))
+    space = solve_system(ConstraintSystem((Relation(a, a, 1),)), get_rep(tag))
+    eqs = _equations([(_domain(a), 1, _domain(a))])
+    assert space.dimension == eqs.nullspace().shape[0]
+    assert eqs.matmul(_entries(space.basis)).is_zero_matrix
 
 
 def _paper_matrices() -> list[Mat4]:

@@ -1,6 +1,6 @@
 """The CI workflow parses, and its steps run the claims, the tier-1 suite
 and the benchmark's oracle tests, record the source lines and count each
-CLI command in a traced run."""
+CLI command and the constraint solver in traced runs."""
 
 import re
 from pathlib import Path
@@ -48,3 +48,16 @@ def test_tier1_workflow_counts_every_query_command_in_a_traced_run():
     assert 'f"cli.{c}.calls"' in step and "> 0" in step
     for command in ("table", "solve", "cycles", "identify"):
         assert f'"{command}"' in step
+
+
+def test_tier1_workflow_counts_the_solver_in_a_traced_dense_run():
+    # only dense-algebra solves systems, so only its traced run shows
+    # the constraint rows' per-layer numbers
+    runs = [step.get("run", "") for job in _workflow()["jobs"].values()
+            for step in job["steps"]]
+    step = next(run for run in runs if "--workload dense-algebra" in run
+                and "--trace 1" in run)
+    assert 'out["correct"]' in step and "> 0" in step
+    for metric in ("solver.solve_system.calls",
+                   "matrices.GammaRep.basis_expand.calls"):
+        assert f'"{metric}"' in step
