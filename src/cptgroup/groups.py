@@ -282,18 +282,17 @@ class FiniteGroup:
 
     @cached_property
     def _generators(self) -> tuple[int, ...]:
+        # each generator added outside the subgroup so far at least doubles
+        # it, so some set of at most log2(order) elements generates
         candidates = sorted(range(self.order), key=lambda i: -self._orders[i])
-        for size in range(1, _MAX_GENERATORS + 1):
+        for size in range(self.order.bit_length()):
             for combo in itertools.combinations(candidates, size):
                 if len(self.closure_of(combo)) == self.order:
                     return combo
-        raise GroupError(f"no generating set of size <= {_MAX_GENERATORS}")
 
 
 # the most elements `_closure` finds before giving up
 CLOSURE_CAP = 256
-# the most generators `minimal_generating_set` tries
-_MAX_GENERATORS = 3
 
 
 def _closure(generators: Iterable[Hashable],

@@ -91,11 +91,9 @@ _QUAT_TO_DICYCLIC = {
 }
 
 
-def s10_word(word: str) -> Permutation | None:
-    """The permutation in S10 of a word in the letters x, y, z; None if
-    the word has any other letter."""
-    if not set(word) <= _S10_LETTERS.keys():
-        return None
+def s10_word(word: str) -> Permutation:
+    """The permutation in S10 of a word in the letters x, y, z; raises
+    KeyError on any other letter."""
     perm = Permutation.identity(10)
     for letter in word:
         perm = perm * _S10_LETTERS[letter]

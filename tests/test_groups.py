@@ -229,6 +229,23 @@ def test_minimal_generating_set_and_word_extension():
         is None
 
 
+def test_rank_four_group_is_generated_and_searched():
+    # Z2^4 needs four generators, as many as log2 of its order
+    z2 = cyclic(2)
+    z2_4 = direct_product(direct_product(z2, z2), direct_product(z2, z2))
+    gens = minimal_generating_set(z2_4)
+    assert len(gens) == 4 and len(z2_4.closure_of(gens)) == 16
+    iso = find_isomorphism(z2_4, z2_4)
+    assert iso is not None and iso.is_isomorphism()
+
+
+def test_trivial_group_is_generated_by_nothing():
+    trivial = cyclic(1)
+    assert minimal_generating_set(trivial) == []
+    iso = find_isomorphism(trivial, trivial)
+    assert iso is not None and iso.images == [trivial.identity]
+
+
 # -- invariants kept with each group ---------------------------------------------
 
 

@@ -23,6 +23,8 @@ def test_pipeline_claim_inventory(pipeline):
     assert sorted(by_status) == ["mismatch", "pass"]
     assert sorted(by_status["mismatch"]) == ["iso-55-annotations",
                                              "transform-77-det"]
+    # on good data no check raises
+    assert not [s.claim_id for s in report.sections if "error" in s.details]
 
 
 def test_overall_strict_semantics(pipeline):
@@ -41,15 +43,25 @@ def test_report_json_shape(pipeline):
     assert strict_payload["overall"] == "fail" and strict_payload["strict"]
 
 
-def test_report_accumulation():
+def test_report_accumulation(capsys):
+    # a check returns ok, (ok, details) or (ok, details, mismatch); one that
+    # raises fails its own claim with the error as its details
     report = VerificationReport()
-    report.add("x", True)
-    report.add("y", False, {"why": "test"})
-    report.add("z", False, mismatch=True)
-    assert status_of(report, "x") == "pass"
-    assert status_of(report, "z") == "mismatch"
+    report.add("x", lambda: True)
+    report.add("y", lambda: (False, {"why": "test"}))
+    report.add("z", lambda: (False, {}, True))
+    report.add("w", lambda: (True, {"n": 1}, True))
+    report.add("v", lambda: 1 / 0)
+    assert report.sections == [
+        ClaimResult("x", "pass", {}), ClaimResult("y", "fail", {"why": "test"}),
+        ClaimResult("z", "mismatch", {}), ClaimResult("w", "pass", {"n": 1}),
+        ClaimResult("v", "fail",
+                    {"error": "ZeroDivisionError: division by zero"})]
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "ZeroDivisionError" in err
     assert report.overall(strict=False) == "fail"
-    assert isinstance(report.sections[0], ClaimResult)
+    assert report.to_json()["sections"][1] == {
+        "claim_id": "y", "status": "fail", "details": {"why": "test"}}
 
 
 def test_context_accessors(pipeline):
@@ -127,28 +139,32 @@ MUTATIONS = [
     ("MAJORANA_80", lambda ms: _entry(ms, 0, -ms[0]), "representations",
      "majorana-80"),
 ]
-MUTATION_IDS = [f"{m[0]}-{m[3]}" for m in MUTATIONS]
-# a listing that repeats its first cycle is malformed, not the same
-# permutation; its id names the corruption, as its dataset and claim
-# repeat an earlier row's
-MUTATIONS.append(("CYCLES_45",
-                  lambda c: {**c, "C": c["C"][:c["C"].index(")") + 1]
-                             + c["C"]}, "matrix_groups", "cycles-45"))
-MUTATION_IDS.append("CYCLES_45-repeated-cycle-cycles-45")
-# a malformed listing matches no element, so it fails its claim instead of
-# raising out of the stage
-MUTATIONS += [("DH8_ELEMENTS", lambda xs: _entry(xs, 0, "(1 2"),
-               "isomorphisms", "elements-50"),
-              ("ISO_53", lambda m: {**m, "C": "(1 2"}, "isomorphisms",
-               "iso-53")]
-MUTATION_IDS += ["DH8_ELEMENTS-malformed-listing-elements-50",
-                 "ISO_53-malformed-listing-iso-53"]
+# listings that do not parse: `Permutation.from_cycles` raises ValueError
+# inside the claim's check.  A listing that repeats its first cycle is
+# malformed, not the same permutation; its id names the corruption, as its
+# dataset and claim repeat an earlier row's
+MALFORMED = [
+    ("CYCLES_45", lambda c: {**c, "C": c["C"][:c["C"].index(")") + 1]
+                             + c["C"]}, "matrix_groups", "cycles-45"),
+    ("DH8_ELEMENTS", lambda xs: _entry(xs, 0, "(1 2"), "isomorphisms",
+     "elements-50"),
+    ("ISO_53", lambda m: {**m, "C": "(1 2"}, "isomorphisms", "iso-53")]
+MUTATION_IDS = [f"{m[0]}-{m[3]}" for m in MUTATIONS] + [
+    "CYCLES_45-repeated-cycle-cycles-45",
+    "DH8_ELEMENTS-malformed-listing-elements-50",
+    "ISO_53-malformed-listing-iso-53"]
 
 
-@pytest.mark.parametrize("dataset, corrupt, stage, claim_id", MUTATIONS,
-                         ids=MUTATION_IDS)
-def test_corrupted_reference_datum_fails(ctx, monkeypatch, dataset, corrupt,
-                                         stage, claim_id):
+def _details(report, claim_id: str) -> dict:
+    return next(s.details for s in report.sections if s.claim_id == claim_id)
+
+
+@pytest.mark.parametrize(
+    "dataset, corrupt, stage, claim_id, malformed",
+    [(*m, False) for m in MUTATIONS] + [(*m, True) for m in MALFORMED],
+    ids=MUTATION_IDS)
+def test_corrupted_reference_datum_fails(ctx, monkeypatch, capsys, dataset,
+                                         corrupt, stage, claim_id, malformed):
     # the verifier must fail on wrong reference data, not only pass on
     # good data: one corrupted datum flips the claim of the stage reading it
     original = getattr(claims, dataset)
@@ -158,6 +174,14 @@ def test_corrupted_reference_datum_fails(ctx, monkeypatch, dataset, corrupt,
     report = VerificationReport()
     getattr(verify, f"_check_{stage}")(ctx, report)
     assert status_of(report, claim_id) == "fail"
+    # a wrong datum fails by comparison; a malformed listing by its error
+    details = _details(report, claim_id)
+    if malformed:
+        assert list(details) == ["error"]
+        assert details["error"].startswith("ValueError: ")
+        assert "ValueError" in capsys.readouterr().err
+    else:
+        assert "error" not in details
 
 
 def test_run_all_solves_each_kernel_once(monkeypatch):
@@ -244,33 +268,105 @@ def test_trivial_regular_representation_fails(ctx, monkeypatch):
     assert status_of(report, "regular-representation") == "fail"
 
 
-def test_a_raising_stage_hides_no_other_claim(ctx, pipeline, monkeypatch,
-                                              tmp_path, capsys):
-    _, good = pipeline
-    extensions = VerificationReport()
-    verify._check_extensions(ctx, extensions)
-    in_stage = {s.claim_id for s in extensions.sections}
-    # an unknown letter in a printed word raises inside `extensions`
-    monkeypatch.setattr(claims, "ISO_60", {**claims.ISO_60, "C": ("q", "1")})
-    _, broken = verify.run_all()
-    error = ClaimResult("extensions-error", "fail",
-                        {"error": "KeyError: 'q'"})
-    assert broken.sections.count(error) == 1
-    # the other ten stages report as before, and the claims `extensions`
-    # added before it raised keep their statuses
-    assert [s for s in broken.sections
-            if s.claim_id not in in_stage and s != error] == \
-        [s for s in good.sections if s.claim_id not in in_stage]
-    assert all(s.status == status_of(good, s.claim_id)
-               for s in broken.sections if s.claim_id in in_stage)
+# the readers of each dataset beyond its own claim in the mutation table
+OTHER_READERS = {"ISO_55": {"iso-60"}, "ISO_59": {"iso-60"},
+                 "WEYL_78": {"matrices-79"}, "MAJORANA_78A": {"matrices-79a"},
+                 "SECOND_FAMILY_FACTORS": {"matrices-79a"}}
+DATASETS = [name for name in vars(claims) if name.isupper()]
 
+
+def _broken_claims(good, broken) -> set[str]:
+    """The claims of `broken` that differ from `good`, which must list the
+    same ids in the same order; each of them must fail."""
+    assert [s.claim_id for s in broken.sections] == \
+        [s.claim_id for s in good.sections]
+    differ = {b.claim_id for g, b in zip(good.sections, broken.sections)
+              if g != b}
+    assert all(status_of(broken, c) == "fail" for c in differ)
+    return differ
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_each_dataset_fails_only_its_readers(pipeline, monkeypatch, dataset):
+    # with a dataset unreadable, every claim that reads it fails with an
+    # error and every other claim reports as on good data
+    _, good = pipeline
+    readers = {m[3] for m in MUTATIONS + MALFORMED if m[0] == dataset}
+    readers |= OTHER_READERS.get(dataset, set())
+    monkeypatch.setattr(claims, dataset, None)
+    _, broken = verify.run_all()
+    assert _broken_claims(good, broken) == readers
+    assert all("error" in _details(broken, c) for c in readers)
+
+
+def test_claims_cover_every_dataset():
+    assert len(DATASETS) == 26
+    assert {m[0] for m in MUTATIONS} == set(DATASETS)
+
+
+# for each printed word list, a corruption that puts the unknown letter "q"
+# in one word, and the claims that read the list
+UNKNOWN_LETTER = {
+    "ISO_60": (lambda m: {**m, "C": ("q", "1")}, {"iso-60"}),
+    "ISO_55": (_iso_55_with("C", word="q"),
+               {"iso-55", "iso-55-annotations", "iso-60"}),
+    "ISO_59": (lambda rows: _entry(rows, 3, (rows[3][0], "q")),
+               {"iso-59", "iso-60"}),
+    "ISO_63": (lambda rows: _entry(rows, 5, (rows[5][0], "q")), {"iso-63"}),
+    "SES_56_SECTIONS": (lambda xs: _entry(xs, 1, "q"), {"ses-56"}),
+    "SES_61_SECTIONS": (lambda xs: _entry(xs, 1, "q"), {"ses-61"}),
+    "CHAIN_73": (lambda rows: _entry(rows, 2, (rows[2][0], "xq",
+                                               *rows[2][2:])), {"chain-73"}),
+}
+
+
+@pytest.mark.parametrize("dataset", UNKNOWN_LETTER)
+def test_unknown_letter_fails_exactly_its_readers(pipeline, monkeypatch,
+                                                  capsys, dataset):
+    # "q" is a letter of no printed alphabet: each check that evaluates the
+    # word raises, so exactly the claims that read it fail, with the error
+    _, good = pipeline
+    corrupt, readers = UNKNOWN_LETTER[dataset]
+    monkeypatch.setattr(claims, dataset, corrupt(getattr(claims, dataset)))
+    _, broken = verify.run_all()
+    assert _broken_claims(good, broken) == readers
+    assert all(_details(broken, c) == {"error": "KeyError: 'q'"}
+               for c in readers)
+    assert capsys.readouterr().err.count("Traceback") == len(readers)
+
+
+def test_a_raising_stage_hides_no_other_claim(monkeypatch, tmp_path, capsys):
+    # an unknown letter in a printed word of (60) raises inside its check:
+    # the CLI reports that one claim as failed, with its traceback, and
+    # writes all 73
+    monkeypatch.setattr(claims, "ISO_60", {**claims.ISO_60, "C": ("q", "1")})
     path = tmp_path / "report.json"
     assert cli.main(["verify", "--json-out", str(path)]) == 1
     captured = capsys.readouterr()
-    assert "FAIL     extensions-error" in captured.out
+    assert "FAIL     iso-60\n" in captured.out
     assert captured.err.startswith("Traceback")
     sections = json.loads(path.read_text())["sections"]
-    assert error.to_json() in sections
+    assert len(sections) == 73
+    assert [s["claim_id"] for s in sections if s["status"] == "fail"] == \
+        ["iso-60"]
+    assert ClaimResult("iso-60", "fail", {"error": "KeyError: 'q'"}) \
+        ._asdict() in sections
+
+
+def test_a_raising_shared_value_fails_only_its_readers(pipeline, monkeypatch,
+                                                       capsys):
+    # the consistent sets are computed once, by the first claim that reads
+    # them; if that raises, each of the three claims reading them fails
+    _, good = pipeline
+
+    def raising(rep):
+        raise RuntimeError("no sets")
+
+    monkeypatch.setattr(verify, "enumerate_consistent_sets", raising)
+    _, broken = verify.run_all()
+    assert _broken_claims(good, broken) == {
+        "families-36-37", "families-rep-invariance", "theta-39-40"}
+    assert capsys.readouterr().err.count("RuntimeError: no sets") == 3
 
 
 @pytest.mark.parametrize("dataset, word, claim_id",
@@ -299,9 +395,11 @@ def test_zero_transported_solution_fails_kernel_claims(ctx, monkeypatch):
     assert status_of(report, "kernel-majorana") == "fail"
 
 
-def test_unknown_letter_in_a_chain_word_fails_only_its_claim(monkeypatch):
-    # "q" names no permutation of S10: the row differs from its printed
-    # image, and the stage's later claims are still reported
+def test_unknown_letter_in_a_chain_word_fails_only_its_claim(monkeypatch,
+                                                           capsys):
+    # "q" names no permutation of S10: evaluating the word raises, which
+    # fails the chain claim with the error, and the stage's later claims
+    # are still reported
     rows = list(claims.CHAIN_73)
     label, _, pair, s10, s16 = rows[2]
     rows[2] = (label, "xq", pair, s10, s16)
@@ -309,7 +407,7 @@ def test_unknown_letter_in_a_chain_word_fails_only_its_claim(monkeypatch):
     _, report = verify.run_all()
     assert len(report.sections) == 73
     chain = next(s for s in report.sections if s.claim_id == "chain-73")
-    assert chain.status == "fail"
-    assert chain.details["diffs"] == [{"element": label, "kind": "word-vs-s10",
-                                       "printed": s10, "computed": None}]
+    assert chain == ClaimResult("chain-73", "fail",
+                                {"error": "KeyError: 'q'"})
     assert status_of(report, "selection-69") == "pass"
+    assert "KeyError: 'q'" in capsys.readouterr().err

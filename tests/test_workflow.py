@@ -1,6 +1,7 @@
 """The CI workflow parses, and its steps run the claims, the tier-1 suite
-and the benchmark's oracle tests, record the source lines and count each
-CLI command and the constraint solver in traced runs."""
+and the benchmark's oracle tests, record the source lines, count each
+CLI command and the constraint solver and time every verify stage in
+traced runs."""
 
 import re
 from pathlib import Path
@@ -61,3 +62,15 @@ def test_tier1_workflow_counts_the_solver_in_a_traced_dense_run():
     for metric in ("solver.solve_system.calls",
                    "matrices.GammaRep.basis_expand.calls"):
         assert f'"{metric}"' in step
+
+
+def test_tier1_workflow_times_every_verify_stage_in_a_traced_run():
+    # each claim's check runs inside `report.add`, called from its stage:
+    # the tracer must still time each of the stages it wraps
+    runs = [step.get("run", "") for job in _workflow()["jobs"].values()
+            for step in job["steps"]]
+    step = next(run for run in runs if "--workload verify-cold" in run
+                and "--trace 1" in run)
+    assert 'out["correct"]' in step and "> 0" in step
+    assert "from tracer import STAGES" in step
+    assert 'f"verify.stage.{s}.total_s"' in step
