@@ -87,13 +87,12 @@ def cmd_solve(args) -> int:
 
 def cmd_cycles(args) -> int:
     group = getattr(Context(), args.group)
-    rows = []
-    for label, op, perm in zip(group.labels, group.elements,
-                               group.regular_representation()):
-        entry = {"element": label, "s16": perm.cycle_string()}
-        if args.group == "gtheta":
-            entry["s10"] = operator_group.to_s10(op).cycle_string()
-        rows.append(entry)
+    rows = [{"element": label, "s16": perm.cycle_string()}
+            for label, perm in zip(group.labels,
+                                   group.regular_representation())]
+    if args.group == "gtheta":
+        for entry, image in zip(rows, operator_group.to_s10()):
+            entry["s10"] = image.cycle_string()
     if args.format == "json":
         print(json.dumps({"group": args.group, "cycles": rows}, indent=2))
     else:

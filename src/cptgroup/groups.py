@@ -119,7 +119,8 @@ class ClosureCapExceeded(GroupError):
 class FiniteGroup:
     """A finite group as an element list plus a verified Cayley table.  Its
     orders, inverses, generators and regular representation are computed
-    once, on first use, and kept."""
+    once, on first use, and kept.  `letters` names elements by one
+    character each, "1" the identity, for `word` to read."""
 
     def __init__(self, elements: Sequence[Hashable],
                  mul: Callable[[Hashable, Hashable], Hashable],
@@ -138,6 +139,7 @@ class FiniteGroup:
         except KeyError as exc:
             raise GroupError(f"not closed under product: {exc}") from exc
         self._check_table()
+        self.letters = {"1": self.identity}
         self.labels = list(labels) if labels is not None else [
             str(e) for e in self.elements]
         if len(self.labels) != n:
@@ -186,6 +188,14 @@ class FiniteGroup:
                 k += 1
             orders.append(k)
         return tuple(orders)
+
+    def word(self, text: str) -> int:
+        """The index of the product of a word's letters, left to right;
+        raises KeyError on a character that is not one of `letters`."""
+        idx = self.identity
+        for ch in text:
+            idx = self.table[idx][self.letters[ch]]
+        return idx
 
     def inv(self, i: int) -> int:
         return self._inverses[i]
@@ -262,6 +272,7 @@ class FiniteGroup:
         return FiniteGroup(cosets, cmul, labels)
 
     def subgroup(self, subset: Iterable[int]) -> "FiniteGroup":
+        """The members as a group in index order, keeping their letters."""
         members = sorted(set(subset))
         elems = [self.elements[i] for i in members]
         back = {e: i for e, i in zip(elems, members)}
@@ -269,7 +280,11 @@ class FiniteGroup:
         def smul(a, b):
             return self.elements[self.table[back[a]][back[b]]]
 
-        return FiniteGroup(elems, smul, [self.labels[i] for i in members])
+        sub = FiniteGroup(elems, smul, [self.labels[i] for i in members])
+        pos = {i: k for k, i in enumerate(members)}
+        sub.letters = {ch: pos[i] for ch, i in self.letters.items()
+                       if i in pos}
+        return sub
 
     @cached_property
     def _regular(self) -> tuple[Permutation, ...]:
@@ -281,7 +296,8 @@ class FiniteGroup:
         return list(self._regular)
 
     @cached_property
-    def _generators(self) -> tuple[int, ...]:
+    def generators(self) -> tuple[int, ...]:
+        """A smallest generating set, elements of higher order tried first."""
         # each generator added outside the subgroup so far at least doubles
         # it, so some set of at most log2(order) elements generates
         candidates = sorted(range(self.order), key=lambda i: -self._orders[i])
@@ -331,23 +347,31 @@ def generate_closure(generators: Sequence[Hashable],
     return FiniteGroup(elements, mul, labels)
 
 
-def permutation_group(cycle_strings: Sequence[str],
+def permutation_group(generators: dict[str, str] | Sequence[str],
                       degree: int) -> FiniteGroup:
-    gens = [Permutation.from_cycles(s, degree) for s in cycle_strings]
-    return generate_closure(gens, lambda a, b: a * b,
-                            Permutation.identity(degree),
-                            labeler=lambda p: p.cycle_string())
+    """The group generated by cycle listings; a dict's keys name its
+    listings in the group's `letters`."""
+    named = generators if isinstance(generators, dict) else {}
+    gens = [Permutation.from_cycles(s, degree)
+            for s in (named.values() if named else generators)]
+    group = generate_closure(gens, lambda a, b: a * b,
+                             Permutation.identity(degree),
+                             labeler=lambda p: p.cycle_string())
+    for ch, g in zip(named, gens):
+        group.letters[ch] = group.index[g]
+    return group
 
 
 # -- named groups ----------------------------------------------------------------
 
-# generators as printed: the rotation and reflection of the square; a, d,
-# n of 16E; x, y of the dicyclic group.  Each named group is built once
-# per process and shared, so no caller may change it
-DIHEDRAL_GENERATORS = ("(1 2 3 4)", "(2 4)")
-SIXTEEN_E_GENERATORS = ("(1 2 3 4)(5 6 7 8)", "(1 6 3 8)(2 5 4 7)",
-                        "(1 7)(2 8)(3 5)(4 6)")
-DICYCLIC_GENERATORS = ("(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)")
+# generators as printed, by the letters of the printed words: d, n, the
+# rotation and reflection of the square; a, d, n of 16E; x, y of the
+# dicyclic group; z, the Z2 factor of a direct product.  Each named group
+# is built once per process and shared, so no caller may change it
+DIHEDRAL_GENERATORS = dict(d="(1 2 3 4)", n="(2 4)")
+SIXTEEN_E_GENERATORS = dict(a="(1 2 3 4)(5 6 7 8)", d="(1 6 3 8)(2 5 4 7)",
+                            n="(1 7)(2 8)(3 5)(4 6)")
+DICYCLIC_GENERATORS = dict(x="(1 2 3 4)(5 6 7 8)", y="(1 5 3 7)(2 8 4 6)")
 
 
 @cache
@@ -359,13 +383,16 @@ def dihedral_8() -> FiniteGroup:
 @cache
 def dihedral_8_x_z2() -> FiniteGroup:
     """DH8 x Z2 as <(1234), (24), (56)> in S_6."""
-    return permutation_group([*DIHEDRAL_GENERATORS, "(5 6)"], 6)
+    return permutation_group({**DIHEDRAL_GENERATORS, "z": "(5 6)"}, 6)
 
 
 @cache
 def sixteen_e() -> FiniteGroup:
-    """The nontrivial split extension of DH8 by Z2, in S_8."""
-    return permutation_group(SIXTEEN_E_GENERATORS, 8)
+    """The nontrivial split extension of DH8 by Z2, in S_8, with the
+    central letter "-" = aa."""
+    e16 = permutation_group(SIXTEEN_E_GENERATORS, 8)
+    e16.letters["-"] = e16.word("aa")
+    return e16
 
 
 @cache
@@ -376,8 +403,8 @@ def dicyclic_8() -> FiniteGroup:
 
 @cache
 def dicyclic_8_x_z2() -> FiniteGroup:
-    """DC8 x Z2 in S_10, with the Z2 factor generated by (9 10)."""
-    return permutation_group([*DICYCLIC_GENERATORS, "(9 10)"], 10)
+    """DC8 x Z2 in S_10, with the Z2 factor generated by z = (9 10)."""
+    return permutation_group({**DICYCLIC_GENERATORS, "z": "(9 10)"}, 10)
 
 
 _QUATERNION_TABLE = {
@@ -515,11 +542,6 @@ class GroupMap(NamedTuple):
                         [self.images[m] for m in other.images])
 
 
-def minimal_generating_set(g: FiniteGroup) -> list[int]:
-    """A smallest generating set, elements of higher order tried first."""
-    return list(g._generators)
-
-
 def extend_generator_images(g: FiniteGroup, h: FiniteGroup,
                             gens: Sequence[int],
                             images: Sequence[int]) -> Optional[list[int]]:
@@ -562,7 +584,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[GroupMap]:
         return None
     if g.order_profile() != h.order_profile():
         return None
-    gens = g._generators
+    gens = g.generators
     pools = [[b for b, ob in enumerate(h._orders) if ob == g._orders[a]]
              for a in gens]
     for choice in itertools.product(*pools):

@@ -14,7 +14,7 @@ FiniteGroup objects in the standard element order
 from __future__ import annotations
 
 from functools import cache
-from operator import mul, neg
+from operator import mul
 from typing import Callable, Hashable, Sequence
 
 from .groups import FiniteGroup, GroupError
@@ -29,17 +29,18 @@ _BASE_POSITIONS = range(1, 8)
 
 def cpt_group(c: Hashable, p: Hashable, t: Hashable,
               mul: Callable[[Hashable, Hashable], Hashable],
-              neg: Callable[[Hashable], Hashable], identity: Hashable,
+              minus_one: Hashable, identity: Hashable,
               base_names: Sequence[str]) -> FiniteGroup:
     """The group {±1, ±C, ±P, ±T, ±CP, ±CT, ±PT, ±θ} in the standard order,
-    with `base_names` naming C, P, T, CP, CT, PT, θ.
+    with `base_names` naming C, P, T, CP, CT, PT, θ and -e = minus_one·e.
 
     Raises GroupError if the sixteen named products are not distinct or
     not closed, or if the closure of {C, P, T} is not exactly this set.
     """
     cp = mul(c, p)
     positive = [identity, c, p, t, cp, mul(c, t), mul(p, t), mul(cp, t)]
-    elements = positive + [neg(e) for e in positive[1:]] + [neg(identity)]
+    elements = positive + [mul(minus_one, e) for e in positive[1:]] \
+        + [minus_one]
     labels = ["1", *base_names, *("-" + n for n in base_names), "-1"]
     group = FiniteGroup(elements, mul, labels=labels)
     # the sixteen are closed under the product, since their table exists;
@@ -57,8 +58,8 @@ def build_matrix_group(sol: CptSolutionSet) -> FiniteGroup:
     `Mat4`).  Raises GroupError otherwise."""
     if any(monomial_code(m) is None for m in (sol.C, sol.P, sol.T)):
         raise GroupError("not a monomial unit matrix")
-    return cpt_group(sol.C, sol.P, sol.T, mul, neg, Mat4.identity(),
-                     BASE_NAMES)
+    return cpt_group(sol.C, sol.P, sol.T, mul, -Mat4.identity(),
+                     Mat4.identity(), BASE_NAMES)
 
 
 def base_labels(group: FiniteGroup) -> list[str]:

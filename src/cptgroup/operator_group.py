@@ -12,7 +12,9 @@ the group is realized concretely on pairs (quaternion unit, sign):
 
 multiplied componentwise.  The realization is checked against every
 relation, the closure has order 16, and the group is isomorphic to
-DC8 x Z2 (and to Q x S0) but to neither of the two matrix groups.
+DC8 x Z2 (and to Q x S0) but to neither of the two matrix groups.  Its
+embedding in S10 is the isomorphism onto DC8 x Z2 fixed by C -> z, P -> x,
+T -> y.
 
 The module also implements the consistency criterion that singles out
 one matrix group: compatibility of the one-particle and field pictures
@@ -24,8 +26,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .groups import (DICYCLIC_GENERATORS, FiniteGroup, GroupError,
-                     Permutation, _quat_mul)
+from .groups import (FiniteGroup, GroupError, GroupMap, Permutation,
+                     _quat_mul, dicyclic_8_x_z2, extend_generator_images)
 from .matrix_groups import cpt_group
 from .solver import CptSolutionSet
 
@@ -37,6 +39,7 @@ IDENTITY: Operator = ((1, "1"), 1)
 C_OP: Operator = ((1, "1"), -1)
 P_OP: Operator = ((1, "i"), 1)
 T_OP: Operator = ((1, "j"), 1)
+MINUS_ONE: Operator = ((-1, "1"), 1)
 
 BASE_NAMES = ("C", "P", "T", "C*P", "C*T", "P*T", "Θ")
 
@@ -45,20 +48,14 @@ def op_mul(a: Operator, b: Operator) -> Operator:
     return (_quat_mul(a[0], b[0]), a[1] * b[1])
 
 
-def op_neg(a: Operator) -> Operator:
-    (s, u), eps = a
-    return ((-s, u), eps)
-
-
 def presentation_checks() -> dict[str, bool]:
     """Each defining relation, evaluated in the realization."""
-    m, n = op_mul, op_neg
-    minus_one = n(IDENTITY)
+    m, minus_one = op_mul, MINUS_ONE
     return {
         "P*P = -1": m(P_OP, P_OP) == minus_one,
         "C*C = 1": m(C_OP, C_OP) == IDENTITY,
         "T*T = -1": m(T_OP, T_OP) == minus_one,
-        "T*P = -P*T": m(T_OP, P_OP) == n(m(P_OP, T_OP)),
+        "T*P = -P*T": m(T_OP, P_OP) == m(minus_one, m(P_OP, T_OP)),
         "C*P = P*C": m(C_OP, P_OP) == m(P_OP, C_OP),
         "C*T = T*C": m(C_OP, T_OP) == m(T_OP, C_OP),
         "(-1)*(-1) = 1": m(minus_one, minus_one) == IDENTITY,
@@ -75,38 +72,22 @@ def build_operator_group() -> FiniteGroup:
     failed = [rel for rel, ok in presentation_checks().items() if not ok]
     if failed:
         raise GroupError(f"realization violates relations: {failed}")
-    return cpt_group(C_OP, P_OP, T_OP, op_mul, op_neg, IDENTITY, BASE_NAMES)
-
-
-# -- embeddings into permutation groups ------------------------------------------
-
-# the letters x, y (the dicyclic generators, on 1..8) and z = (9 10)
-_S10_LETTERS = {letter: Permutation.from_cycles(g, 10) for letter, g in
-                zip("xyz", (*DICYCLIC_GENERATORS, "(9 10)"))}
-
-# signed quaternion unit -> word in the dicyclic generators x, y
-_QUAT_TO_DICYCLIC = {
-    (1, "1"): "", (1, "i"): "x", (-1, "1"): "xx", (-1, "i"): "xxx",
-    (1, "j"): "y", (1, "k"): "xy", (-1, "j"): "xxy", (-1, "k"): "xxxy",
-}
-
-
-def s10_word(word: str) -> Permutation:
-    """The permutation in S10 of a word in the letters x, y, z; raises
-    KeyError on any other letter."""
-    perm = Permutation.identity(10)
-    for letter in word:
-        perm = perm * _S10_LETTERS[letter]
-    return perm
+    return cpt_group(C_OP, P_OP, T_OP, op_mul, MINUS_ONE, IDENTITY,
+                     BASE_NAMES)
 
 
 @cache
-def to_s10(e: Operator) -> Permutation:
-    """Image of an operator in S10: the quaternion part acts on 1..8
-    through the dicyclic generators, the sign part through (9 10); built
-    once per operator, so its cycle text is kept with it."""
-    quat, eps = e
-    return s10_word(_QUAT_TO_DICYCLIC[quat] + ("z" if eps == -1 else ""))
+def to_s10() -> tuple[Permutation, ...]:
+    """The images in S10 of the operators, in the group's element order:
+    the map into DC8 x Z2 fixed by C -> z, P -> x, T -> y, computed once per
+    process.  Raises GroupError unless it is an isomorphism."""
+    gt, s10 = build_operator_group(), dicyclic_8_x_z2()
+    images = extend_generator_images(
+        gt, s10, [gt.labels.index(name) for name in "CPT"],
+        [s10.word(letter) for letter in "zxy"])
+    if images is None or not GroupMap(gt, s10, images).is_isomorphism():
+        raise GroupError("C, P, T -> z, x, y extends to no isomorphism")
+    return tuple(s10.elements[i] for i in images)
 
 
 def select_matrix_group(solutions: dict[int, CptSolutionSet]) -> int:

@@ -21,17 +21,16 @@ fail too.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, NamedTuple
 
 from . import claims
-from .groups import (DICYCLIC_GENERATORS, DIHEDRAL_GENERATORS,
-                     SIXTEEN_E_GENERATORS, FiniteGroup, GroupError, GroupMap,
-                     Permutation, ShortExactSequence, dicyclic_8,
-                     dicyclic_8_x_z2, dihedral_8, dihedral_8_x_z2,
-                     conjugation_action, extend_generator_images,
-                     find_isomorphism, klein_four, quaternion_group,
-                     quaternion_x_sign, semidirect_product, sixteen_e)
+from .groups import (FiniteGroup, GroupError, GroupMap, Permutation,
+                     ShortExactSequence, dicyclic_8, dicyclic_8_x_z2,
+                     dihedral_8, dihedral_8_x_z2, conjugation_action,
+                     extend_generator_images, find_isomorphism, klein_four,
+                     quaternion_group, quaternion_x_sign, semidirect_product,
+                     sixteen_e)
 from .matrices import CLASS_SIGNS, Grade, Mat4, RepTag, classify, get_rep
 from .scalars import I, INV_SQRT2, UNITS, Scalar, ZERO
 from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, SolutionSpace,
@@ -106,25 +105,6 @@ class Context:
     dc8xz2 = property(lambda self: dicyclic_8_x_z2())
     q = property(lambda self: quaternion_group())
     qxs0 = property(lambda self: quaternion_x_sign())
-
-    @cached_property
-    def e16_letters(self) -> dict[str, int]:
-        """The letters of the printed words in 16E: its generators a, d, n,
-        the central -1 = aa and the identity 1."""
-        e16 = self.e16
-        letters = {ch: e16.index[Permutation.from_cycles(g, 8)]
-                   for ch, g in zip("adn", SIXTEEN_E_GENERATORS)}
-        letters["-"] = e16.table[letters["a"]][letters["a"]]
-        letters["1"] = e16.identity
-        return letters
-
-    def e16_word(self, word: str) -> int:
-        """The index of the element of 16E that a printed word like "-adn"
-        or "1" names: the product of its `e16_letters`, left to right."""
-        idx = self.e16.identity
-        for ch in word:
-            idx = self.e16.table[idx][self.e16_letters[ch]]
-        return idx
 
 
 def _perm_matches(p: Permutation, printed: str) -> bool:
@@ -346,13 +326,13 @@ def _check_isomorphisms(ctx: Context, report: VerificationReport) -> None:
 def _psi2(ctx: Context) -> GroupMap:
     """ψ⁽²⁾, the printed map (55) from matrix group two onto 16E, read
     from its words."""
-    images = {label: ctx.e16_word(w) for label, w, _, _ in claims.ISO_55}
+    images = {label: ctx.e16.word(w) for label, w, _, _ in claims.ISO_55}
     return GroupMap(ctx.g2, ctx.e16, [images[lbl] for lbl in ctx.g2.labels])
 
 
 def _check_map_55(ctx: Context, report: VerificationReport) -> None:
     def annotations():
-        e16, ev = ctx.e16, ctx.e16_word
+        e16, ev = ctx.e16, ctx.e16.word
         mismatches = []
         for label, word, equalities, printed_cycles in claims.ISO_55:
             idx = ev(word)
@@ -422,9 +402,10 @@ def _semidirect(ses: ShortExactSequence,
 
 
 def _printed_semidirect_map(semi: FiniteGroup, index: dict,
-                            target: FiniteGroup, printed, ev) -> GroupMap:
+                            target: FiniteGroup, printed) -> GroupMap:
     """The printed map from `semi` to `target`: a row ((n, h), value) sends
-    (n, h) there, its words evaluated by `ev`; others go to None."""
+    (n, h) there, each word an element of `target`; others go to None."""
+    ev = target.word
     images = [None] * semi.order
     for (gw, hw), out_w in printed:
         images[index[(ev(gw), ev(hw))]] = ev(out_w)
@@ -438,19 +419,17 @@ def _is_product_map(gm: GroupMap, index: dict) -> bool:
 
 
 def _check_extensions(ctx: Context, report: VerificationReport) -> None:
-    ev = ctx.e16_word
-    # the subgroup ⟨d, n⟩ of 16E, and the position in it of a printed word
-    dn_members = cache(lambda: sorted(ctx.e16.closure_of({ev("d"), ev("n")})))
+    # the subgroup ⟨d, n⟩ of 16E, which keeps the letters 1, -, d, n
+    dn_members = cache(lambda: sorted(ctx.e16.closure_of(
+        map(ctx.e16.word, "dn"))))
     dh8_dn = cache(lambda: ctx.e16.subgroup(dn_members()))
-    dn_word = cache(lambda word: dn_members().index(ev(word)))
 
     def subgroup_dn() -> bool:
         # order 8, dihedral (by the printed d -> (1234), n -> (24)) and
         # normal; the generator images and the isomorphism reject another order
-        dh8_gens = [ctx.dh8.index[Permutation.from_cycles(g, 4)]
-                    for g in DIHEDRAL_GENERATORS]
-        full = extend_generator_images(
-            dh8_dn(), ctx.dh8, [dn_word("d"), dn_word("n")], dh8_gens)
+        full = extend_generator_images(dh8_dn(), ctx.dh8,
+                                       list(map(dh8_dn().word, "dn")),
+                                       list(map(ctx.dh8.word, "dn")))
         return (full is not None
                 and GroupMap(dh8_dn(), ctx.dh8, full).is_isomorphism()
                 and ctx.e16.is_normal(frozenset(dn_members())))
@@ -458,50 +437,46 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     def ses_54() -> bool:
         # sequence (54): DH8 -> DH8 x Z2 -> Z2, split by h -> (1, h)
         g = ctx.dh8xz2
-        ses = _quotient_ses(g, sorted(g.closure_of(
-            g.index[Permutation.from_cycles(p, 6)]
-            for p in DIHEDRAL_GENERATORS)))
-        return _splits(ses, [g.index[Permutation.from_cycles("(5 6)", 6)]])
+        ses = _quotient_ses(g, sorted(g.closure_of(map(g.word, "dn"))))
+        return _splits(ses, [g.word("z")])
 
     # sequences (56): DH8<d,n> -> 16E -> Z2, split by -1 -> adn (or and),
     # and (61): Z4 -> DH8<d,n> -> Z2, split by -1 -> n (or dn)
     ses56 = cache(lambda: _quotient_ses(ctx.e16, dn_members()))
     ses61 = cache(lambda: _quotient_ses(
-        dh8_dn(), sorted(dh8_dn().closure_of({dn_word("d")}))))
+        dh8_dn(), sorted(dh8_dn().closure_of({dh8_dn().word("d")}))))
     # the semidirect reconstructions (57): DH8 x_Φ γ2(Z2) ≅ 16E and (62):
     # Z4 x_Φ γ(Z2) ≅ DH8<d,n>, and the printed map (59): ψ2(g, γ2(h)) =
     # g·γ2(h), entry by entry
-    semi57 = cache(lambda: _semidirect(ses56(), [ctx.e16.identity, ev("adn")]))
-    semi62 = cache(lambda: _semidirect(ses61(),
-                                       [dh8_dn().identity, dn_word("n")]))
+    semi57 = cache(lambda: _semidirect(
+        ses56(), [ctx.e16.identity, ctx.e16.word("adn")]))
+    semi62 = cache(lambda: _semidirect(
+        ses61(), [dh8_dn().identity, dh8_dn().word("n")]))
     gm59 = cache(lambda: _printed_semidirect_map(*semi57(), ctx.e16,
-                                                 claims.ISO_59, ev))
+                                                 claims.ISO_59))
 
     def iso_60() -> bool:
         # printed map (60), into the semidirect product; it is defined as
         # ψ2⁻¹ ∘ ψ⁽²⁾, so rebuild ψ⁽²⁾ and compare
         semi, index = semi57()
         gm60 = GroupMap(ctx.g2, semi, [
-            index[tuple(map(ev, claims.ISO_60[label]))]
+            index[tuple(map(ctx.e16.word, claims.ISO_60[label]))]
             for label in ctx.g2.labels])
         composed = gm59().inverse_map().compose(_psi2(ctx))
         return gm60.is_isomorphism() and composed.images == gm60.images
 
     # sequences (74)/(75): DC8 over ⟨x⟩ and over ⟨x²⟩, exact but provably
     # non-split
-    xy = cache(lambda: [ctx.dc8.index[Permutation.from_cycles(g, 8)]
-                        for g in DICYCLIC_GENERATORS])
-    dc8_over = cache(lambda k: _quotient_ses(
-        ctx.dc8, sorted(ctx.dc8.closure_of({k}))))
-    ses75 = cache(lambda: dc8_over(ctx.dc8.table[xy()[0]][xy()[0]]))
+    dc8_over = cache(lambda word: _quotient_ses(
+        ctx.dc8, sorted(ctx.dc8.closure_of({ctx.dc8.word(word)}))))
 
     def ses_75() -> bool:
         # with the printed isomorphism ρ of the quotient with the Klein group
-        (x, y), dc8, ses, v = xy(), ctx.dc8, ses75(), klein_four()
+        dc8, ses, v = ctx.dc8, dc8_over("xx"), klein_four()
         rho = [None] * 4
-        for k, pair in ((dc8.identity, (0, 0)), (x, (0, 1)), (y, (1, 0)),
-                        (dc8.table[x][y], (1, 1))):
-            rho[ses.projection.images[k]] = v.index[pair]
+        for word, pair in (("1", (0, 0)), ("x", (0, 1)), ("y", (1, 0)),
+                           ("xy", (1, 1))):
+            rho[ses.projection.images[dc8.word(word)]] = v.index[pair]
         return (ses.verify()
                 and GroupMap(ses.quotient_group, v, rho).is_isomorphism()
                 and not ses.sections())
@@ -509,44 +484,45 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     report.add("subgroup-dn-dh8", subgroup_dn)
     report.add("ses-54", ses_54)
     report.add("ses-56", lambda: _splits(
-        ses56(), map(ev, claims.SES_56_SECTIONS)))
+        ses56(), map(ctx.e16.word, claims.SES_56_SECTIONS)))
     report.add("ses-61", lambda: ses61().kernel_group.order == 4
-               and _splits(ses61(), map(dn_word, claims.SES_61_SECTIONS)))
+               and _splits(ses61(),
+                           map(dh8_dn().word, claims.SES_61_SECTIONS)))
     report.add("semidirect-57", lambda: _iso(semi57()[0], ctx.e16))
     report.add("iso-59", lambda: _is_product_map(gm59(), semi57()[1]))
     report.add("iso-60", iso_60)
     report.add("semidirect-62", lambda: _iso(semi62()[0], ctx.dh8))
     report.add("iso-63", lambda: _is_product_map(_printed_semidirect_map(
-        *semi62(), dh8_dn(), claims.ISO_63, dn_word), semi62()[1]))
+        *semi62(), dh8_dn(), claims.ISO_63), semi62()[1]))
     # DH8 facts: center and the quotient structure used in (61)
     report.add("center-dh8", lambda: sorted(
         map(ctx.dh8.element_order, ctx.dh8.center())) == [1, 2])
-    report.add("ses-74-no-split", lambda: dc8_over(xy()[0]).verify()
-               and not dc8_over(xy()[0]).sections())
+    report.add("ses-74-no-split", lambda: dc8_over("x").verify()
+               and not dc8_over("x").sections())
     report.add("ses-75-no-split", ses_75)
     # every subgroup of the dicyclic group is normal
     report.add("hamiltonian-dc8", lambda: all(
         ctx.dc8.is_normal(h) for h in ctx.dc8.subgroups()))
     report.add("quotient-dc8-klein", lambda: _iso(
-        ses75().quotient_group, klein_four()))
+        dc8_over("xx").quotient_group, klein_four()))
 
 
 def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
     def chain():
         # the printed chain (73), column by column
-        gt = ctx.gtheta
+        gt, s10_group = ctx.gtheta, ctx.dc8xz2
         named = dict(zip(gt.labels, gt.elements))
         regular = dict(zip(gt.labels, gt.regular_representation()))
+        images = dict(zip(gt.labels, operator_group.to_s10()))
         diffs = []
         for label, word, (qs, qu, eps), s10, s16 in claims.CHAIN_73:
-            e = named[label]
-            if e != ((qs, qu), eps):
+            if named[label] != ((qs, qu), eps):
                 diffs.append({"element": label, "kind": "quaternion-pair"})
-            perm = operator_group.s10_word(word)
+            perm = s10_group.elements[s10_group.word(word)]
             if not _perm_matches(perm, s10):
                 diffs.append({"element": label, "kind": "word-vs-s10",
                               "printed": s10, "computed": perm.cycle_string()})
-            if not _perm_matches(operator_group.to_s10(e), s10):
+            if not _perm_matches(images[label], s10):
                 diffs.append({"element": label, "kind": "realization-vs-s10"})
             if not _perm_matches(regular[label], s16):
                 diffs.append({"element": label, "kind": "s16",

@@ -12,7 +12,7 @@ from cptgroup.groups import (ClosureCapExceeded, FiniteGroup, GroupError,
                              direct_product,
                              extend_generator_images, find_isomorphism,
                              generate_closure, klein_four,
-                             minimal_generating_set, permutation_group,
+                             permutation_group,
                              quaternion_group, semidirect_product,
                              quaternion_x_sign, sign_group, sixteen_e)
 from cptgroup.verify import Context
@@ -220,7 +220,7 @@ def test_find_isomorphism_is_symmetric_and_verified():
 
 def test_minimal_generating_set_and_word_extension():
     g = dihedral_8()
-    gens = minimal_generating_set(g)
+    gens = g.generators
     assert len(g.closure_of(gens)) == g.order
     images = [gens[0], gens[1]] if len(gens) == 2 else gens
     full = extend_generator_images(g, g, gens, gens)
@@ -233,7 +233,7 @@ def test_rank_four_group_is_generated_and_searched():
     # Z2^4 needs four generators, as many as log2 of its order
     z2 = cyclic(2)
     z2_4 = direct_product(direct_product(z2, z2), direct_product(z2, z2))
-    gens = minimal_generating_set(z2_4)
+    gens = z2_4.generators
     assert len(gens) == 4 and len(z2_4.closure_of(gens)) == 16
     iso = find_isomorphism(z2_4, z2_4)
     assert iso is not None and iso.is_isomorphism()
@@ -241,7 +241,7 @@ def test_rank_four_group_is_generated_and_searched():
 
 def test_trivial_group_is_generated_by_nothing():
     trivial = cyclic(1)
-    assert minimal_generating_set(trivial) == []
+    assert trivial.generators == ()
     iso = find_isomorphism(trivial, trivial)
     assert iso is not None and iso.images == [trivial.identity]
 
@@ -277,7 +277,7 @@ def test_stored_invariants_equal_a_recomputation(name):
         assert g.element_order(i) == k
         assert g.inv(i) == next(j for j in range(g.order)
                                 if g.table[i][j] == g.identity)
-    gens = minimal_generating_set(g)
+    gens = g.generators
     assert len(_generated(g, gens)) == g.order
     assert all(len(_generated(g, smaller)) < g.order
                for smaller in itertools.combinations(range(g.order),
@@ -290,15 +290,73 @@ def test_stored_invariants_equal_a_recomputation(name):
 
 
 def test_returned_lists_are_copies():
+    # the generators are a tuple, so no caller can change them
     g = sixteen_e()
-    gens, perms = minimal_generating_set(g), g.regular_representation()
-    want_gens, want_perms = list(gens), list(perms)
-    gens[0] = g.identity
-    gens.append(g.identity)
+    gens, perms = g.generators, g.regular_representation()
+    want_perms = list(perms)
+    with pytest.raises(TypeError):
+        gens[0] = g.identity
     perms.reverse()
     perms.pop()
-    assert minimal_generating_set(g) == want_gens
+    assert g.generators is gens
     assert g.regular_representation() == want_perms
+
+
+# -- letters of the printed words -----------------------------------------------
+
+
+# each permutation group's printed generators by letter, and its degree
+LETTERED = {
+    dihedral_8: ({"d": "(1 2 3 4)", "n": "(2 4)"}, 4),
+    dihedral_8_x_z2: ({"d": "(1 2 3 4)", "n": "(2 4)", "z": "(5 6)"}, 6),
+    sixteen_e: ({"a": "(1 2 3 4)(5 6 7 8)", "d": "(1 6 3 8)(2 5 4 7)",
+                 "n": "(1 7)(2 8)(3 5)(4 6)"}, 8),
+    dicyclic_8: ({"x": "(1 2 3 4)(5 6 7 8)", "y": "(1 5 3 7)(2 8 4 6)"}, 8),
+    dicyclic_8_x_z2: ({"x": "(1 2 3 4)(5 6 7 8)", "y": "(1 5 3 7)(2 8 4 6)",
+                       "z": "(9 10)"}, 10),
+}
+
+
+@pytest.mark.parametrize("make", LETTERED, ids=lambda make: make.__name__)
+def test_letters_name_exactly_the_printed_generators(make):
+    g = make()
+    printed, degree = LETTERED[make]
+    extra = {"-"} if make is sixteen_e else set()
+    assert set(g.letters) == {"1", *printed, *extra}
+    for ch, text in printed.items():
+        assert g.elements[g.word(ch)] == Permutation.from_cycles(text, degree)
+    assert g.word("1") == g.word("") == g.identity
+
+
+def test_a_word_is_its_letters_multiplied_left_to_right():
+    g = sixteen_e()
+    a, d, n = map(g.word, "adn")
+    assert g.word("adn") == g.table[g.table[a][d]][n]
+    assert g.word("1a1") == a
+
+
+def test_sixteen_e_minus_is_central_of_order_two():
+    g = sixteen_e()
+    minus = g.word("-")
+    assert minus == g.word("aa") and g.element_order(minus) == 2
+    assert minus in g.center()
+
+
+def test_a_subgroup_keeps_the_letters_of_its_members():
+    g = sixteen_e()
+    dn = g.subgroup(g.closure_of([g.word("d"), g.word("n")]))
+    assert dn.order == 8 and set(dn.letters) == {"1", "-", "d", "n"}
+    for ch in dn.letters:
+        assert dn.elements[dn.word(ch)] == g.elements[g.word(ch)]
+    assert dn.word("1") == dn.identity
+    with pytest.raises(KeyError):
+        dn.word("a")
+
+
+def test_unknown_letter_raises_key_error():
+    with pytest.raises(KeyError, match="q"):
+        sixteen_e().word("adq")
+    assert cyclic(3).letters == {"1": 0}
 
 
 # -- short exact sequences -------------------------------------------------------

@@ -89,7 +89,7 @@ def test_cpt_group_requires_c_p_t_to_generate_all_sixteen():
 
     with pytest.raises(GroupError, match="closure"):
         cpt_group((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), add,
-                  lambda a: add(a, (0, 0, 0, 1)), (0, 0, 0, 0), BASE_NAMES)
+                  (0, 0, 0, 1), (0, 0, 0, 0), BASE_NAMES)
 
 
 def test_render_table_layout(groups):

@@ -3,13 +3,13 @@ and the criterion that selects one matrix family."""
 
 import pytest
 
-from cptgroup import claims
+from cptgroup import claims, verify
 from cptgroup.groups import (GroupError, Permutation, dicyclic_8_x_z2,
                              dihedral_8_x_z2, direct_product,
                              find_isomorphism, quaternion_group, sign_group,
                              sixteen_e)
-from cptgroup.operator_group import (C_OP, IDENTITY, P_OP, T_OP,
-                                     build_operator_group, op_mul, op_neg,
+from cptgroup.operator_group import (C_OP, IDENTITY, MINUS_ONE, P_OP, T_OP,
+                                     build_operator_group, op_mul,
                                      presentation_checks, select_matrix_group,
                                      to_s10)
 from cptgroup.solver import canonical_sets
@@ -34,17 +34,19 @@ def test_named_operators_distinct_and_ordered(gtheta):
                              "-C", "-P", "-T", "-C*P", "-C*T", "-P*T", "-Θ",
                              "-1"]
     assert named["C*P"] == op_mul(C_OP, P_OP)
-    assert named["-1"] == op_neg(IDENTITY)
+    assert named["-1"] == MINUS_ONE
+    assert named["-C*P"] == op_mul(MINUS_ONE, named["C*P"])
 
 
 def test_operator_algebra_basics():
-    minus_one = op_neg(IDENTITY)
+    assert MINUS_ONE != IDENTITY
+    assert op_mul(MINUS_ONE, MINUS_ONE) == IDENTITY
     assert op_mul(C_OP, C_OP) == IDENTITY
-    assert op_mul(P_OP, P_OP) == minus_one
-    assert op_mul(T_OP, T_OP) == minus_one
+    assert op_mul(P_OP, P_OP) == MINUS_ONE
+    assert op_mul(T_OP, T_OP) == MINUS_ONE
     # Θ has order 4 here, unlike its order-2 matrix counterpart
     theta = op_mul(op_mul(C_OP, P_OP), T_OP)
-    assert op_mul(theta, theta) == minus_one
+    assert op_mul(theta, theta) == MINUS_ONE
 
 
 def test_table_matches_printed_table(gtheta):
@@ -69,8 +71,8 @@ def test_isomorphism_types(gtheta):
 
 
 def test_s10_embedding_is_a_faithful_homomorphism(gtheta):
-    images = [to_s10(e) for e in gtheta.elements]
-    assert len(set(images)) == 16
+    images = to_s10()
+    assert len(images) == len(set(images)) == 16
     for i in range(16):
         for j in range(16):
             assert images[gtheta.table[i][j]] == images[i] * images[j]
@@ -79,8 +81,39 @@ def test_s10_embedding_is_a_faithful_homomorphism(gtheta):
 
 def test_s10_images_match_printed_chain(gtheta):
     printed = {row[0]: row[3] for row in claims.CHAIN_73}
-    for label, image in zip(gtheta.labels, map(to_s10, gtheta.elements)):
+    for label, image in zip(gtheta.labels, to_s10(), strict=True):
         assert image == Permutation.from_cycles(printed[label], 10)
+    assert to_s10() is to_s10()    # computed once per process
+
+
+@pytest.fixture
+def c_sent_to_x(monkeypatch):
+    # C -> x: x has order 4 and C order 2, so no homomorphism sends C there
+    letters = dicyclic_8_x_z2().letters
+    monkeypatch.setitem(letters, "z", letters["x"])
+    to_s10.cache_clear()
+    yield
+    to_s10.cache_clear()
+
+
+def test_wrong_generator_image_fails_the_s10_map(c_sent_to_x):
+    with pytest.raises(GroupError):
+        to_s10()
+
+
+def test_wrong_generator_image_fails_only_the_chain(pipeline, c_sent_to_x,
+                                                    capsys):
+    # chain-73 reads the map, so it fails with the error; the other 72
+    # claims report as on good data
+    _, good = pipeline
+    _, broken = verify.run_all()
+    assert [s.claim_id for s in broken.sections] == \
+        [s.claim_id for s in good.sections]
+    differ = [b for g, b in zip(good.sections, broken.sections) if g != b]
+    assert [(s.claim_id, s.status) for s in differ] == [("chain-73", "fail")]
+    assert differ[0].details == {"error": "GroupError: C, P, T -> z, x, y "
+                                          "extends to no isomorphism"}
+    assert capsys.readouterr().err.count("Traceback") == 1
 
 
 def test_selection_criterion_picks_variant_two():

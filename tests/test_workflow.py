@@ -30,6 +30,12 @@ def test_tier1_workflow_runs_verify_the_tier1_suite_and_the_oracle_tests():
         assert any(command in run for run in runs), command
 
 
+def test_tier1_workflow_bounds_the_job_run_time():
+    # a hang, such as a closure that never ends, would otherwise hold a
+    # runner for GitHub's 6-hour default
+    assert _workflow()["jobs"]["tests"]["timeout-minutes"] == 20
+
+
 def test_tier1_workflow_records_the_lines_of_each_module():
     runs = {step.get("name"): step.get("run", "")
             for job in _workflow()["jobs"].values() for step in job["steps"]}
