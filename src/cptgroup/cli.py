@@ -62,22 +62,21 @@ def cmd_solve(args) -> int:
     names = []
     for b in space.basis:
         coeffs = rep.basis_expand(b)
-        terms = [f"({coef})·{word}" if str(coef) != "1" else word
+        terms = [f"({coef})·{word}" if coef != 1 else word
                  for coef, word in zip(coeffs, BASIS_NAMES)
                  if not coef.is_zero()]
         names.append(" + ".join(terms))
-    payload = {
-        "symmetry": SYSTEMS[args.symmetry][0],
-        "representation": args.rep,
-        "dimension": space.dimension,
-        "basis": [b.to_json() for b in space.basis],
-        "closed_form_name": names[0] if len(names) == 1 else names,
-    }
+    symmetry = SYSTEMS[args.symmetry][0]
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({
+            "symmetry": symmetry,
+            "representation": args.rep,
+            "dimension": space.dimension,
+            "basis": [b.to_json() for b in space.basis],
+            "closed_form_name": names[0] if len(names) == 1 else names,
+        }, indent=2))
     else:
-        print(f"{payload['symmetry']} in {args.rep}: "
-              f"dimension {space.dimension}")
+        print(f"{symmetry} in {args.rep}: dimension {space.dimension}")
         for b, name in zip(space.basis, names):
             print(f"  basis: {name}")
             for row in b.rows:
@@ -115,22 +114,20 @@ def cmd_identify(args) -> int:
             item["map"] = {group.labels[i]: target.labels[m]
                            for i, m in enumerate(gm.images)}
         checked.append(item)
-    payload = {
-        "group": args.group,
-        "order": group.order,
-        "profile": {str(k): v
-                    for k, v in sorted(group.order_profile().items())},
-        "table": matrix_groups.basic_table(group),
-        "cycles": {lbl: p.cycle_string()
-                   for lbl, p in zip(group.labels,
-                                     group.regular_representation())},
-        "isomorphisms_checked": checked,
-    }
+    profile = {str(k): v for k, v in sorted(group.order_profile().items())}
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({
+            "group": args.group,
+            "order": group.order,
+            "profile": profile,
+            "table": matrix_groups.basic_table(group),
+            "cycles": {lbl: p.cycle_string()
+                       for lbl, p in zip(group.labels,
+                                         group.regular_representation())},
+            "isomorphisms_checked": checked,
+        }, indent=2))
     else:
-        print(f"group {args.group}: order {group.order}, "
-              f"profile {payload['profile']}")
+        print(f"group {args.group}: order {group.order}, profile {profile}")
         for item in checked:
             print(f"  {item['target']}: "
                   f"{'isomorphic' if item['found'] else 'not isomorphic'}")

@@ -517,9 +517,14 @@ class GroupMap(NamedTuple):
     images: list[int]
 
     def is_homomorphism(self) -> bool:
+        """img(i j) = img(i) img(j) for all i, j, one source row i at a
+        time; an image list of the wrong length is no homomorphism."""
         src, tgt, img = self.source, self.target, self.images
-        return all(img[src.table[i][j]] == tgt.table[img[i]][img[j]]
-                   for i in range(src.order) for j in range(src.order))
+        if len(img) != src.order:
+            return False
+        return all(list(map(img.__getitem__, row))
+                   == list(map(tgt.table[m].__getitem__, img))
+                   for row, m in zip(src.table, img))
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)

@@ -25,6 +25,7 @@ forces T* = T — satisfied by the second solution family only.
 from __future__ import annotations
 
 from functools import cache
+from typing import Mapping
 
 from .groups import (FiniteGroup, GroupError, GroupMap, Permutation,
                      _quat_mul, dicyclic_8_x_z2, extend_generator_images)
@@ -90,7 +91,7 @@ def to_s10() -> tuple[Permutation, ...]:
     return tuple(s10.elements[i] for i in images)
 
 
-def select_matrix_group(solutions: dict[int, CptSolutionSet]) -> int:
+def select_matrix_group(solutions: Mapping[int, CptSolutionSet]) -> int:
     """Return the variant whose matrices are consistent with the
     operator relations: TC = C*T (entrywise-conjugated C) and T* = T.
 

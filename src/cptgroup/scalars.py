@@ -165,22 +165,22 @@ class Scalar:
         return f"Scalar({self.p!r}, {self.q!r}, {self.r!r}, {self.s!r})"
 
     def __str__(self) -> str:
-        out = ""
-        for coef, unit in zip((self.p, self.q, self.r, self.s),
-                              ("", "i", "√2", "i√2")):
-            if not coef:
+        out, den = "", self.den
+        for n, unit in zip((self.a, self.b, self.c, self.d),
+                           ("", "i", "√2", "i√2")):
+            if not n:
                 continue
-            mag = abs(coef)
-            text = unit if unit and mag == 1 else f"{mag}{unit}"
+            mag = abs(n)
+            text = unit if unit and mag == den else _ratio(mag, den) + unit
             if out:
-                out += f" {'-' if coef < 0 else '+'} {text}"
+                out += f" {'-' if n < 0 else '+'} {text}"
             else:
-                out = ("-" if coef < 0 else "") + text
+                out = ("-" if n < 0 else "") + text
         return out or "0"
 
     def to_json(self) -> list[str]:
         """The 4-tuple of rational strings ["p","q","r","s"]."""
-        return [str(self.p), str(self.q), str(self.r), str(self.s)]
+        return [_ratio(n, self.den) for n in (self.a, self.b, self.c, self.d)]
 
 
 # zero and the units +-1, +-i, by numerators: each has one shared Scalar
@@ -200,6 +200,12 @@ def _make(a: int, b: int, c: int, d: int, den: int) -> Scalar:
     x = object.__new__(Scalar)
     x.a, x.b, x.c, x.d, x.den = a, b, c, d, den
     return x
+
+
+def _ratio(n: int, den: int) -> str:
+    """n/den for den > 0, printed as `str(Fraction(n, den))` prints it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _rational(x: RationalLike) -> "int | Fraction":

@@ -26,7 +26,8 @@ leaves exactly two families of consistent (C, P, T) triples.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .matrices import (BASIS_WORDS, CLASS_SIGNS, GammaRep, Mat4, RepTag,
                        get_rep, row_reduce, word_product)
@@ -253,14 +254,16 @@ def _classify_variant(c: Mat4, p: Mat4, t: Mat4, rep: GammaRep) -> int:
     raise AssertionError(f"unrecognized square signature {sig}")
 
 
-def canonical_sets() -> dict[int, CptSolutionSet]:
+@cache
+def canonical_sets() -> Mapping[int, CptSolutionSet]:
     """The two plus-sign representative solution sets, one per variant,
     in the standard representation: P = i g0 with C = g2 g0, T = i g3 g1
-    (variant 1) and C = i g2 g0, T = g3 g1 (variant 2)."""
+    (variant 1) and C = i g2 g0, T = g3 g1 (variant 2).  Built once per
+    process and shared, so the mapping is read-only."""
     g = get_rep(RepTag.DIRAC_PAULI).gamma
     c, p, t = g[2] * g[0], g[0].scale(I), g[3] * g[1]
-    return {1: CptSolutionSet(1, C=c, P=p, T=t.scale(I)),
-            2: CptSolutionSet(2, C=c.scale(I), P=p, T=t)}
+    return MappingProxyType({1: CptSolutionSet(1, C=c, P=p, T=t.scale(I)),
+                             2: CptSolutionSet(2, C=c.scale(I), P=p, T=t)})
 
 
 def conjugate_group_matrices(sol: CptSolutionSet, s: Mat4) -> CptSolutionSet:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cptgroup import groups
+from cptgroup import groups, matrix_groups, scalars
 from cptgroup.cli import main
 
 
@@ -153,4 +153,34 @@ def test_group_queries_recompute_nothing_once_warm(monkeypatch, capsys):
     for argv in queries:
         assert main(argv) == 0
     capsys.readouterr()
+    assert calls == []
+
+
+def test_warm_solve_builds_no_fraction(monkeypatch, capsys):
+    queries = [["solve", "--symmetry", "c", "--rep", "dp", "--format", f]
+               for f in ("text", "json")]
+    for argv in queries:
+        main(argv)
+    built = []
+
+    class CountingFraction(scalars.Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(scalars, "Fraction", CountingFraction)
+    for argv in queries:
+        assert main(argv) == 0
+    assert "dimension 1" in capsys.readouterr().out
+    assert built == []
+
+
+def test_warm_identify_text_builds_no_table(monkeypatch, capsys):
+    argv = ["identify", "--group", "g1", "--format", "text"]
+    main(argv)
+    calls = []
+    monkeypatch.setattr(matrix_groups, "basic_table",
+                        lambda group: calls.append(group))
+    assert main(argv) == 0
+    assert "dh8xz2: isomorphic" in capsys.readouterr().out
     assert calls == []

@@ -2,6 +2,7 @@
 and short exact sequences."""
 
 import itertools
+import random
 
 import pytest
 
@@ -208,6 +209,42 @@ def test_groupmap_homomorphism_and_inverse():
     assert not bad.is_homomorphism()
 
 
+def _homomorphic_by_definition(gm: GroupMap) -> bool:
+    s, t, img = gm.source, gm.target, gm.images
+    return all(img[s.table[i][j]] == t.table[img[i]][img[j]]
+               for i in range(s.order) for j in range(s.order))
+
+
+def test_row_wise_homomorphism_check_equals_the_definition():
+    rng = random.Random(20)
+    named = [dihedral_8(), dicyclic_8(), quaternion_group(),
+             dihedral_8_x_z2(), sixteen_e(), dicyclic_8_x_z2(),
+             quaternion_x_sign()]
+    maps = []
+    for s in named:
+        for t in named:
+            maps.append(GroupMap(s, t, [t.identity] * s.order))
+            maps += [GroupMap(s, t, rng.choices(range(t.order), k=s.order))
+                     for _ in range(5)]
+            if s.order == t.order:
+                maps += [GroupMap(s, t, rng.sample(range(t.order), t.order))
+                         for _ in range(5)]
+                found = find_isomorphism(s, t)
+                if found is not None:
+                    maps.append(found)
+    verdicts = [(gm.is_homomorphism(), _homomorphic_by_definition(gm))
+                for gm in maps]
+    assert all(fast == slow for fast, slow in verdicts)
+    bijective = [gm for gm in maps
+                 if sorted(gm.images) == list(range(gm.target.order))]
+    assert any(gm.is_homomorphism() for gm in bijective)
+    assert any(not gm.is_homomorphism() for gm in bijective)
+    # an image list shorter than the source is rejected, not read short
+    g = dihedral_8()
+    short = GroupMap(g, g, list(range(g.order - 1)))
+    assert not short.is_homomorphism() and not short.is_isomorphism()
+
+
 def test_find_isomorphism_is_symmetric_and_verified():
     a, b = sixteen_e(), dihedral_8_x_z2()
     assert find_isomorphism(a, b) is None
@@ -222,9 +259,17 @@ def test_minimal_generating_set_and_word_extension():
     g = dihedral_8()
     gens = g.generators
     assert len(g.closure_of(gens)) == g.order
-    images = [gens[0], gens[1]] if len(gens) == 2 else gens
     full = extend_generator_images(g, g, gens, gens)
     assert full == list(range(g.order))
+    # conjugation by the reflection n, fixed by the generators' images,
+    # extends to an automorphism that moves some element
+    n = g.letters["n"]
+    conj = [g.table[g.table[n][x]][g.inv(n)] for x in gens]
+    full = extend_generator_images(g, g, gens, conj)
+    auto = GroupMap(g, g, full)
+    assert auto.is_isomorphism() and full != list(range(g.order))
+    assert all(full[x] == g.table[g.table[n][x]][g.inv(n)]
+               for x in range(g.order))
     assert extend_generator_images(g, g, gens, [g.identity] * len(gens)) \
         is None
 

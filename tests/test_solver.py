@@ -123,6 +123,15 @@ def test_no_positive_parity_square(rep):
     assert all(p * p != Mat4.identity() for p, _ in compatible_pairs(rep))
 
 
+def test_canonical_sets_are_shared_and_read_only():
+    sols = canonical_sets()
+    assert canonical_sets() is sols and sorted(sols) == [1, 2]
+    with pytest.raises(TypeError):
+        sols[1] = sols[2]
+    with pytest.raises(TypeError):
+        del sols[2]
+
+
 def test_canonical_sets_are_among_enumerated():
     dp = get_rep(RepTag.DIRAC_PAULI)
     found = {(s.variant, s.C, s.P, s.T)
