@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from functools import cache, cached_property
 from typing import (Callable, Hashable, Iterable, NamedTuple, Optional,
                     Sequence)
@@ -118,9 +119,9 @@ class ClosureCapExceeded(GroupError):
 
 class FiniteGroup:
     """A finite group as an element list plus a verified Cayley table.  Its
-    orders, inverses, generators and regular representation are computed
-    once, on first use, and kept.  `letters` names elements by one
-    character each, "1" the identity, for `word` to read."""
+    orders, order profile, inverses, generators and regular representation
+    are computed once, on first use, and kept.  `letters` names elements by
+    one character each, "1" the identity, for `word` to read."""
 
     def __init__(self, elements: Sequence[Hashable],
                  mul: Callable[[Hashable, Hashable], Hashable],
@@ -189,6 +190,10 @@ class FiniteGroup:
             orders.append(k)
         return tuple(orders)
 
+    @cached_property
+    def _profile(self) -> Counter:
+        return Counter(self._orders)
+
     def word(self, text: str) -> int:
         """The index of the product of a word's letters, left to right;
         raises KeyError on a character that is not one of `letters`."""
@@ -204,10 +209,8 @@ class FiniteGroup:
         return self._orders[i]
 
     def order_profile(self) -> dict[int, int]:
-        profile: dict[int, int] = {}
-        for o in self._orders:
-            profile[o] = profile.get(o, 0) + 1
-        return profile
+        """The number of elements of each order, as a new dict."""
+        return dict(self._profile)
 
     # -- structure ----------------------------------------------------------
 
@@ -587,7 +590,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> Optional[GroupMap]:
     isomorphism invariant already differs)."""
     if g.order != h.order:
         return None
-    if g.order_profile() != h.order_profile():
+    if g._profile != h._profile:
         return None
     gens = g.generators
     pools = [[b for b, ob in enumerate(h._orders) if ob == g._orders[a]]

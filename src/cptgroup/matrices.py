@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, cached_property
+from itertools import combinations
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .scalars import I, INV_SQRT2, MINUS_ONE, ONE, UNITS, Scalar, ZERO
-
-_QUARTER = Scalar("1/4")
+from .scalars import (I, INV_SQRT2, MINUS_ONE, ONE, UNITS, Scalar, ZERO,
+                      _make, ring_mul, times_unit)
 
 
 class Mat4:
@@ -57,35 +58,40 @@ class Mat4:
                           for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Mat4":
-        if monomial_code(self) is not None:
-            return self.scale(MINUS_ONE)
-        return _mat(tuple(tuple(-x for x in row) for row in self.rows), None)
+        return self.scale(MINUS_ONE)
 
     def __mul__(self, other: "Mat4") -> "Mat4":
+        """Monomial unit factors compose their codes, or permute and
+        multiply by units the rows (columns) of a dense right (left)
+        factor; two dense factors multiply on their integer numerators,
+        each entry reduced once."""
         a, b = monomial_code(self), monomial_code(other)
         if a is not None and b is not None:
-            return from_code(code_product(a, b))
-        # skip zero entries: a product with a monomial factor has at most
-        # one nonzero term per entry
-        out = []
-        for arow in self.rows:
-            row = [ZERO, ZERO, ZERO, ZERO]
-            for a, brow in zip(arow, other.rows):
-                if a is ZERO:
-                    continue
-                for j, b in enumerate(brow):
-                    if b is not ZERO:
-                        row[j] = row[j] + a * b
-            out.append(tuple(row))
-        return _mat(tuple(out))
+            key = (id(a), id(b))    # codes are interned and never freed
+            m = _PRODUCTS.get(key)
+            if m is None:
+                m = _PRODUCTS[key] = from_code(code_product(a, b))
+            return m
+        if a is not None:   # row r is i**e_r times row cols[r] of the other
+            return _mat(tuple(tuple(times_unit(x, e) for x in other.rows[c])
+                              for c, e in zip(*a)), None)
+        if b is not None:
+            return (other.transpose() * self.transpose()).transpose()
+        (x, m), (y, n) = _numerator_rows(self), _numerator_rows(other)
+        den = m * n
+        return _mat(tuple(tuple(_make(*_dot(row, col), den)
+                                for col in zip(*y)) for row in x))
 
     def scale(self, c) -> "Mat4":
         c = c if isinstance(c, Scalar) else Scalar(c)
         code, e = monomial_code(self), _EXPONENT.get(id(c))
-        if code is not None and e is not None:
+        if e is None:
+            return _mat(tuple(tuple(x if x is ZERO else c * x for x in row)
+                              for row in self.rows))
+        if code is not None:
             return from_code((code[0], tuple((x + e) % 4 for x in code[1])))
-        return _mat(tuple(tuple(x if x is ZERO else c * x for x in row)
-                          for row in self.rows))
+        return _mat(tuple(tuple(times_unit(x, e) for x in row)
+                          for row in self.rows), None)
 
     def transpose(self) -> "Mat4":
         if (code := monomial_code(self)) is not None:
@@ -108,29 +114,32 @@ class Mat4:
         return sum((self.rows[i][i] for i in range(4)), ZERO)
 
     def det(self) -> Scalar:
-        """Determinant by cofactor expansion along the first row."""
-        total = ZERO
-        for j in range(4):
-            a = self.rows[0][j]
-            if a is ZERO:
-                continue
-            minor = [[self.rows[i][k] for k in range(4) if k != j]
-                     for i in range(1, 4)]
-            cof = _det3(minor)
-            total = total + a * cof if j % 2 == 0 else total - a * cof
-        return total
+        """The determinant, expanded along row 0 on the integer numerators
+        n over den: its cofactors come from the 2x2 minors of rows 2, 3."""
+        n, den = _numerator_rows(self)
+        cof = _cofactors(n[1], _minors(n[2], n[3]))
+        return _make(*_dot(n[0], cof), den ** 4)
 
     def inverse(self) -> "Mat4":
-        """The adjoint of a unitary monomial unit matrix, the inverse of any
-        other by Gauss-Jordan elimination of [M | 1]; raises
+        """The adjoint of a unitary monomial unit matrix; else the adjugate
+        over the determinant, as in `det`, from the 2x2 minors of rows
+        0, 1 and of rows 2, 3, each entry reduced once.  Raises
         ZeroDivisionError if singular."""
         if monomial_code(self) is not None:
             return self.dagger()
-        m = [list(row) + list(ident)
-             for row, ident in zip(self.rows, _IDENTITY.rows)]
-        if row_reduce(m, 4) != [0, 1, 2, 3]:
+        n, den = _numerator_rows(self)
+        low, high = _minors(n[2], n[3]), _minors(n[0], n[1])
+        cof = [_cofactors(n[i ^ 1], low if i < 2 else high)
+               for i in range(4)]
+        det = _dot(n[0], cof[0])
+        if not any(det):
             raise ZeroDivisionError("singular matrix")
-        return _mat(tuple(tuple(row[4:]) for row in m))
+        # entry (j, i) is (-1)**i cof[i][j] den / det
+        t = _make(*det, den).inverse()
+        signed = ((t.a, t.b, t.c, t.d), (-t.a, -t.b, -t.c, -t.d))
+        return _mat(tuple(tuple(_make(*ring_mul(cof[i][j], signed[i & 1]),
+                                      t.den) for i in range(4))
+                          for j in range(4)), None)
 
     # -- predicates ----------------------------------------------------------
 
@@ -157,6 +166,79 @@ class Mat4:
 
 
 _UNSCANNED = object()    # the `_code` of a matrix not yet scanned
+
+
+_ZERO4 = (0, 0, 0, 0)    # the numerators of every ZERO
+
+
+def _numerators(xs: Sequence[Scalar]) -> tuple[list[tuple], int]:
+    """The scalars xs as numerator 4-tuples over one common denominator,
+    and that denominator."""
+    den = lcm(*(x.den for x in xs))
+    return [_ZERO4 if x is ZERO else (x.a * k, x.b * k, x.c * k, x.d * k)
+            for x in xs for k in (den // x.den,)], den
+
+
+def _numerator_rows(m: Mat4) -> tuple[list[list[tuple]], int]:
+    """The rows of m as numerator 4-tuples over one denominator, and it."""
+    flat, den = _numerators(sum(m.rows, ()))
+    return [flat[i:i + 4] for i in (0, 4, 8, 12)], den
+
+
+def _dot(xs: Iterable[tuple], ys: Iterable[tuple]) -> tuple:
+    """The sum of the products x y of paired numerator 4-tuples, skipping
+    those with a zero factor."""
+    p = q = r = s = 0
+    for x, y in zip(xs, ys):
+        if x is not _ZERO4 and y is not _ZERO4:
+            a, b, c, d = ring_mul(x, y)
+            p, q, r, s = p + a, q + b, r + c, s + d
+    return p, q, r, s
+
+
+def _minors(x: list[tuple], y: list[tuple]) -> dict[tuple, tuple]:
+    """The 2x2 minors x_j y_k - x_k y_j of two rows of numerators, by
+    ordered column pair (j, k)."""
+    out = {}
+    for j, k in combinations(range(4), 2):
+        (a, b, c, d), (e, f, g, h) = ring_mul(x[j], y[k]), ring_mul(x[k], y[j])
+        out[j, k], out[k, j] = (a - e, b - f, c - g, d - h), (e - a, f - b,
+                                                             g - c, h - d)
+    return out
+
+
+# for each column j, the other three (p, q, r) with (j, p, q, r) even
+_COMPLEMENT = ((1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1))
+
+
+def _cofactors(x: list[tuple], minors: dict) -> list[tuple]:
+    """By column j, the cofactor of row i of the matrix whose row i ^ 1 is
+    x and whose other two rows have the 2x2 `minors`, times (-1)**i: the
+    3x3 minor without column j, expanded along x."""
+    return [_dot((x[p], x[q], x[r]), (minors[q, r], minors[r, p],
+                                      minors[p, q]))
+            for p, q, r in _COMPLEMENT]
+
+
+def _linear_map(rows: list[list[tuple[int, Scalar]]],
+                scale: int = 1) -> tuple:
+    """The linear map whose output r is the sum of x_q u over the pairs
+    (q, u) of rows[r], divided by `scale`, for `_apply`: the u are kept
+    as numerators over one denominator."""
+    nums, den = _numerators([u for row in rows for _, u in row])
+    it = iter(nums)
+    return den * scale, [(tuple(q for q, _ in row),
+                          tuple(next(it) for _ in row)) for row in rows]
+
+
+def _apply(lin: tuple, xs: Sequence[Scalar]) -> list[Scalar]:
+    """The image of the scalars xs under a `_linear_map`, each output
+    reduced once."""
+    den, table = lin
+    nums, d = _numerators(xs)
+    den *= d
+    return [_make(*_dot(map(nums.__getitem__, qs), ns), den)
+            for qs, ns in table]
 
 
 def _mat(rows: tuple[tuple[Scalar, ...], ...], code=_UNSCANNED) -> Mat4:
@@ -198,6 +280,8 @@ def code_product(a: tuple, b: tuple) -> tuple:
 
 
 _BY_CODE: dict[tuple, Mat4] = {}    # at most 4! 4**4 matrices
+# products of monomial unit matrices, by the ids of their two codes
+_PRODUCTS: dict[tuple[int, int], Mat4] = {}
 
 
 def from_code(code: tuple) -> Mat4:
@@ -236,12 +320,6 @@ def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
                            for x, y in zip(row, prow)]
         pivots.append(col)
     return pivots
-
-
-def _det3(m) -> Scalar:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 # -- 2x2 building blocks ----------------------------------------------------
@@ -303,12 +381,19 @@ class GammaRep:
         self.gamma5, self.basis = gamma5, basis
 
     @cached_property
-    def _duals(self) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
-        """The nonzero entries (i, j, u) of each B_k^-1: the basis words
-        are trace-orthogonal, tr(B_j^-1 B_k) = 4 delta_jk."""
-        return tuple(tuple((i, j, x) for i, row in enumerate(b.inverse().rows)
-                           for j, x in enumerate(row) if x is not ZERO)
-                     for b in self.basis)
+    def _maps(self) -> tuple[tuple, tuple]:
+        """The `_linear_map`s of `basis_expand` and `recombine`: c_k =
+        tr(B_k^-1 m) / 4, the sum of B_k^-1[i][j] m[j][i] / 4 over the
+        nonzero entries of B_k^-1, as the words are trace-orthogonal,
+        tr(B_j^-1 B_k) = 4 delta_jk; and entry 4 r + c of sum(c_k B_k),
+        the sum of c_k B_k[r][c] over the words nonzero at (r, c)."""
+        words = [sum(b.rows, ()) for b in self.basis]
+        return (_linear_map([[(4 * j + i, x)
+                              for i, row in enumerate(b.inverse().rows)
+                              for j, x in enumerate(row) if x is not ZERO]
+                             for b in self.basis], 4),
+                _linear_map([[(k, w[p]) for k, w in enumerate(words)
+                              if w[p] is not ZERO] for p in range(16)]))
 
     @cached_property
     def _unit_words(self) -> dict[tuple, tuple[int, Scalar]]:
@@ -322,23 +407,18 @@ class GammaRep:
         """Coefficients c_k with m = sum(c_k * basis_k): the one unit of a
         unit multiple of a monomial basis word, read off its code; else
         c_k = tr(B_k^-1 m) / 4, where only the diagonal of the product is
-        formed, over the nonzero entries of m, and 1/4 is applied once."""
+        formed, on the integer numerators of m, each reduced once."""
         if (hit := self._unit_words.get(monomial_code(m))) is not None:
             out = [ZERO] * 16
             out[hit[0]] = hit[1]
             return out
-        rows = m.rows
-        sums = (sum((u * x for i, j, u in dual
-                     if (x := rows[j][i]) is not ZERO), ZERO)
-                for dual in self._duals)
-        return [ZERO if c is ZERO else c * _QUARTER for c in sums]
+        return _apply(self._maps[0], sum(m.rows, ()))
 
     def recombine(self, coeffs: Sequence[Scalar]) -> Mat4:
-        out = Mat4.zero()
-        for c, b in zip(coeffs, self.basis):
-            if c is not ZERO:
-                out = out + b.scale(c)
-        return out
+        """sum(c_k * basis_k), on integer numerators, each entry reduced
+        once."""
+        out = _apply(self._maps[1], coeffs)
+        return _mat(tuple(tuple(out[i:i + 4]) for i in (0, 4, 8, 12)))
 
     def parity_grade(self, m: Mat4) -> Grade:
         a = self.alpha(m)

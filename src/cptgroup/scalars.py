@@ -66,13 +66,25 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar | int") -> "Scalar":
-        return self + -other
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if other is ZERO:
+            return self
+        if self is ZERO:
+            return -other
+        m, n = self.den, other.den
+        return _make(self.a * n - other.a * m, self.b * n - other.b * m,
+                     self.c * n - other.c * m, self.d * n - other.d * m,
+                     m * n)
 
     def __rsub__(self, other: "Scalar | int") -> "Scalar":
-        return -self + other
+        other = _coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self) -> "Scalar":
-        return _make(-self.a, -self.b, -self.c, -self.d, self.den)
+        return times_unit(self, 2)
 
     def __mul__(self, other: "Scalar | int") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -83,14 +95,9 @@ class Scalar:
             return ZERO
         if self is ONE or other is ONE:
             return other if self is ONE else self
-        # (a + b i + c R + d iR)(e + f i + g R + h iR), R^2 = 2, i^2 = -1
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return _make(a * e - b * f + 2 * (c * g - d * h),
-                     a * f + b * e + 2 * (c * h + d * g),
-                     a * g + c * e - b * h - d * f,
-                     a * h + d * e + b * g + c * f,
-                     self.den * other.den)
+        a, b, c, d = ring_mul((self.a, self.b, self.c, self.d),
+                              (other.a, other.b, other.c, other.d))
+        return _make(a, b, c, d, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -185,6 +192,34 @@ class Scalar:
 
 # zero and the units +-1, +-i, by numerators: each has one shared Scalar
 _SHARED: dict[tuple[int, int, int, int], Scalar] = {}
+
+
+def ring_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two numerators (a, b, c, d) = a + b i + c R + d iR
+    of Z[i, R], R = sqrt 2, as such a 4-tuple: R^2 = 2 and i^2 = -1."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f + 2 * (c * g - d * h),
+            a * f + b * e + 2 * (c * h + d * g),
+            a * g + c * e - b * h - d * f,
+            a * h + d * e + b * g + c * f)
+
+
+def times_unit(x: Scalar, e: int) -> Scalar:
+    """x * i**e, with no gcd: i (a + b i + c R + d iR) = -b + a i - d R + c iR
+    only permutes and negates the numerators, so they stay reduced."""
+    if not e or x is ZERO:
+        return x
+    a, b, c, d, den = x.a, x.b, x.c, x.d, x.den
+    if e & 1:
+        a, b, c, d = -b, a, -d, c
+    if e & 2:
+        a, b, c, d = -a, -b, -c, -d
+    if den == 1:    # no gcd either, and a unit comes back shared
+        return _make(a, b, c, d, 1)
+    y = object.__new__(Scalar)
+    y.a, y.b, y.c, y.d, y.den = a, b, c, d, den
+    return y
 
 
 def _make(a: int, b: int, c: int, d: int, den: int) -> Scalar:

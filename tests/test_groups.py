@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cptgroup import groups
 from cptgroup.groups import (ClosureCapExceeded, FiniteGroup, GroupError,
                              GroupMap, Permutation, ShortExactSequence,
                              conjugation_action, cyclic, dicyclic_8,
@@ -243,6 +244,37 @@ def test_row_wise_homomorphism_check_equals_the_definition():
     g = dihedral_8()
     short = GroupMap(g, g, list(range(g.order - 1)))
     assert not short.is_homomorphism() and not short.is_isomorphism()
+
+
+def test_warm_isomorphism_searches_rebuild_no_order_profile(monkeypatch):
+    # each group counts its element orders once; a search compares the
+    # kept counts, and `order_profile()` still hands out a new dict
+    named = [dihedral_8(), dicyclic_8(), quaternion_group(),
+             dihedral_8_x_z2(), sixteen_e(), dicyclic_8_x_z2(),
+             quaternion_x_sign()]
+    pairs = list(itertools.product(named, repeat=2))
+    want = [find_isomorphism(g, h) for g, h in pairs]
+    kept = [g._profile for g in named]
+    built = []
+
+    class CountingCounter(groups.Counter):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(groups, "Counter", CountingCounter)
+    monkeypatch.setattr(FiniteGroup, "order_profile",
+                        lambda self: built.append(self))
+    for k in range(100):
+        g, h = pairs[k % len(pairs)]
+        found = find_isomorphism(g, h)
+        assert (found is None) == (want[k % len(pairs)] is None)
+    assert not built
+    assert all(g._profile is p for g, p in zip(named, kept))
+    monkeypatch.undo()
+    g = dihedral_8()
+    assert g.order_profile() == {1: 1, 2: 5, 4: 2}
+    assert g.order_profile() is not g.order_profile()
 
 
 def test_find_isomorphism_is_symmetric_and_verified():

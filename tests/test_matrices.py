@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_clifford
+from conftest import random_clifford, random_dense
 
 from cptgroup import matrices
 from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, Grade, Mat4, RepTag,
@@ -158,6 +158,15 @@ def random_dense_mat(rng):
                   for _ in range(4)] for _ in range(4)])
 
 
+def hard_dense_mat(rng):
+    """Every component over its own small prime, so that the common
+    denominator of the entries runs to many digits."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    return Mat4([[Scalar(*(Fraction(rng.randint(-30, 30), rng.choice(primes))
+                           for _ in range(4)))
+                  for _ in range(4)] for _ in range(4)])
+
+
 def test_inverse_of_dense_matrices():
     rng = random.Random(20261018)
     ident = Mat4.identity()
@@ -221,8 +230,11 @@ def test_monomial_code_rejects_every_other_matrix():
     assert all(monomial_code(m) is None for m in others)
 
 
-def test_monomial_inverse_matches_the_adjugate_without_elimination(
+def test_every_inverse_matches_the_adjugate_without_elimination(
         monkeypatch):
+    # row_reduce serves only the kernel solver: a monomial unit matrix
+    # inverts to its adjoint, any other to its adjugate over its
+    # determinant, and a singular one raises before either
     eliminations = []
     row_reduce = matrices.row_reduce
 
@@ -233,20 +245,19 @@ def test_monomial_inverse_matches_the_adjugate_without_elimination(
     monkeypatch.setattr(matrices, "row_reduce", counting)
     rng = random.Random(12)
     ident = Mat4.identity()
-    for _ in range(40):
-        perm = rng.sample(range(4), 4)
-        m = Mat4([[rng.choice(UNITS) if j == perm[i] else ZERO
+    mats = [Mat4([[rng.choice(UNITS) if j == perm[i] else ZERO
                    for j in range(4)] for i in range(4)])
+            for perm in (rng.sample(range(4), 4) for _ in range(40))]
+    mats += [Mat4.identity() + random_dense_mat(rng), random_dense(rng),
+             hard_dense_mat(rng)]
+    for m in mats:
         inv = m.inverse()
         assert inv == reference_inverse(m)
         assert m * inv == ident and inv * m == ident
-    assert not eliminations
-    m = Mat4.identity() + random_dense_mat(rng)
-    assert m.inverse() == reference_inverse(m) and len(eliminations) == 1
     with pytest.raises(ZeroDivisionError):
         Mat4([[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
              ).inverse()
-    assert len(eliminations) == 2
+    assert not eliminations
 
 
 def test_transform_matrices():
@@ -408,3 +419,74 @@ def test_coded_algebra_equals_entrywise_algebra():
     assert from_code(code) is from_code(code)
     assert DP.basis[7] * DP.basis[7] is Mat4.identity()
     assert Context().g1 is Context().g1
+
+
+def triple_loop(a: Mat4, b: Mat4) -> Mat4:
+    """The product by a plain loop of `Scalar` arithmetic."""
+    return entrywise(lambda i, j: sum((a.rows[i][k] * b.rows[k][j]
+                                       for k in range(4)), Scalar(0)))
+
+
+def test_numerator_kernels_match_the_references_on_hard_inputs():
+    # dense products, determinants, inverses and recombination run on
+    # integer numerators over one denominator and reduce each entry once;
+    # the inputs have many distinct denominators, and the inverse of a
+    # dense matrix has entries over denominators of some twenty digits
+    rng = random.Random(2110)
+    dense = [hard_dense_mat(rng) for _ in range(3)] + [random_dense(rng)]
+    dense.append(dense[0].inverse())
+    assert max(x.den for row in dense[-1].rows for x in row) > 10 ** 18
+    words = [get_rep(tag).basis[rng.randrange(16)].scale(rng.choice(UNITS))
+             for tag in RepTag]
+    cycle = Mat4([[0, 0, I, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, -I, 0, 0]])
+    monomials = words + [cycle]
+    assert all(monomial_code(m) is not None for m in monomials)
+    for a in dense:
+        det = a.det()
+        assert det == leibniz_det(a.rows) and type(det) is Scalar
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert inv == reference_inverse(a)
+        for b in dense:
+            ab = a * b
+            assert_canonical(ab)
+            assert ab == triple_loop(a, b)
+            assert ab.det() == det * b.det()
+        for w in monomials:
+            for p, q in ((w, a), (a, w)):
+                got = p * q
+                assert_canonical(got)
+                assert got == triple_loop(p, q)
+                assert (got.det() == p.det() * q.det()
+                        == leibniz_det(got.rows))
+    # a rank-3 dense matrix: its last row a combination of the others
+    a = dense[1]
+    rows = list(a.rows[:3]) + [[x * Scalar(1, 2) - y + z * INV_SQRT2
+                                for x, y, z in zip(*a.rows[:3])]]
+    singular = Mat4(rows)
+    assert singular.det() is ZERO and leibniz_det(singular.rows).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        singular.inverse()
+
+
+def test_recombine_inverts_basis_expand_for_every_basis():
+    rng = random.Random(2111)
+    # a T gate after a seeded Clifford word: some basis words then have
+    # entries other than 0 and the units, and so do their inverses
+    t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
+    clifford_t = _build_rep(None, matrices._kron(t_gate, matrices.ID2)
+                            * random_clifford(random.Random(4)))
+    assert any(monomial_code(b) is None for b in clifford_t.basis)
+    mats = [hard_dense_mat(rng), random_dense(rng), random_dense_mat(rng)]
+    mats += [mats[0].inverse(), Mat4.zero(), DP.basis[9].scale(I)]
+    for rep in [get_rep(tag) for tag in RepTag] + [clifford_t]:
+        for m in mats + [rep.basis[5], rep.s]:
+            coeffs = rep.basis_expand(m)
+            assert all(type(c) is Scalar and (c is ZERO) == c.is_zero()
+                       for c in coeffs)
+            back = rep.recombine(coeffs)
+            assert_canonical(back)
+            assert back == m
+            assert back == entrywise(lambda i, j: sum(
+                (c * b.rows[i][j] for c, b in zip(coeffs, rep.basis)),
+                Scalar(0)))

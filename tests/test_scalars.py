@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cptgroup.matrices import Mat4
-from cptgroup.scalars import (I, INV_SQRT2, MINUS_ONE, ONE, SQRT2, ZERO,
-                              Scalar)
+from cptgroup.scalars import (I, INV_SQRT2, MINUS_ONE, ONE, SQRT2, UNITS,
+                              ZERO, Scalar, times_unit)
 
 
 def random_scalar(rng, zero_ok=True):
@@ -162,6 +162,8 @@ def test_results_are_canonical_and_match_fraction_reference(
         (a, u), (b, v),
         (a + b, tuple(x + y for x, y in zip(u, v))),
         (a - b, tuple(x - y for x, y in zip(u, v))),
+        (3 - a, (3 - p, -q, -r, -s)),
+        (ZERO - a, tuple(-x for x in u)),
         (-a, tuple(-x for x in u)),
         (a * b, _reference_mul(u, v)),
         (a.conjugate(), (p, -q, r, -s)),
@@ -176,6 +178,21 @@ def test_results_are_canonical_and_match_fraction_reference(
         assert _is_canonical(x)
         assert _matches_reference(x, comps)
     assert a - a is ZERO and a * ZERO is ZERO and ZERO * a is ZERO
+
+
+@given(small, small, small, small)
+def test_unit_multiples_permute_the_numerators_without_a_gcd(p, q, r, s):
+    x = Scalar(p, q, r, s)
+    for e, u in enumerate(UNITS):
+        y = times_unit(x, e)
+        assert _is_canonical(y) and y == x * u == u * x
+        assert y.den == x.den
+        assert sorted(map(abs, (y.a, y.b, y.c, y.d))) == sorted(
+            map(abs, (x.a, x.b, x.c, x.d)))
+    assert times_unit(x, 0) is x and times_unit(ZERO, 3) is ZERO
+    # a unit times a unit is the shared unit
+    assert all(times_unit(u, e) is UNITS[(k + e) % 4]
+               for k, u in enumerate(UNITS) for e in range(4))
 
 
 def test_equal_values_built_differently_are_equal_and_hash_equal():
