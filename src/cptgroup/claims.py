@@ -40,6 +40,13 @@ TABLE_44 = [
     ["PT", "-CT", "-CP", "-T", "-P", "C", "1"],
 ]
 
+# the relations (67)-(68) of the operator group, each a pair of equal
+# words in C, P, T and "-" = -1 ("1" is the empty word)
+RELATIONS_67_68 = [
+    ("PP", "-"), ("CC", "1"), ("TT", "-"), ("TP", "-PT"), ("CP", "PC"),
+    ("CT", "TC"), ("--", "1"), ("-C", "C-"), ("-P", "P-"), ("-T", "T-"),
+]
+
 # 7x7 basic multiplication table of the operator group
 TABLE_71 = [
     ["1", "C*P", "C*T", "P", "T", "Θ", "P*T"],

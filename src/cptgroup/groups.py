@@ -1,8 +1,9 @@
 """Finite-group machinery for groups of order <= 16.
 
 Groups are built by closure from generators (matrices, permutations, or
-any hashable elements with an associative product), stored as an element
-list plus a full Cayley table.  Construction always verifies the Latin
+any hashable elements with an associative product; `collector` gives the
+product of a group stated by sign relations), stored as an element list
+plus a full Cayley table.  Construction always verifies the Latin
 square property and associativity by full scan, which is cheap at these
 orders.  On top of the table sit: order profiles, regular representations,
 subgroup/center/quotient computations, semidirect products, short exact
@@ -350,19 +351,38 @@ def generate_closure(generators: Sequence[Hashable],
     return FiniteGroup(elements, mul, labels)
 
 
-def permutation_group(generators: dict[str, str] | Sequence[str],
+def permutation_group(generators: dict[str, str],
                       degree: int) -> FiniteGroup:
-    """The group generated by cycle listings; a dict's keys name its
-    listings in the group's `letters`."""
-    named = generators if isinstance(generators, dict) else {}
-    gens = [Permutation.from_cycles(s, degree)
-            for s in (named.values() if named else generators)]
-    group = generate_closure(gens, lambda a, b: a * b,
+    """The group generated by cycle listings, each keyed by the letter that
+    names it in the group's `letters`."""
+    gens = {ch: Permutation.from_cycles(s, degree)
+            for ch, s in generators.items()}
+    group = generate_closure(list(gens.values()), lambda a, b: a * b,
                              Permutation.identity(degree),
                              labeler=lambda p: p.cycle_string())
-    for ch, g in zip(named, gens):
-        group.letters[ch] = group.index[g]
+    group.letters.update((ch, group.index[g]) for ch, g in gens.items())
     return group
+
+
+def collector(squares: Sequence[int], kappa: Sequence[int]
+              ) -> Callable[[tuple, tuple], tuple]:
+    """The product on normal forms (s, e_1, ..., e_n) = s·g_1^e_1···g_n^e_n,
+    each e_k 0 or 1 and s = ±1 central, where g_k² is the k-th sign in
+    `squares` and g_k·g_j = κ·g_j·g_k for j < k, with the signs κ listed in
+    `kappa` in the pair order (1, 2), (1, 3), ..., (2, 3), ...  Collecting
+    a·b moves each g_j of b left past the g_k of a with k > j, then merges
+    equal generators."""
+    pairs = list(zip(itertools.combinations(range(len(squares)), 2), kappa,
+                     strict=True))
+
+    def mul(a: tuple, b: tuple) -> tuple:
+        s = a[0] * b[0]
+        for k, sq in enumerate(squares, 1):
+            s *= sq if a[k] and b[k] else 1
+        for (j, k), sign in pairs:
+            s *= sign if a[k + 1] and b[j + 1] else 1
+        return (s, *(x ^ y for x, y in zip(a[1:], b[1:])))
+    return mul
 
 
 # -- named groups ----------------------------------------------------------------
@@ -410,34 +430,13 @@ def dicyclic_8_x_z2() -> FiniteGroup:
     return permutation_group({**DICYCLIC_GENERATORS, "z": "(9 10)"}, 10)
 
 
-_QUATERNION_TABLE = {
-    # products of the three imaginary units, row unit times column unit
-    ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-    ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-    ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-}
-
-
-def _quat_mul(a: tuple[int, str], b: tuple[int, str]) -> tuple[int, str]:
-    sa, ua = a
-    sb, ub = b
-    if ua == "1":
-        return (sa * sb, ub)
-    if ub == "1":
-        return (sa * sb, ua)
-    sg, u = _QUATERNION_TABLE[(ua, ub)]
-    return (sa * sb * sg, u)
-
-
 @cache
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group built from the imaginary-unit table."""
-    def label(e):
-        s, u = e
-        return ("" if s > 0 else "-") + u
-
-    return generate_closure([(1, "i"), (1, "j")], _quat_mul, (1, "1"),
-                            labeler=label)
+    """The quaternion group on normal forms s·i^a·j^b, collected with
+    i² = j² = -1 and ji = -ij, labeled by its units 1, i, j, k = ij."""
+    return generate_closure(
+        [(1, 1, 0), (1, 0, 1)], collector((-1, -1), (-1,)), (1, 0, 0),
+        labeler=lambda e: ("-" if e[0] < 0 else "") + "1ijk"[e[1] + 2 * e[2]])
 
 
 def cyclic(n: int) -> FiniteGroup:

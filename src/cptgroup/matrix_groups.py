@@ -33,6 +33,7 @@ def cpt_group(c: Hashable, p: Hashable, t: Hashable,
               base_names: Sequence[str]) -> FiniteGroup:
     """The group {±1, ±C, ±P, ±T, ±CP, ±CT, ±PT, ±θ} in the standard order,
     with `base_names` naming C, P, T, CP, CT, PT, θ and -e = minus_one·e.
+    Its letters C, P, T and "-" name C, P, T and -1.
 
     Raises GroupError if the sixteen named products are not distinct or
     not closed, or if the closure of {C, P, T} is not exactly this set.
@@ -47,6 +48,7 @@ def cpt_group(c: Hashable, p: Hashable, t: Hashable,
     # C, P, T must also generate all of them
     if len(group.closure_of(_BASE_POSITIONS[:3])) != group.order:
         raise GroupError("closure of {C,P,T} differs from the named products")
+    group.letters.update(zip("CPT-", (*_BASE_POSITIONS[:3], group.order - 1)))
     return group
 
 

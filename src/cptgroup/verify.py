@@ -510,13 +510,15 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
 def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
     def chain():
         # the printed chain (73), column by column
-        gt, s10_group = ctx.gtheta, ctx.dc8xz2
-        named = dict(zip(gt.labels, gt.elements))
+        gt, s10_group, q = ctx.gtheta, ctx.dc8xz2, ctx.qxs0
         regular = dict(zip(gt.labels, gt.regular_representation()))
         images = dict(zip(gt.labels, operator_group.to_s10()))
+        pairs = dict(zip(gt.labels, operator_group.isomorphism_from_cpt(
+            q, ("(1,-1)", "(i,1)", "(j,1)"), q.labels.index)))
         diffs = []
         for label, word, (qs, qu, eps), s10, s16 in claims.CHAIN_73:
-            if named[label] != ((qs, qu), eps):
+            printed = f"({'-' if qs < 0 else ''}{qu},{eps})"
+            if q.labels[pairs[label]] != printed:
                 diffs.append({"element": label, "kind": "quaternion-pair"})
             perm = s10_group.elements[s10_group.word(word)]
             if not _perm_matches(perm, s10):
@@ -536,8 +538,9 @@ def _check_operator_group(ctx: Context, report: VerificationReport) -> None:
         return (sel == 2 and t2.conj() == t2 and t1.conj() == -t1,
                 {"selected_variant": sel})
 
-    report.add("relations-67-68",
-               lambda: _all_hold(operator_group.presentation_checks()))
+    report.add("relations-67-68", lambda: _all_hold({
+        f"{lhs} = {rhs}": ctx.gtheta.word(lhs) == ctx.gtheta.word(rhs)
+        for lhs, rhs in claims.RELATIONS_67_68}))
     report.add("group-order-gtheta", lambda: ctx.gtheta.order == 16)
     report.add("table-71", lambda: _table_claim(ctx.gtheta, claims.TABLE_71))
     report.add("profile-gtheta", lambda: _profile_claim(

@@ -165,7 +165,7 @@ def test_semidirect_with_trivial_action_is_direct_product():
     trivial = [list(range(4)), list(range(4))]
     semi = semidirect_product(n, h, trivial)
     assert find_isomorphism(semi, permutation_group(
-        ("(1 2 3 4)", "(5 6)"), 6)) is not None
+        dict(r="(1 2 3 4)", z="(5 6)"), 6)) is not None
     assert find_isomorphism(semi, dihedral_8()) is None
 
 
@@ -281,7 +281,7 @@ def test_find_isomorphism_is_symmetric_and_verified():
     a, b = sixteen_e(), dihedral_8_x_z2()
     assert find_isomorphism(a, b) is None
     assert find_isomorphism(b, a) is None
-    g1 = permutation_group(["(1 2 3 4)", "(2 4)"], 4)
+    g1 = permutation_group(dict(d="(1 2 3 4)", n="(2 4)"), 4)
     iso = find_isomorphism(g1, dihedral_8())
     assert iso is not None and iso.is_isomorphism()
     assert iso.inverse_map().compose(iso).images == list(range(g1.order))

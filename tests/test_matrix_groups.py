@@ -1,9 +1,13 @@
 """The two sixteen-element matrix groups and their printed artifacts."""
 
+import itertools
+
 import pytest
 
 from cptgroup import claims
-from cptgroup.groups import GroupError, Permutation, find_isomorphism
+from cptgroup.groups import (GroupError, Permutation, collector,
+                             find_isomorphism)
+from cptgroup.matrices import Mat4
 from cptgroup.matrix_groups import (BASE_NAMES, basic_table,
                                     build_matrix_group, cpt_group,
                                     render_table)
@@ -90,6 +94,47 @@ def test_cpt_group_requires_c_p_t_to_generate_all_sixteen():
     with pytest.raises(GroupError, match="closure"):
         cpt_group((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), add,
                   (0, 0, 0, 1), (0, 0, 0, 0), BASE_NAMES)
+
+
+def _collected(squares, kappa):
+    """The group on normal forms s·C^a·P^b·T^c with these signs."""
+    return cpt_group((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+                     collector(squares, kappa), (-1, 0, 0, 0), (1, 0, 0, 0),
+                     BASE_NAMES)
+
+
+def _signs(sol: CptSolutionSet):
+    """C², P², T² and κ in CP = κPC, CT = κTC, PT = κTP, read off the
+    matrices as ±1 (None where a product is neither)."""
+    def sign(a, b):
+        return 1 if a == b else -1 if a == -b else None
+
+    c, p, t = sol.C, sol.P, sol.T
+    return (tuple(sign(x * x, Mat4.identity()) for x in (c, p, t)),
+            tuple(sign(x * y, y * x) for x, y in ((c, p), (c, t), (p, t))))
+
+
+def test_collected_signs_give_each_matrix_table(groups):
+    # a second path to each matrix table: collect the words in C, P, T by
+    # the signs the family's matrices obey
+    signs = {v: _signs(sol) for v, sol in canonical_sets().items()}
+    assert signs == {1: ((1, -1, 1), (-1, 1, 1)),
+                     2: ((-1, -1, -1), (-1, 1, 1))}
+    for variant, g in groups.items():
+        assert _collected(*signs[variant]).table == g.table
+
+
+def test_every_sign_choice_but_all_plus_builds_sixteen_elements():
+    # with every sign +1, C, P, T generate Z2^3 and never reach -1
+    built = 0
+    for signs in itertools.product((1, -1), repeat=6):
+        if signs == (1,) * 6:
+            with pytest.raises(GroupError, match="closure"):
+                _collected(signs[:3], signs[3:])
+        else:
+            assert _collected(signs[:3], signs[3:]).order == 16
+            built += 1
+    assert built == 63
 
 
 def test_render_table_layout(groups):

@@ -1,17 +1,15 @@
-"""The sixteen-element operator group, its realization, its embeddings,
-and the criterion that selects one matrix family."""
+"""The sixteen-element operator group, collected from its sign relations,
+its embeddings, and the criterion that selects one matrix family."""
 
 import pytest
 
-from cptgroup import claims, verify
+from cptgroup import claims, operator_group, verify
 from cptgroup.groups import (GroupError, Permutation, dicyclic_8_x_z2,
                              dihedral_8_x_z2, direct_product,
                              find_isomorphism, quaternion_group, sign_group,
                              sixteen_e)
-from cptgroup.operator_group import (C_OP, IDENTITY, MINUS_ONE, P_OP, T_OP,
-                                     build_operator_group, op_mul,
-                                     presentation_checks, select_matrix_group,
-                                     to_s10)
+from cptgroup.operator_group import (build_operator_group,
+                                     select_matrix_group, to_s10)
 from cptgroup.solver import canonical_sets
 
 
@@ -20,10 +18,15 @@ def gtheta():
     return build_operator_group()
 
 
-def test_presentation_relations_all_hold():
-    checks = presentation_checks()
-    assert checks and all(checks.values()), \
-        [k for k, v in checks.items() if not v]
+def test_presentation_relations_all_hold(gtheta):
+    # C² = 1, P² = T² = -1, C commutes with P and T, TP = -PT, and -1 is
+    # central of order 2
+    w = gtheta.word
+    assert w("CC") == w("1") and w("PP") == w("TT") == w("-") != w("1")
+    assert w("TP") == w("-PT") != w("PT")
+    assert w("CP") == w("PC") and w("CT") == w("TC") and w("--") == w("1")
+    assert all(w("-" + x) == w(x + "-") for x in "CPT")
+    assert all(w(lhs) == w(rhs) for lhs, rhs in claims.RELATIONS_67_68)
 
 
 def test_named_operators_distinct_and_ordered(gtheta):
@@ -33,20 +36,16 @@ def test_named_operators_distinct_and_ordered(gtheta):
     assert gtheta.labels == ["1", "C", "P", "T", "C*P", "C*T", "P*T", "Θ",
                              "-C", "-P", "-T", "-C*P", "-C*T", "-P*T", "-Θ",
                              "-1"]
-    assert named["C*P"] == op_mul(C_OP, P_OP)
-    assert named["-1"] == MINUS_ONE
-    assert named["-C*P"] == op_mul(MINUS_ONE, named["C*P"])
+    for label, word in (("C*P", "CP"), ("-1", "-"), ("-C*P", "-CP"),
+                        ("Θ", "CPT"), ("-P*T", "TP")):
+        assert named[label] == gtheta.elements[gtheta.word(word)]
 
 
-def test_operator_algebra_basics():
-    assert MINUS_ONE != IDENTITY
-    assert op_mul(MINUS_ONE, MINUS_ONE) == IDENTITY
-    assert op_mul(C_OP, C_OP) == IDENTITY
-    assert op_mul(P_OP, P_OP) == MINUS_ONE
-    assert op_mul(T_OP, T_OP) == MINUS_ONE
+def test_operator_algebra_basics(gtheta):
     # Θ has order 4 here, unlike its order-2 matrix counterpart
-    theta = op_mul(op_mul(C_OP, P_OP), T_OP)
-    assert op_mul(theta, theta) == MINUS_ONE
+    w = gtheta.word
+    assert gtheta.element_order(w("CPT")) == 4
+    assert w("CPTCPT") == w("-") and w("CPT" * 4) == w("1")
 
 
 def test_table_matches_printed_table(gtheta):
@@ -114,6 +113,55 @@ def test_wrong_generator_image_fails_only_the_chain(pipeline, c_sent_to_x,
     assert differ[0].details == {"error": "GroupError: C, P, T -> z, x, y "
                                           "extends to no isomorphism"}
     assert capsys.readouterr().err.count("Traceback") == 1
+
+
+# the signs of C², P², T² and of κ in CP = κPC, CT = κTC, PT = κTP that
+# the matrices of each canonical family obey
+FAMILY_SIGNS = {1: ((1, -1, 1), (-1, 1, 1)), 2: ((-1, -1, -1), (-1, 1, 1))}
+GTHETA_CLAIMS = {"relations-67-68", "table-71", "profile-gtheta", "iso-72",
+                 "iso-gtheta-qxs0", "chain-73"}
+
+
+@pytest.mark.parametrize("variant", FAMILY_SIGNS)
+def test_a_matrix_family_s_signs_fail_the_operator_group_claims(
+        pipeline, monkeypatch, capsys, variant):
+    # with the signs of a matrix family, the collected group is that
+    # family's group: the claims that tell G_Θ from it fail, and the
+    # other claims report as on good data
+    _, good = pipeline
+    squares, kappa = FAMILY_SIGNS[variant]
+    monkeypatch.setattr(operator_group, "SQUARES", squares)
+    monkeypatch.setattr(operator_group, "KAPPA", kappa)
+    build_operator_group.cache_clear()
+    to_s10.cache_clear()
+    try:
+        _, broken = verify.run_all()
+    finally:
+        build_operator_group.cache_clear()
+        to_s10.cache_clear()
+    assert [s.claim_id for s in broken.sections] == \
+        [s.claim_id for s in good.sections]
+    differ = {b.claim_id for g, b in zip(good.sections, broken.sections)
+              if g != b}
+    assert differ == GTHETA_CLAIMS | {f"noniso-gtheta-g{variant}"}
+    assert all(s.status == "fail" for s in broken.sections
+               if s.claim_id in differ)
+    # only chain-73 raises: C, P, T extend to no isomorphism onto DC8 x Z2
+    assert capsys.readouterr().err.count("Traceback") == 1
+
+
+def test_wrong_quaternion_pair_fails_the_chain(ctx, monkeypatch):
+    # P printed as (j, 1): its image under C, P, T -> (1,-1), (i,1), (j,1)
+    # in Q x S0 is (i, 1)
+    rows = [(label, word, (1, "j", 1) if label == "P" else pair, s10, s16)
+            for label, word, pair, s10, s16 in claims.CHAIN_73]
+    monkeypatch.setattr(claims, "CHAIN_73", rows)
+    report = verify.VerificationReport()
+    verify._check_operator_group(ctx, report)
+    chain = next(s for s in report.sections if s.claim_id == "chain-73")
+    assert chain.status == "fail"
+    assert chain.details == {"diffs": [{"element": "P",
+                                        "kind": "quaternion-pair"}]}
 
 
 def test_selection_criterion_picks_variant_two():

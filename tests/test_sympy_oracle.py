@@ -1,11 +1,15 @@
-"""An independent oracle: sympy's exact linear algebra over Q(i, √2).
+"""An independent oracle: sympy's exact linear algebra over Q(i, √2), and
+its coset enumeration.
 
 The kernels, determinants and inverses computed by `cptgroup` are checked
 against sympy, which shares no arithmetic with `cptgroup.scalars`.  Each
 constraint system is rebuilt here straight from its matrices, as
 equations in the sixteen entries of the unknown matrix X, without going
 through the Clifford basis; the Clifford-basis expansion itself is checked
-against sympy's inverse of each representation's basis system.
+against sympy's inverse of each representation's basis system.  The order
+of the group that the operator group's sign relations present is found by
+sympy's Todd-Coxeter enumeration, which shares no code with
+`cptgroup.groups`.
 """
 
 import random
@@ -17,6 +21,10 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from sympy.combinatorics.fp_groups import FpGroup  # noqa: E402
+from sympy.combinatorics.free_groups import free_group  # noqa: E402
+
+from cptgroup import operator_group  # noqa: E402
 from cptgroup.matrices import Mat4, RepTag, get_rep  # noqa: E402
 from cptgroup.solver import (SYSTEMS, ConstraintSystem,  # noqa: E402
                              Relation, canonical_sets, constraint_system,
@@ -158,3 +166,18 @@ def test_basis_expand_agrees_with_sympy():
         want = _entries(rep.basis).inv().matmul(targets).to_list()
         got = [[_entry(c) for c in rep.basis_expand(m)] for m in matrices]
         assert [list(col) for col in zip(*got)] == want
+
+
+def test_sign_relations_present_a_group_of_order_sixteen():
+    # ⟨c, p, t, z | x² = z^e, xy = z^e·yx, z central of order 2⟩ with the
+    # operator group's signs: the collected group has sixteen elements and
+    # obeys these relations, so with order 16 here it is the presented group
+    free, c, p, t, z = free_group("c p t z")
+    gens = (c, p, t)
+    power = {1: free.identity, -1: z}
+    relators = [z**2] + [z * x * z**-1 * x**-1 for x in gens]
+    relators += [x**2 * power[sq]**-1
+                 for x, sq in zip(gens, operator_group.SQUARES)]
+    relators += [x * y * x**-1 * y**-1 * power[k]**-1 for (x, y), k in zip(
+        ((c, p), (c, t), (p, t)), operator_group.KAPPA)]
+    assert FpGroup(free, relators).order() == 16

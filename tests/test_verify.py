@@ -98,6 +98,9 @@ def _iso_55_with(label, word=None, cycles=None):
 MUTATIONS = [
     ("TABLE_43", lambda t: _cell(t, 0, 0, "-1"), "matrix_groups", "table-43"),
     ("TABLE_44", lambda t: _cell(t, 0, 0, "1"), "matrix_groups", "table-44"),
+    ("RELATIONS_67_68", lambda rs: [("TP", "PT") if r == ("TP", "-PT")
+                                    else r for r in rs], "operator_group",
+     "relations-67-68"),
     ("TABLE_71", lambda t: _cell(t, 0, 0, "-1"), "operator_group",
      "table-71"),
     ("CYCLES_45", lambda c: {**c, "C": c["T"]}, "matrix_groups", "cycles-45"),
@@ -300,7 +303,7 @@ def test_each_dataset_fails_only_its_readers(pipeline, monkeypatch, dataset):
 
 
 def test_claims_cover_every_dataset():
-    assert len(DATASETS) == 26
+    assert len(DATASETS) == 27
     assert {m[0] for m in MUTATIONS} == set(DATASETS)
 
 
@@ -317,6 +320,8 @@ UNKNOWN_LETTER = {
     "SES_61_SECTIONS": (lambda xs: _entry(xs, 1, "q"), {"ses-61"}),
     "CHAIN_73": (lambda rows: _entry(rows, 2, (rows[2][0], "xq",
                                                *rows[2][2:])), {"chain-73"}),
+    "RELATIONS_67_68": (lambda rs: _entry(rs, 0, ("Pq", "-")),
+                        {"relations-67-68"}),
 }
 
 

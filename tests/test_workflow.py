@@ -80,3 +80,5 @@ def test_tier1_workflow_times_every_verify_stage_in_a_traced_run():
     assert 'out["correct"]' in step and "> 0" in step
     assert "from tracer import STAGES" in step
     assert 'f"verify.stage.{s}.total_s"' in step
+    # the tracer counts the operator group's build under this name only
+    assert '"operator_group.build_operator_group.calls"' in step
