@@ -367,18 +367,21 @@ class RepTag(Enum):
 
 
 class GammaRep:
-    """A gamma-matrix presentation gamma_mu = s g_mu s† of the standard
-    g_mu, plus derived structure, immutable by convention.
-
-    `basis` is the canonical 16-element basis of the full matrix algebra,
-    in the fixed `BASIS_WORDS` order.
+    """The gamma-matrix presentation gamma_mu = s g_mu s† of the standard
+    g_mu, for a unitary change of basis s, immutable by convention: its
+    gammas, gamma_5 and `basis`, the canonical 16-element basis of the
+    full matrix algebra in the fixed `BASIS_WORDS` order, all follow
+    from s.  Raises ValueError if s is not unitary.
     """
 
-    def __init__(self, tag: RepTag | None, s: Mat4,
-                 gamma: tuple[Mat4, Mat4, Mat4, Mat4], gamma5: Mat4,
-                 basis: tuple[Mat4, ...]) -> None:
-        self.tag, self.s, self.gamma = tag, s, gamma
-        self.gamma5, self.basis = gamma5, basis
+    def __init__(self, s: Mat4) -> None:
+        sd = s.dagger()
+        if s * sd != Mat4.identity():
+            raise ValueError("change of basis must be unitary")
+        self.s = s
+        self.gamma = g = tuple(s * x * sd for x in _STANDARD_GAMMA)
+        self.basis = tuple(word_product(g, w) for w in BASIS_WORDS)
+        self.gamma5 = self.basis[-1].scale(-I)
 
     @cached_property
     def _maps(self) -> tuple[tuple, tuple]:
@@ -449,18 +452,6 @@ _STANDARD_GAMMA = (_kron(SIGMA3, ID2),
                      for s in (SIGMA1, SIGMA2, SIGMA3)))
 
 
-def _build_rep(tag: RepTag | None, s: Mat4) -> GammaRep:
-    """The presentation with the change of basis s, which must be unitary;
-    `tag` names it, if it has a name."""
-    sd = s.dagger()
-    if s * sd != Mat4.identity():
-        raise ValueError("change of basis must be unitary")
-    g = tuple(s * x * sd for x in _STANDARD_GAMMA)
-    gamma5 = (g[0] * g[1] * g[2] * g[3]).scale(-I)
-    basis = tuple(word_product(g, w) for w in BASIS_WORDS)
-    return GammaRep(tag, s, g, gamma5, basis)
-
-
 def word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
     """The product of the gammas g[k] for k in `word`, in order."""
     out = Mat4.identity()
@@ -477,34 +468,29 @@ def get_rep(tag: RepTag) -> GammaRep:
     or S_M = (gamma_2 gamma_0 + gamma_0)/sqrt 2 (Majorana), in standard
     gamma matrices."""
     if tag is RepTag.DIRAC_PAULI:
-        return _build_rep(tag, Mat4.identity())
+        return GammaRep(Mat4.identity())
     dp = get_rep(RepTag.DIRAC_PAULI)
     g0 = dp.gamma[0]
     s = g0 - dp.gamma5 if tag is RepTag.WEYL else dp.gamma[2] * g0 + g0
-    return _build_rep(tag, s.scale(INV_SQRT2))
+    return GammaRep(s.scale(INV_SQRT2))
 
 
 # -- matrix classification -----------------------------------------------------
 
 class MatrixClass(NamedTuple):
-    unitary: bool
+    """The signs s with M† = sM, M^-1 = sM, M~ = sM and M* = sM, each 0
+    where neither sign holds, and whether det M = 1 and tr M = 0."""
+
+    signs: tuple[int, int, int, int]
     unimodular: bool
     traceless: bool
-    hermitian: bool
-    antihermitian: bool
-    symmetric: bool
-    antisymmetric: bool
-    real_entries: bool
-    imaginary_entries: bool
 
     def in_class(self, name: str) -> bool:
-        """Membership of class K, M or N: traceless, unitary and unimodular,
-        with the adjoint and transpose signs of `CLASS_SIGNS[name]`."""
-        adjoint, _, transpose, _ = CLASS_SIGNS[name]
-        return (self.traceless and self.unitary and self.unimodular
-                and (self.hermitian if adjoint == 1 else self.antihermitian)
-                and (self.symmetric if transpose == 1
-                     else self.antisymmetric))
+        """Membership of class K, M or N: unimodular, traceless, and with
+        the signs `CLASS_SIGNS[name]`, whose equal adjoint and inverse
+        signs make it unitary."""
+        return (self.unimodular and self.traceless
+                and self.signs == CLASS_SIGNS[name])
 
 
 # the signs s with M† = sM, M^-1 = sM, M~ = sM and M* = sM shared by the
@@ -514,18 +500,14 @@ CLASS_SIGNS = {"K": (1, 1, -1, -1), "M": (-1, -1, 1, -1),
                "N": (-1, -1, -1, 1)}
 
 
+def _sign(x: Mat4, m: Mat4) -> int:
+    """1 if x = m, -1 if x = -m, else 0."""
+    return 1 if x == m else -1 if x == -m else 0
+
+
 def classify(m: Mat4) -> MatrixClass:
-    ident = Mat4.identity()
-    t = m.transpose()
-    d = m.dagger()
+    """The class signs of m, the inverse sign read off M M = +-1."""
     return MatrixClass(
-        unitary=(m * d == ident),
-        unimodular=(m.det() == ONE),
-        traceless=m.trace().is_zero(),
-        hermitian=(d == m),
-        antihermitian=(d == -m),
-        symmetric=(t == m),
-        antisymmetric=(t == -m),
-        real_entries=all(x.is_real() for row in m.rows for x in row),
-        imaginary_entries=all(x.is_imaginary() for row in m.rows for x in row),
-    )
+        (_sign(m.dagger(), m), _sign(m * m, Mat4.identity()),
+         _sign(m.transpose(), m), _sign(m.conj(), m)),
+        unimodular=m.det() == ONE, traceless=m.trace().is_zero())

@@ -107,9 +107,6 @@ class Scalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other: "Scalar | int") -> "Scalar":
-        return self.inverse() * other
-
     # -- field structure -----------------------------------------------
 
     def conjugate(self) -> "Scalar":
@@ -266,5 +263,4 @@ ZERO, ONE, MINUS_ONE, I = (Scalar(p, q) for p, q in
 # the units i**e for e = 0..3
 UNITS = (ONE, I, MINUS_ONE, -I)
 _SHARED.update(((x.a, x.b, 0, 0), x) for x in (ZERO, *UNITS))
-SQRT2 = Scalar(0, 0, 1)
 INV_SQRT2 = Scalar(0, 0, Fraction(1, 2))

@@ -8,19 +8,22 @@ on an unknown 4x4 matrix X:
     time reversal:      X g0 = g0 X,      X gk* = -gk X  (k = 1, 2, 3)
 
 The conjugated/transposed gamma matrices are fixed matrices in a given
-representation, so each condition is linear over Q(i, sqrt(2)).  Where
-each twisted gamma is +-itself, f(gmu) = e_mu gmu, and the gammas
-anticommute, the basis word B_w obeys B_w gmu = sigma_wmu gmu B_w with
-sigma_wmu = (-1)^(|w| - [mu in w]), so each relation sends B_w to
-(e_mu - s_mu sigma_wmu) B_w gmu.  The B_w gmu are independent and no two
-words share their signs, so the kernel is the one word with
-sigma_wmu = e_mu s_mu: a line.  Other systems are solved by exact
+representation, so each condition is linear over Q(i, sqrt(2)).  Every
+representation conjugates the standard gammas, so they anticommute, and
+the basis word B_w obeys B_w gmu = sigma_wmu gmu B_w with sigma_wmu =
+(-1)^(|w| - [mu in w]).  Where each twisted gamma is +-itself, f(gmu) =
+e_mu gmu, each relation sends B_w to (e_mu - s_mu sigma_wmu) B_w gmu.
+The B_w gmu are independent and no two words share their signs, so the
+kernel is the one word with sigma_wmu = e_mu s_mu: a line.  Where some
+twisted gamma is not, as in a T x 1 basis, the system is solved by exact
 Gauss-Jordan elimination.  Sweeping the remaining unit scalar multiplier
 and imposing the two cross-compatibility conditions
 
     C (P^-1)^T C^-1 = P        and        C T* = T C*
 
-leaves exactly two families of consistent (C, P, T) triples.
+leaves exactly two families of consistent (C, P, T) triples.  A change
+of spinor basis S carries P to S P S† and C and T to S X S~ (see
+`transport`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .matrices import (BASIS_WORDS, CLASS_SIGNS, GammaRep, Mat4, RepTag,
-                       get_rep, row_reduce, word_product)
+                       _sign, classify, get_rep, row_reduce, word_product)
 from .scalars import I, ONE, UNITS, Scalar, ZERO
 
 
@@ -132,20 +135,15 @@ def kernel(symmetry: str, rep: GammaRep) -> SolutionSpace:
     """The kernel of the `SYSTEMS[symmetry]` system in `rep`, found once.
     It is keyed on the name and the shared, immutable rep, not on the
     system: solving a fresh system with `solve_system` fills no cache.
-    Where the module docstring's conditions hold, it is the word in
-    `rep.gamma` whose commutation signs match; `solve_system` finds any
-    other."""
+    Where each twisted gamma is +-itself, it is the word in `rep.gamma`
+    whose commutation signs match; `solve_system` eliminates any other."""
     system = constraint_system(symmetry, rep)
-    signs = [r.sign * (1 if r.right == r.left else
-                       -1 if r.right == -r.left else 0)
-             for r in system.relations]
-    g = rep.gamma
-    if 0 in signs or any(g[m] * g[n] != -(g[n] * g[m])
-                         for m in range(4) for n in range(m)):
+    signs = [r.sign * _sign(r.right, r.left) for r in system.relations]
+    if 0 in signs:
         return solve_system(system, rep)
-    word = word_product(g, next(w for w in BASIS_WORDS
-                                if all((-1) ** (len(w) - (mu in w)) == sign
-                                       for mu, sign in enumerate(signs))))
+    word = word_product(rep.gamma, next(
+        w for w in BASIS_WORDS if all((-1) ** (len(w) - (mu in w)) == sign
+                                      for mu, sign in enumerate(signs))))
     if not system.satisfied_by(word):
         raise AssertionError("kernel element fails a relation")
     return SolutionSpace((word,))
@@ -283,9 +281,11 @@ def transport(sol: CptSolutionSet, src: GammaRep,
     """Covariant transport of a consistent set from presentation `src` to
     `dst`, under the change of spinor basis psi -> S psi, S = dst.s src.s†.
 
-    P conjugates plainly; the C and T equations each involve one complex
-    conjugation of the field, so their matrices pick up a transposed
-    factor:  C' = S C g0 S~ g0'^-1  and  T' = S T S~.
+    Each symmetry's relations X f(g) = s_mu g X, g = gmu, move to
+    g' = S g S†.  For f = id, X' = S X S† solves them: X' g' = S X g S†
+    = s_mu g' X'.  For f the transpose or conj, f(g') = S* f(g) S~, and
+    S~ S* = (S† S)* = 1, so X' = S X S~ does: X' f(g') = S X f(g) S~ =
+    s_mu g' X'.  Hence P' = S P S†, C' = S C S~ and T' = S T S~.
     """
     if src is dst:
         return sol
@@ -295,17 +295,17 @@ def transport(sol: CptSolutionSet, src: GammaRep,
 
 @cache
 def _change(src: GammaRep, dst: GammaRep) -> tuple[Mat4, ...]:
-    """S = dst.s src.s†, S†, S~ and dst's g0^-1, found once per pair."""
+    """S = dst.s src.s†, S† and S~, found once per pair."""
     s = dst.s * src.s.dagger()
-    return s, s.dagger(), s.transpose(), dst.gamma[0].inverse()
+    return s, s.dagger(), s.transpose()
 
 
 @cache
 def _transport(c: Mat4, p: Mat4, t: Mat4, src: GammaRep,
                dst: GammaRep) -> tuple[Mat4, ...]:
     """C', P', T' of `transport`, found once per set and pair of reps."""
-    s, sd, st, g0_inv = _change(src, dst)
-    return s * (c * src.gamma[0]) * st * g0_inv, s * p * sd, s * t * st
+    s, sd, st = _change(src, dst)
+    return s * c * st, s * p * sd, s * t * st
 
 
 # -- per-solution property report ------------------------------------------------
@@ -313,21 +313,19 @@ def _transport(c: Mat4, p: Mat4, t: Mat4, src: GammaRep,
 
 def verify_solution_properties(sol: CptSolutionSet) -> dict[str, bool]:
     """Exact checks of every identity claimed for a consistent set: each
-    matrix has the `CLASS_SIGNS` of its class in `CLASSES`.  Equal
-    adjoint and inverse signs make it unitary, and a conjugate sign of +1
-    makes its entries real, so class membership needs no second check."""
+    matrix has the `classify` signs, determinant and trace of its class
+    in `CLASSES`."""
     ident = Mat4.identity()
     named = sol.named()
     checks = {"squares": sol.squares() == SQUARE_SIGNATURES[sol.variant]}
     for name, m in named.items():
-        kind = CLASSES[sol.variant][name]
-        signs = CLASS_SIGNS[kind]
-        images = (m.dagger(), m.inverse(), m.transpose(), m.conj())
-        for op, image, sign in zip(("adjoint", "inverse", "transpose",
-                                    "conjugate"), images, signs):
-            checks[f"{name}_{op}"] = image == (m if sign == 1 else -m)
-        checks[f"{name}_unimodular"] = m.det() == ONE
-        checks[f"{name}_traceless"] = m.trace().is_zero()
+        found = classify(m)
+        for op, got, want in zip(("adjoint", "inverse", "transpose",
+                                  "conjugate"), found.signs,
+                                 CLASS_SIGNS[CLASSES[sol.variant][name]]):
+            checks[f"{name}_{op}"] = got == want
+        checks[f"{name}_unimodular"] = found.unimodular
+        checks[f"{name}_traceless"] = found.traceless
 
     c, p, t, theta = named.values()
     checks["CCstar"] = c * c.conj() == -ident

@@ -31,7 +31,7 @@ from .groups import (FiniteGroup, GroupError, GroupMap, Permutation,
                      extend_generator_images, find_isomorphism, klein_four,
                      quaternion_group, quaternion_x_sign, semidirect_product,
                      sixteen_e)
-from .matrices import CLASS_SIGNS, Grade, Mat4, RepTag, classify, get_rep
+from .matrices import Grade, Mat4, RepTag, classify, get_rep
 from .scalars import I, INV_SQRT2, UNITS, Scalar, ZERO
 from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, SolutionSpace,
                      canonical_sets, check_cp_compatibility,
@@ -250,16 +250,11 @@ def _check_compatibility(ctx: Context, report: VerificationReport) -> None:
 def _check_solution_properties(ctx: Context,
                                report: VerificationReport) -> None:
     def classes(variant: int) -> bool:
-        # each matrix in its class, with real entries where the class makes
-        # it equal to its conjugate and imaginary ones where it is minus it
+        # each matrix in its class: its conjugate sign makes its entries
+        # real where it is +1 and imaginary where it is -1
         named = ctx.solutions[variant].named()
-        ok = True
-        for name, kind in CLASSES[variant].items():
-            membership = classify(named[name])
-            ok = ok and membership.in_class(kind) and (
-                membership.real_entries if CLASS_SIGNS[kind][3] == 1
-                else membership.imaginary_entries)
-        return ok
+        return all(classify(named[name]).in_class(kind)
+                   for name, kind in CLASSES[variant].items())
 
     for variant in (1, 2):
         report.add(f"properties-variant{variant}", lambda: _all_hold(
@@ -594,8 +589,7 @@ def _check_representations(ctx: Context,
         majorana, claims.S_M_UNSCALED) and get_rep(majorana).s.det() == 1)
     report.add("majorana-80", lambda:
                get_rep(majorana).gamma == tuple(claims.MAJORANA_80)
-               and all(e.is_imaginary() for m in claims.MAJORANA_80
-                       for row in m.rows for e in row))
+               and all(m.conj() == -m for m in claims.MAJORANA_80))
     report.add("matrices-78", lambda: family(weyl, 1, claims.WEYL_78))
     report.add("matrices-79", lambda: family(weyl, 2, claims.WEYL_78))
     report.add("matrices-78a",

@@ -13,17 +13,25 @@ def status_of(report, claim_id: str) -> str:
     return next(s.status for s in report.sections if s.claim_id == claim_id)
 
 
-def random_clifford(rng: random.Random) -> Mat4:
-    """A word of 12 gates in H x 1, 1 x H, S x 1, 1 x S and CNOT: a
+_H = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+_PHASE = ((ONE, ZERO), (ZERO, I))
+_T = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
+CLIFFORD_GATES = (_kron(_H, ID2), _kron(ID2, _H), _kron(_PHASE, ID2),
+                  _kron(ID2, _PHASE),
+                  Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+                        [0, 0, 1, 0]]))
+# T x 1 and 1 x T: their words have entries beyond 0 and the units
+T_GATES = (_kron(_T, ID2), _kron(ID2, _T))
+
+
+def random_clifford(rng: random.Random, gates=CLIFFORD_GATES,
+                    length: int = 12) -> Mat4:
+    """A word of `length` gates drawn from `gates`, each applied as
+    s <- gate s; by default 12 in H x 1, 1 x H, S x 1, 1 x S and CNOT: a
     unitary change of basis that is in general neither hermitian nor
     involutive."""
-    h = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
-    phase = ((ONE, ZERO), (ZERO, I))
-    cnot = Mat4([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    gates = [_kron(h, ID2), _kron(ID2, h), _kron(phase, ID2),
-             _kron(ID2, phase), cnot]
     s = Mat4.identity()
-    for _ in range(12):
+    for _ in range(length):
         s = rng.choice(gates) * s
     return s
 

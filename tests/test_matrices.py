@@ -6,12 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_clifford, random_dense
+from conftest import T_GATES, random_clifford, random_dense
 
 from cptgroup import matrices
-from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, Grade, Mat4, RepTag,
-                               _build_rep, classify, code_product, from_code,
-                               get_rep, monomial_code)
+from cptgroup.matrices import (BASIS_NAMES, BASIS_WORDS, GammaRep, Grade,
+                               Mat4, RepTag, classify, code_product,
+                               from_code, get_rep, monomial_code)
 from cptgroup.scalars import I, INV_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
 from cptgroup.verify import Context
 
@@ -269,7 +269,7 @@ def test_transform_matrices():
         assert s.trace() == Scalar(0)
     assert s_m.det() == Scalar(1)
     with pytest.raises(ValueError, match="unitary"):
-        _build_rep(None, Mat4.identity().scale(2))
+        GammaRep(Mat4.identity().scale(2))
     rep_m = get_rep(RepTag.MAJORANA)
     for gamma in rep_m.gamma:
         assert all(e.is_imaginary() for row in gamma.rows for e in row)
@@ -283,7 +283,11 @@ def test_classification_predicates():
     assert not classify(theta).in_class("N")
     assert classify(g[0].scale(I)).in_class("M")
     c2 = (g[2] * g[0]).scale(I)
-    assert classify(c2).in_class("N") and classify(c2).real_entries
+    assert classify(c2).in_class("N") and classify(c2).signs[3] == 1
+    # a sign that holds neither way reads 0: g0 + g1 is neither hermitian
+    # nor antihermitian, and squares to 0
+    assert classify(g[0] + g[1]).signs == (0, 0, 0, 1)
+    assert not classify(g[0] + g[1]).in_class("K")
 
 
 def test_basis_names_order():
@@ -383,7 +387,7 @@ def test_coded_algebra_equals_entrywise_algebra():
     # involutions, so monomial matrices with 3- and 4-cycles join them
     rng = random.Random(15)
     reps = [get_rep(tag) for tag in RepTag]
-    reps += [_build_rep(None, random_clifford(rng)) for _ in range(5)]
+    reps += [GammaRep(random_clifford(rng)) for _ in range(5)]
     dense = [random_dense_mat(rng) for _ in range(4)]
     cycles = [Mat4([[rng.choice(UNITS) if j == perm[i] else ZERO
                      for j in range(4)] for i in range(4)])
@@ -473,9 +477,7 @@ def test_recombine_inverts_basis_expand_for_every_basis():
     rng = random.Random(2111)
     # a T gate after a seeded Clifford word: some basis words then have
     # entries other than 0 and the units, and so do their inverses
-    t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
-    clifford_t = _build_rep(None, matrices._kron(t_gate, matrices.ID2)
-                            * random_clifford(random.Random(4)))
+    clifford_t = GammaRep(T_GATES[0] * random_clifford(random.Random(4)))
     assert any(monomial_code(b) is None for b in clifford_t.basis)
     mats = [hard_dense_mat(rng), random_dense(rng), random_dense_mat(rng)]
     mats += [mats[0].inverse(), Mat4.zero(), DP.basis[9].scale(I)]

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cptgroup.matrices import Mat4
-from cptgroup.scalars import (I, INV_SQRT2, MINUS_ONE, ONE, SQRT2, UNITS,
-                              ZERO, Scalar, times_unit)
+from cptgroup.scalars import (I, INV_SQRT2, MINUS_ONE, ONE, UNITS, ZERO,
+                              Scalar, times_unit)
+
+SQRT2 = Scalar(0, 0, 1)
 
 
 def random_scalar(rng, zero_ok=True):

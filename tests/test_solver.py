@@ -4,12 +4,11 @@ solution families."""
 import random
 
 import pytest
-from conftest import random_clifford, random_dense
+from conftest import CLIFFORD_GATES, T_GATES, random_clifford, random_dense
 
 from cptgroup import solver
-from cptgroup.matrices import (ID2, GammaRep, Mat4, RepTag, _build_rep,
-                               _kron, get_rep, monomial_code)
-from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO
+from cptgroup.matrices import GammaRep, Mat4, RepTag, get_rep, monomial_code
+from cptgroup.scalars import I, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, ConstraintSystem,
                              Relation, canonical_sets, check_cp_compatibility,
                              check_ct_compatibility, compatible_pairs,
@@ -29,8 +28,7 @@ def _t_rep() -> GammaRep:
     """The presentation moved by T x 1: its gammas still anticommute, but
     their transposes and conjugates are not +-themselves, and half of its
     basis words are not monomial unit matrices."""
-    t_gate = ((ONE, ZERO), (ZERO, (ONE + I) * INV_SQRT2))
-    return _build_rep(None, _kron(t_gate, ID2))
+    return GammaRep(T_GATES[0])
 
 
 def _word_systems(rng: random.Random, rep: GammaRep):
@@ -114,7 +112,7 @@ def test_enumeration_counts(rep):
     by_variant = {1: 0, 2: 0}
     for sol in sets:
         by_variant[sol.variant] += 1
-        if rep.tag is RepTag.DIRAC_PAULI:
+        if rep is get_rep(RepTag.DIRAC_PAULI):
             assert sol.squares() == SQUARE_SIGNATURES[sol.variant]
     assert by_variant == {1: 8, 2: 8}
 
@@ -168,7 +166,7 @@ def test_transport_maps_solutions_to_solutions():
                 for s in enumerate_consistent_sets(dp)}
     rng = random.Random(2004)
     reps = [get_rep(RepTag.WEYL), get_rep(RepTag.MAJORANA)]
-    reps += [_build_rep(None, random_clifford(rng)) for _ in range(20)]
+    reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
     for rep in reps:
         for sol in canonical_sets().values():
             moved = transport(sol, dp, rep)
@@ -185,6 +183,28 @@ def test_transport_maps_solutions_to_solutions():
         assert back == standard
     sol = canonical_sets()[1]
     assert transport(sol, dp, dp) is sol
+
+
+def _nonzero_multiple(x: Mat4, line: Mat4) -> bool:
+    """Whether x = k line for some scalar k != 0."""
+    i, j = next((i, j) for i in range(4) for j in range(4)
+                if line.rows[i][j] is not ZERO)
+    k = x.rows[i][j] / line.rows[i][j]
+    return not k.is_zero() and x == line.scale(k)
+
+
+def test_every_transport_lands_on_its_kernel_line():
+    # S C S~ solves the C system of the new basis wherever S is unitary;
+    # S C g0 S~ g0'^-1 does only where S~ S commutes with g0, and misses
+    # the C line in some Clifford+T bases
+    dp, rng = get_rep(RepTag.DIRAC_PAULI), random.Random(7)
+    for _ in range(30):
+        rep = GammaRep(random_clifford(rng, CLIFFORD_GATES + T_GATES, 8))
+        for sol in canonical_sets().values():
+            moved = transport(sol, dp, rep)
+            for sym in SYSTEMS:
+                assert _nonzero_multiple(getattr(moved, sym.upper()),
+                                         kernel(sym, rep).basis[0])
 
 
 def test_kernel_by_signature_is_the_eliminated_kernel(rep):
@@ -234,18 +254,13 @@ def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
         monkeypatch):
     rng = random.Random(2004)
     for _ in range(20):
-        rep = _build_rep(None, random_clifford(rng))
+        rep = GammaRep(random_clifford(rng))
         for sym in SYSTEMS:
             assert kernel(sym, rep).basis == \
                 solve_system(constraint_system(sym, rep), rep).basis
     # in the T x 1 basis parity is untwisted, but the C and T systems are
-    # not signature systems; in the second presentation g0 and the new g1
-    # commute
+    # not signature systems
     t_rep = _t_rep()
-    dp = get_rep(RepTag.DIRAC_PAULI)
-    g = dp.gamma
-    commuting = GammaRep(None, dp.s, (g[0], g[0] * g[1] * g[2], g[2], g[3]),
-                         dp.gamma5, dp.basis)
     solved = []
     solve = solver.solve_system
 
@@ -254,23 +269,10 @@ def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
         return solve(system, rep)
 
     monkeypatch.setattr(solver, "solve_system", counting)
-    for sym, r in [(sym, t_rep) for sym in SYSTEMS] + [("p", commuting)]:
-        assert kernel.__wrapped__(sym, r).basis == \
-            solve(constraint_system(sym, r), r).basis
-    assert solved == [constraint_system(sym, r) for sym, r in
-                      (("c", t_rep), ("t", t_rep), ("p", commuting))]
-    # Weyl gammas beside the Dirac-Pauli basis words: the signature kernel
-    # is a word in the gammas, whatever `basis` holds, and spans the line
-    # that elimination finds in that basis
-    stale = GammaRep(None, dp.s, get_rep(RepTag.WEYL).gamma, dp.gamma5,
-                     dp.basis)
     for sym in SYSTEMS:
-        (word,) = kernel.__wrapped__(sym, stale).basis
-        (line,) = solve(constraint_system(sym, stale), stale).basis
-        i, j = next((i, j) for i in range(4) for j in range(4)
-                    if line.rows[i][j] is not ZERO)
-        assert word == line.scale(word.rows[i][j] / line.rows[i][j])
-    assert len(solved) == 3
+        assert kernel.__wrapped__(sym, t_rep).basis == \
+            solve(constraint_system(sym, t_rep), t_rep).basis
+    assert solved == [constraint_system(sym, t_rep) for sym in "ct"]
 
 
 def test_enumeration_rejects_non_unitary_lines():

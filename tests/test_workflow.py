@@ -1,7 +1,8 @@
-"""The CI workflow parses, and its steps run the claims, the tier-1 suite
-and the benchmark's oracle tests, record the source lines, count each
-CLI command and the constraint solver and time every verify stage in
-traced runs."""
+"""The CI workflow parses, runs on every supported Python, and its steps
+run the claims (once with warnings as errors), the tier-1 suite and the
+benchmark's oracle tests, record the source lines, count each CLI
+command and the constraint solver and time every verify stage in traced
+runs."""
 
 import re
 from pathlib import Path
@@ -28,6 +29,18 @@ def test_tier1_workflow_runs_verify_the_tier1_suite_and_the_oracle_tests():
                       (ROOT / "ROADMAP.md").read_text()).group(1)
     for command in ("cptgroup verify", tier1, "benchmarks/test_oracle.py"):
         assert any(command in run for run in runs), command
+
+
+def test_tier1_workflow_runs_on_every_supported_python():
+    matrix = _workflow()["jobs"]["tests"]["strategy"]["matrix"]
+    assert matrix["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
+
+
+def test_tier1_workflow_verifies_with_warnings_as_errors():
+    # the package uses only the stdlib, so any warning comes from its code
+    runs = [step.get("run", "") for job in _workflow()["jobs"].values()
+            for step in job["steps"]]
+    assert "python -X dev -W error -m cptgroup.cli verify" in runs
 
 
 def test_tier1_workflow_bounds_the_job_run_time():
