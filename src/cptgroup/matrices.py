@@ -83,7 +83,7 @@ class Mat4:
                                 for col in zip(*y)) for row in x))
 
     def scale(self, c) -> "Mat4":
-        c = c if isinstance(c, Scalar) else Scalar(c)
+        c = c if isinstance(c, Scalar) else _SIGNS.get(c) or Scalar(c)
         code, e = monomial_code(self), _EXPONENT.get(id(c))
         if e is None:
             return _mat(tuple(tuple(x if x is ZERO else c * x for x in row)
@@ -114,8 +114,12 @@ class Mat4:
         return sum((self.rows[i][i] for i in range(4)), ZERO)
 
     def det(self) -> Scalar:
-        """The determinant, expanded along row 0 on the integer numerators
-        n over den: its cofactors come from the 2x2 minors of rows 2, 3."""
+        """sign(cols) i**sum(exponents) for a monomial unit matrix; else
+        expanded along row 0 on the integer numerators n over den: its
+        cofactors come from the 2x2 minors of rows 2, 3."""
+        if (code := monomial_code(self)) is not None:
+            flips = sum(a > b for a, b in combinations(code[0], 2))
+            return UNITS[(sum(code[1]) + 2 * flips) % 4]
         n, den = _numerator_rows(self)
         cof = _cofactors(n[1], _minors(n[2], n[3]))
         return _make(*_dot(n[0], cof), den ** 4)
@@ -253,6 +257,13 @@ def _mat(rows: tuple[tuple[Scalar, ...], ...], code=_UNSCANNED) -> Mat4:
 
 # the exponent e of each unit i**e, by the identity of the shared unit
 _EXPONENT = {id(u): e for e, u in enumerate(UNITS)}
+_SIGNS = {1: ONE, -1: MINUS_ONE}    # the integer scales read as units
+
+
+def _times(x: Scalar, y: Scalar) -> Scalar:
+    """x y, with no product where x is a shared unit."""
+    e = _EXPONENT.get(id(x))
+    return x * y if e is None else times_unit(y, e)
 
 
 def monomial_code(m: Mat4) -> tuple | None:
@@ -299,25 +310,30 @@ _ZERO_MAT = _mat(((ZERO,) * 4,) * 4, None)
 _IDENTITY = from_code(((0, 1, 2, 3), (0, 0, 0, 0)))
 
 
-def row_reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
-    """Bring `rows` to reduced row echelon form in its first `ncols`
-    columns, in place, by Gauss-Jordan elimination that skips zero
-    entries; returns the pivot columns, the i-th pivot in row i."""
+def row_reduce(rows: list[dict[int, Scalar]], ncols: int) -> list[int]:
+    """Bring the sparse `rows`, each {column: nonzero entry}, to reduced
+    row echelon form in their first `ncols` columns, in place, by
+    Gauss-Jordan elimination on their nonzero entries; returns the pivot
+    columns, the i-th pivot in row i."""
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows))
-                    if rows[r][col] is not ZERO), None)
+        piv = next((r for r in range(rank, len(rows)) if col in rows[r]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        prow = rows[rank] = [x * inv for x in rows[rank]]
+        prow = rows[rank]
+        if len(prow) == 1:    # a lone entry normalizes with no inverse
+            prow = rows[rank] = {col: ONE}
+        else:
+            inv = prow[col].inverse()
+            prow = rows[rank] = {c: _times(inv, x) for c, x in prow.items()}
         for r, row in enumerate(rows):
-            f = row[col]
-            if r != rank and f is not ZERO:
-                rows[r] = [x - f * y if y is not ZERO else x
-                           for x, y in zip(row, prow)]
+            if r != rank and col in row:
+                f = -row[col]
+                for c, y in prow.items():
+                    row[c] = row.get(c, ZERO) + _times(f, y)
+                rows[r] = {c: x for c, x in row.items() if x is not ZERO}
         pivots.append(col)
     return pivots
 
@@ -399,12 +415,12 @@ class GammaRep:
                               if w[p] is not ZERO] for p in range(16)]))
 
     @cached_property
-    def _unit_words(self) -> dict[tuple, tuple[int, Scalar]]:
-        """(k, u) by the `monomial_code` of each u·B_k, u a unit, for the
-        monomial basis words B_k."""
-        return {monomial_code(b.scale(u)): (k, u)
+    def _unit_words(self) -> dict[tuple, tuple[int, int]]:
+        """(k, e) by the `monomial_code` of each i**e B_k, for the monomial
+        basis words B_k."""
+        return {monomial_code(b.scale(u)): (k, e)
                 for k, b in enumerate(self.basis)
-                if monomial_code(b) is not None for u in UNITS}
+                if monomial_code(b) is not None for e, u in enumerate(UNITS)}
 
     def basis_expand(self, m: Mat4) -> list[Scalar]:
         """Coefficients c_k with m = sum(c_k * basis_k): the one unit of a
@@ -413,7 +429,7 @@ class GammaRep:
         formed, on the integer numerators of m, each reduced once."""
         if (hit := self._unit_words.get(monomial_code(m))) is not None:
             out = [ZERO] * 16
-            out[hit[0]] = hit[1]
+            out[hit[0]] = UNITS[hit[1]]
             return out
         return _apply(self._maps[0], sum(m.rows, ()))
 
@@ -461,6 +477,17 @@ def word_product(g: Sequence[Mat4], word: tuple[int, ...]) -> Mat4:
 
 
 @cache
+def word_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(k, e) at [j][l] with B_j B_l = i**e B_k, read off the codes of the
+    standard words once: B_j = s B_j^std s† in every GammaRep, so the table
+    is the same in all of them."""
+    dp = get_rep(RepTag.DIRAC_PAULI)
+    codes = [monomial_code(b) for b in dp.basis]
+    return tuple(tuple(dp._unit_words[code_product(a, b)] for b in codes)
+                 for a in codes)
+
+
+@cache
 def get_rep(tag: RepTag) -> GammaRep:
     """The presentation `tag`, built once: a GammaRep is immutable, so
     every caller can share it.  Its change of basis s from the standard
@@ -501,13 +528,27 @@ CLASS_SIGNS = {"K": (1, 1, -1, -1), "M": (-1, -1, 1, -1),
 
 
 def _sign(x: Mat4, m: Mat4) -> int:
-    """1 if x = m, -1 if x = -m, else 0."""
-    return 1 if x == m else -1 if x == -m else 0
+    """1 if x = m, -1 if x = -m, else 0: the first nonzero entry of m
+    settles which of the two to test, so -m is built only to confirm."""
+    a, b = next(((a, b) for a, b in zip(sum(x.rows, ()), sum(m.rows, ()))
+                 if b is not ZERO), (ZERO, ZERO))
+    return 1 if a == b and x == m else -1 if a == -b and x == -m else 0
+
+
+def _square_sign(m: Mat4) -> int:
+    """s with M M = s 1, else 0.  Without a code, row 0 of M M is formed
+    first, and the whole square only where that row is +-(1, 0, 0, 0)."""
+    if monomial_code(m) is None:
+        n, den = _numerator_rows(m)
+        head = [_make(*_dot(n[0], col), den * den) for col in zip(*n)]
+        if head[1:] != [ZERO] * 3 or head[0] not in (ONE, MINUS_ONE):
+            return 0
+    return _sign(m * m, Mat4.identity())
 
 
 def classify(m: Mat4) -> MatrixClass:
     """The class signs of m, the inverse sign read off M M = +-1."""
     return MatrixClass(
-        (_sign(m.dagger(), m), _sign(m * m, Mat4.identity()),
-         _sign(m.transpose(), m), _sign(m.conj(), m)),
+        (_sign(m.dagger(), m), _square_sign(m), _sign(m.transpose(), m),
+         _sign(m.conj(), m)),
         unimodular=m.det() == ONE, traceless=m.trace().is_zero())

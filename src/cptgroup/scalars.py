@@ -135,13 +135,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 
-    def is_real(self) -> bool:
-        return not (self.b or self.d)
-
-    def is_imaginary(self) -> bool:
-        """Purely imaginary (zero real part); zero counts as imaginary."""
-        return not (self.a or self.c)
-
     # -- comparisons / hashing -------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -16,7 +16,10 @@ e_mu gmu, each relation sends B_w to (e_mu - s_mu sigma_wmu) B_w gmu.
 The B_w gmu are independent and no two words share their signs, so the
 kernel is the one word with sigma_wmu = e_mu s_mu: a line.  Where some
 twisted gamma is not, as in a T x 1 basis, the system is solved by exact
-Gauss-Jordan elimination.  Sweeping the remaining unit scalar multiplier
+Gauss-Jordan elimination on sparse rows; those of a relation between
+unit multiples of basis words are read off the word product table
+B_j B_k = e_jk B_(j△k), j△k the symmetric difference of the two words
+(`word_table`).  Sweeping the remaining unit scalar multiplier
 and imposing the two cross-compatibility conditions
 
     C (P^-1)^T C^-1 = P        and        C T* = T C*
@@ -33,7 +36,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .matrices import (BASIS_WORDS, CLASS_SIGNS, GammaRep, Mat4, RepTag,
-                       _sign, classify, get_rep, row_reduce, word_product)
+                       _sign, _times, classify, get_rep, monomial_code,
+                       row_reduce, word_product, word_table)
 from .scalars import I, ONE, UNITS, Scalar, ZERO
 
 
@@ -81,31 +85,24 @@ def constraint_system(symmetry: str, rep: GammaRep) -> ConstraintSystem:
 def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
     """Exact kernel of the stacked linear system on the 16-dim matrix space.
 
-    Rows are built by linearity: the image B_j R - s L B_j of each canonical
-    basis element under each relation is the expansion of B_j R plus that
-    of (-s L) B_j, added over the latter's nonzero entries, so a unit
-    multiple of a basis word is read off its code and no dense difference
-    is expanded.  The kernel is recombined into matrices whose leading
-    basis coefficient is normalized to 1.
+    Row i of a relation holds, by column j, coefficient i of the image
+    B_j R - s L B_j of each basis word, sparse (see `_rows`).  Each free
+    column of the reduced rows gives a kernel matrix with leading basis
+    coefficient 1, a single word being the shared `rep.basis` entry.
     """
-    rows: list[list[Scalar]] = []
-    for rel in system.relations:
-        minus_left = rel.left.scale(-rel.sign)
-        images = []
-        for b in rep.basis:
-            image = rep.basis_expand(b * rel.right)
-            for k, c in enumerate(rep.basis_expand(minus_left * b)):
-                if c is not ZERO:
-                    image[k] += c
-            images.append(image)
-        # images[j][i]: coefficient i of the image of basis element j.
-        rows.extend(map(list, zip(*images)))
-    kernel = _nullspace(rows, 16)
+    rows = [row for rel in system.relations for row in _rows(rel, rep) if row]
+    pivots = row_reduce(rows, 16)
     basis = []
-    for vec in kernel:
-        lead = next(c for c in vec if c is not ZERO)
-        inv = lead.inverse()
-        basis.append(rep.recombine([c * inv for c in vec]))
+    for fc in sorted(set(range(16)) - set(pivots)):
+        vec = {pc: -rows[r][fc] for r, pc in enumerate(pivots)
+               if fc in rows[r]}
+        if not vec:
+            basis.append(rep.basis[fc])
+            continue
+        vec[fc] = ONE
+        inv = vec[min(vec)].inverse()
+        basis.append(rep.recombine([_times(inv, vec[k]) if k in vec else ZERO
+                                    for k in range(16)]))
     space = SolutionSpace(tuple(basis))
     for b in space.basis:
         if not system.satisfied_by(b):
@@ -113,21 +110,30 @@ def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
     return space
 
 
-def _nullspace(rows: list[list[Scalar]], n: int) -> list[list[Scalar]]:
-    """Kernel basis of a matrix with n columns, one vector per free
-    column of its reduced row echelon form."""
-    m = [row for row in rows if any(c is not ZERO for c in row)]
-    pivots = row_reduce(m, n)
-    kernel = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        vec = [ZERO] * n
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        kernel.append(vec)
-    return kernel
+def _rows(rel: Relation, rep: GammaRep) -> list[dict[int, Scalar]]:
+    """The 16 sparse rows of one relation.  For X i**u B_r = s i**v B_l X,
+    s = +-1, B_j goes to i**u e_jr B_(j△r) - s i**v e_lj B_(l△j), read off
+    `word_table`; any other relation expands B_j R and (-s L) B_j."""
+    hits = [rep._unit_words.get(monomial_code(m))
+            for m in (rel.right, rel.left)]
+    if None in hits or rel.sign not in (1, -1):
+        minus_left = rel.left.scale(-rel.sign)
+        images = [[x + y for x, y in zip(rep.basis_expand(b * rel.right),
+                                         rep.basis_expand(minus_left * b))]
+                  for b in rep.basis]
+        return [{j: x for j, image in enumerate(images)
+                 if (x := image[i]) is not ZERO} for i in range(16)]
+    (r, u), (l, v) = hits
+    v += 1 + rel.sign    # -s i**v = i**(v + 1 + s)
+    table, rows = word_table(), [{} for _ in range(16)]
+    for j in range(16):
+        (k, e), (m, f) = table[j][r], table[l][j]
+        x, y = UNITS[(u + e) % 4], UNITS[(v + f) % 4]
+        if k != m:
+            rows[k][j], rows[m][j] = x, y
+        elif (x := x + y) is not ZERO:    # r = l: the two terms meet
+            rows[k][j] = x
+    return rows
 
 
 @cache

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cptgroup.matrices import ID2, Mat4, _kron
+from cptgroup.matrices import ID2, GammaRep, Mat4, _kron
 from cptgroup.scalars import I, INV_SQRT2, ONE, ZERO, Scalar
+from cptgroup.solver import ConstraintSystem, Relation
 from cptgroup.verify import Context, run_all
 
 
@@ -47,6 +48,23 @@ def random_dense(rng: random.Random) -> Mat4:
                    for _ in range(4)] for _ in range(4)])
         if not m.det().is_zero():
             return m
+
+
+def word_systems(rng: random.Random, rep: GammaRep):
+    """Eight seeded systems of 1 to 4 relations X f(B_j) = +-B_k X, f the
+    identity, transpose or conjugation, built as the dense-algebra
+    benchmark builds them: each holds for one basis word X0."""
+    signed = {b.scale(s): (k, s) for k, b in enumerate(rep.basis)
+              for s in (1, -1)}
+    for _ in range(8):
+        x0 = rep.basis[rng.randrange(16)]
+        rels = []
+        for _ in range(rng.randint(1, 4)):
+            right = rng.choice((lambda m: m, Mat4.transpose, Mat4.conj))(
+                rep.basis[rng.randrange(16)])
+            k, s = signed[x0 * right * x0.inverse()]
+            rels.append(Relation(right, rep.basis[k], s))
+        yield ConstraintSystem(tuple(rels))
 
 
 @pytest.fixture(scope="session")

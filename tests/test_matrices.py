@@ -272,7 +272,7 @@ def test_transform_matrices():
         GammaRep(Mat4.identity().scale(2))
     rep_m = get_rep(RepTag.MAJORANA)
     for gamma in rep_m.gamma:
-        assert all(e.is_imaginary() for row in gamma.rows for e in row)
+        assert all(e.conjugate() == -e for row in gamma.rows for e in row)
 
 
 def test_classification_predicates():
@@ -288,6 +288,52 @@ def test_classification_predicates():
     # nor antihermitian, and squares to 0
     assert classify(g[0] + g[1]).signs == (0, 0, 0, 1)
     assert not classify(g[0] + g[1]).in_class("K")
+
+
+def _reference_sign(x: Mat4, m: Mat4) -> int:
+    return 1 if x == m else -1 if x == -m else 0
+
+
+def test_classify_settles_early_as_the_full_comparisons_do():
+    # each sign is tested on the first nonzero entry of m before the whole
+    # matrix, and the inverse sign on row 0 of M M before the whole square;
+    # the cases pass those first tests and fail later, or pass throughout
+    rng, g = random.Random(24), DP.gamma
+    dense = random_dense(rng)
+    lead = [[ONE if (i, j) == (0, 0) else x for j, x in enumerate(row)]
+            for i, row in enumerate(dense.rows)]
+    s_w = get_rep(RepTag.WEYL).s
+    block = Mat4([[1, 0, 0, 0]] + [[0, *row[1:]] for row in dense.rows[1:]])
+    cases = [dense, Mat4(lead), Mat4(lead).scale(I), s_w, s_w.scale(I),
+             get_rep(RepTag.MAJORANA).s, block, g[0] + g[1], Mat4.zero(),
+             *(b.scale(u) for b in DP.basis for u in (ONE, I))]
+    for m in cases:
+        want = (_reference_sign(m.dagger(), m),
+                _reference_sign(m * m, Mat4.identity()),
+                _reference_sign(m.transpose(), m),
+                _reference_sign(m.conj(), m))
+        assert classify(m).signs == want
+    assert classify(s_w.scale(I)).signs[1] == -1
+    assert classify(block).signs[1] == 0
+
+
+def test_monomial_det_is_the_numerator_det_for_every_code():
+    # sign(cols) i**sum(exponents), against the expansion on numerators
+    # of the same entries with no code
+    for cols in itertools.permutations(range(4)):
+        for exps in itertools.product(range(4), repeat=4):
+            m = from_code((cols, exps))
+            plain = matrices._mat(m.rows, None)
+            assert m.det() is plain.det()
+
+
+def test_integer_signs_scale_like_their_units():
+    dense = random_dense(random.Random(8))
+    for m in (dense, DP.basis[5]):
+        assert m.scale(1) == m and m.scale(-1) == -m
+        assert m.scale(-1) == m.scale(MINUS_ONE)
+        assert m.scale(2) == m + m
+    assert DP.basis[5].scale(-1) is -DP.basis[5]
 
 
 def test_basis_names_order():

@@ -78,9 +78,9 @@ def test_zero_has_no_inverse():
 
 
 def test_predicates_and_serialization():
-    assert Scalar(3).is_real() and (Scalar(3).q, Scalar(3).r) == (0, 0)
-    assert SQRT2.is_real() and SQRT2.r == 1
-    assert I.is_imaginary() and not I.is_real()
+    assert (Scalar(3).p, Scalar(3).q, Scalar(3).r, Scalar(3).s) == (3, 0, 0, 0)
+    assert (SQRT2.p, SQRT2.q, SQRT2.r, SQRT2.s) == (0, 0, 1, 0)
+    assert (I.p, I.q, I.r, I.s) == (0, 1, 0, 0)
     for value in (ZERO, ONE, I, SQRT2, INV_SQRT2, Scalar(2, -3, 5, -7)):
         assert Scalar(*value.to_json()) == value
     assert Scalar("1/3", "-2", 0, 0).to_json() == ["1/3", "-2", "0", "0"]

@@ -1,14 +1,17 @@
 """Kernel computations, compatibility filters, and the two consistent
 solution families."""
 
+import itertools
 import random
 
 import pytest
-from conftest import CLIFFORD_GATES, T_GATES, random_clifford, random_dense
+from conftest import (CLIFFORD_GATES, T_GATES, random_clifford, random_dense,
+                      word_systems)
 
 from cptgroup import solver
-from cptgroup.matrices import GammaRep, Mat4, RepTag, get_rep, monomial_code
-from cptgroup.scalars import I, ZERO
+from cptgroup.matrices import (BASIS_WORDS, GammaRep, Mat4, RepTag, get_rep,
+                               row_reduce, word_table)
+from cptgroup.scalars import I, ONE, UNITS, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, ConstraintSystem,
                              Relation, canonical_sets, check_cp_compatibility,
                              check_ct_compatibility, compatible_pairs,
@@ -31,35 +34,46 @@ def _t_rep() -> GammaRep:
     return GammaRep(T_GATES[0])
 
 
-def _word_systems(rng: random.Random, rep: GammaRep):
-    """Eight seeded systems of 1 to 4 relations X f(B_j) = +-B_k X, f the
-    identity, transpose or conjugation, built as the dense-algebra
-    benchmark builds them: each holds for one basis word X0."""
-    signed = {b.scale(s): (k, s) for k, b in enumerate(rep.basis)
-              for s in (1, -1)}
-    for _ in range(8):
-        x0 = rep.basis[rng.randrange(16)]
-        rels = []
-        for _ in range(rng.randint(1, 4)):
-            right = rng.choice((lambda m: m, Mat4.transpose, Mat4.conj))(
-                rep.basis[rng.randrange(16)])
-            k, s = signed[x0 * right * x0.inverse()]
-            rels.append(Relation(right, rep.basis[k], s))
-        yield ConstraintSystem(tuple(rels))
+def _reference_row_reduce(rows: list[list], ncols: int) -> list[int]:
+    """Dense Gauss-Jordan elimination, apart from the sparse one the
+    solver uses: `rows` to reduced row echelon form in place, returning
+    the pivot columns, the i-th pivot in row i."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows))
+                    if rows[r][col] is not ZERO), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        prow = rows[rank] = [x * inv for x in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and f is not ZERO:
+                rows[r] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return pivots
 
 
 def _reference_basis(system: ConstraintSystem,
                      rep: GammaRep) -> tuple[Mat4, ...]:
-    """`solve_system`'s basis from rows that expand each relation's dense
-    difference B_j R - s L B_j whole."""
+    """`solve_system`'s basis from dense rows that expand each relation's
+    difference B_j R - s L B_j whole, by `_reference_row_reduce`: one
+    vector per free column, its leading coefficient 1."""
     rows = []
     for rel in system.relations:
         images = [rep.basis_expand(b * rel.right
                                    - (rel.left * b).scale(rel.sign))
                   for b in rep.basis]
         rows += [list(col) for col in zip(*images)]
+    pivots = _reference_row_reduce(rows, 16)
     basis = []
-    for vec in solver._nullspace(rows, 16):
+    for fc in sorted(set(range(16)) - set(pivots)):
+        vec = [ZERO] * 16
+        vec[fc] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
         inv = next(c for c in vec if c is not ZERO).inverse()
         basis.append(rep.recombine([c * inv for c in vec]))
     return tuple(basis)
@@ -213,10 +227,28 @@ def test_kernel_by_signature_is_the_eliminated_kernel(rep):
             solve_system(constraint_system(sym, rep), rep).basis
 
 
+def test_word_table_gives_every_product_of_basis_words():
+    # B_j B_l = i**e B_k, k the word of the symmetric difference, in a
+    # Clifford basis and in the T x 1 basis, whose words are not all
+    # monomial
+    reps = [GammaRep(random_clifford(random.Random(11))), _t_rep()]
+    for j, l in itertools.product(range(16), repeat=2):
+        k, e = word_table()[j][l]
+        assert set(BASIS_WORDS[k]) == set(BASIS_WORDS[j]) ^ set(
+            BASIS_WORDS[l])
+        for rep in reps:
+            assert rep.basis[j] * rep.basis[l] == \
+                rep.basis[k].scale(UNITS[e])
+
+
 def test_rows_by_linearity_equal_the_expanded_difference():
+    # the word-table rows in the three named bases and 20 Clifford bases,
+    # expanded rows in the T x 1 basis and for a dense A
     rng = random.Random(17)
-    cases = [(rep, system) for rep in map(get_rep, ALL_TAGS)
-             for system in _word_systems(rng, rep)]
+    reps = list(map(get_rep, ALL_TAGS))
+    reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
+    cases = [(rep, system) for rep in reps
+             for system in word_systems(rng, rep)]
     t_rep = _t_rep()
     cases += [(t_rep, constraint_system(sym, t_rep)) for sym in SYSTEMS]
     for rep in map(get_rep, ALL_TAGS):
@@ -227,27 +259,43 @@ def test_rows_by_linearity_equal_the_expanded_difference():
                                                    1),)))]
     dims = set()
     for rep, system in cases:
-        want = _reference_basis(system, rep)
-        assert want and solve_system(system, rep).basis == want
+        want, got = _reference_basis(system, rep), solve_system(system, rep)
+        assert want and got.basis == want
+        # a one-word vector is the shared basis word itself
+        assert all(any(x is b for b in rep.basis) for x in got.basis
+                   if x in rep.basis)
         dims.add(len(want))
-    assert max(dims) > 1
+    assert {1, 2, 4, 8} <= dims
+
+
+def test_sparse_elimination_is_the_dense_reduced_form():
+    # the reduced row echelon form is unique: the sparse rows of each
+    # system reduce to the dense reference's rows, keeping no zero entry
+    rng, t_rep = random.Random(29), _t_rep()
+    cases = [(rep, system) for rep in map(get_rep, ALL_TAGS)
+             for system in word_systems(rng, rep)]
+    cases += [(t_rep, constraint_system(sym, t_rep)) for sym in SYSTEMS]
+    for rep, system in cases:
+        rows = [row for rel in system.relations
+                for row in solver._rows(rel, rep)]
+        dense = [[row.get(c, ZERO) for c in range(16)] for row in rows]
+        pivots = row_reduce(rows, 16)
+        assert pivots == _reference_row_reduce(dense, 16)
+        assert [[row.get(c, ZERO) for c in range(16)] for row in rows] == \
+            dense
+        assert all(x is not ZERO for row in rows for x in row.values())
 
 
 def test_unit_relations_take_no_dense_expansion(rep, monkeypatch):
-    # every operand is a unit multiple of a basis word, so every expansion
-    # reads a code: none takes the trace path
+    # every operand is a unit multiple of a basis word, so every row is
+    # read off the word table: no product is expanded at all
     seen = []
-    expand = GammaRep.basis_expand
-
-    def coded_only(self, m):
-        seen.append(monomial_code(m))
-        return expand(self, m)
-
-    monkeypatch.setattr(GammaRep, "basis_expand", coded_only)
+    monkeypatch.setattr(GammaRep, "basis_expand",
+                        lambda self, m: seen.append(m))
     systems = [constraint_system(sym, rep) for sym in SYSTEMS]
-    for system in systems + list(_word_systems(random.Random(5), rep)):
-        solve_system(system, rep)
-    assert seen and all(code in rep._unit_words for code in seen)
+    for system in systems + list(word_systems(random.Random(5), rep)):
+        assert solve_system(system, rep).dimension
+    assert not seen
 
 
 def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(

@@ -16,7 +16,7 @@ sympy's Todd-Coxeter enumeration, which shares no code with
 import random
 
 import pytest
-from conftest import random_dense
+from conftest import random_dense, word_systems
 
 sympy = pytest.importorskip("sympy")
 
@@ -136,6 +136,22 @@ def test_dense_commutant_is_the_sympy_nullspace(tag):
     eqs = _equations([(_domain(a), 1, _domain(a))])
     assert space.dimension == eqs.nullspace().shape[0]
     assert eqs.matmul(_entries(space.basis)).is_zero_matrix
+
+
+@pytest.mark.parametrize("tag", list(RepTag), ids=lambda t: t.value)
+def test_word_system_kernels_are_the_sympy_nullspace(tag):
+    # systems X f(B_j) = +-B_k X whose kernels span several words: their
+    # rows come from the word product table, apart from the entries of X
+    rep, dims = get_rep(tag), set()
+    for system in word_systems(random.Random(23), rep):
+        space = solve_system(system, rep)
+        if space.dimension > 1:
+            eqs = _equations([(_domain(r.right), r.sign, _domain(r.left))
+                              for r in system.relations])
+            assert space.dimension == eqs.nullspace().shape[0]
+            assert eqs.matmul(_entries(space.basis)).is_zero_matrix
+            dims.add(space.dimension)
+    assert dims
 
 
 def _paper_matrices() -> list[Mat4]:

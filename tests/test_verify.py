@@ -189,14 +189,17 @@ def test_corrupted_reference_datum_fails(ctx, monkeypatch, capsys, dataset,
 
 def test_run_all_solves_each_kernel_once(monkeypatch):
     # one kernel per (symmetry, representation): p/c/t x dp/weyl/majorana,
-    # each read off its commutation signs, so no elimination runs at all
+    # each read off its commutation signs, so no elimination runs at all,
+    # and the word product table of the elimination is never built
     solver.kernel.cache_clear()
+    matrices.word_table.cache_clear()
     calls = []
     monkeypatch.setattr(solver, "solve_system",
                         lambda *args: calls.append(args))
     verify.run_all()
     assert calls == []
     assert solver.kernel.cache_info().misses == 9
+    assert matrices.word_table.cache_info().misses == 0
 
 
 def test_run_all_transports_each_set_once():
