@@ -228,21 +228,41 @@ def _linear_map(rows: list[list[tuple[int, Scalar]]],
                 scale: int = 1) -> tuple:
     """The linear map whose output r is the sum of x_q u over the pairs
     (q, u) of rows[r], divided by `scale`, for `_apply`: the u are kept
-    as numerators over one denominator."""
-    nums, den = _numerators([u for row in rows for _, u in row])
-    it = iter(nums)
-    return den * scale, [(tuple(q for q, _ in row),
-                          tuple(next(it) for _ in row)) for row in rows]
+    as exponents where all are shared units i**e (`_turns`), else as
+    numerators over one denominator (`_dot`)."""
+    us = [u for row in rows for _, u in row]
+    ns, den, f = [_EXPONENT.get(id(u)) for u in us], 1, _turns
+    if None in ns:
+        (ns, den), f = _numerators(us), _dot
+    it = iter(ns)
+    return den * scale, f, [(tuple(q for q, _ in row),
+                             tuple(next(it) for _ in row)) for row in rows]
 
 
 def _apply(lin: tuple, xs: Sequence[Scalar]) -> list[Scalar]:
     """The image of the scalars xs under a `_linear_map`, each output
     reduced once."""
-    den, table = lin
+    den, f, table = lin
     nums, d = _numerators(xs)
     den *= d
-    return [_make(*_dot(map(nums.__getitem__, qs), ns), den)
+    return [_make(*f(map(nums.__getitem__, qs), ns), den)
             for qs, ns in table]
+
+
+def _turns(xs: Iterable[tuple], es: Iterable[int]) -> tuple:
+    """The sum of x i**e over paired numerator 4-tuples x and exponents e,
+    with no product: i (a, b, c, d) = (-b, a, -d, c)."""
+    p = q = r = s = 0
+    for (a, b, c, d), e in zip(xs, es):
+        if e == 0:
+            p, q, r, s = p + a, q + b, r + c, s + d
+        elif e == 1:
+            p, q, r, s = p - b, q + a, r - d, s + c
+        elif e == 2:
+            p, q, r, s = p - a, q - b, r - c, s - d
+        else:
+            p, q, r, s = p + b, q - a, r + d, s - c
+    return p, q, r, s
 
 
 def _mat(rows: tuple[tuple[Scalar, ...], ...], code=_UNSCANNED) -> Mat4:
@@ -322,12 +342,8 @@ def row_reduce(rows: list[dict[int, Scalar]], ncols: int) -> list[int]:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        if len(prow) == 1:    # a lone entry normalizes with no inverse
-            prow = rows[rank] = {col: ONE}
-        else:
-            inv = prow[col].inverse()
-            prow = rows[rank] = {c: _times(inv, x) for c, x in prow.items()}
+        inv = rows[rank][col].inverse()
+        prow = rows[rank] = {c: _times(inv, x) for c, x in rows[rank].items()}
         for r, row in enumerate(rows):
             if r != rank and col in row:
                 f = -row[col]
@@ -425,8 +441,8 @@ class GammaRep:
     def basis_expand(self, m: Mat4) -> list[Scalar]:
         """Coefficients c_k with m = sum(c_k * basis_k): the one unit of a
         unit multiple of a monomial basis word, read off its code; else
-        c_k = tr(B_k^-1 m) / 4, where only the diagonal of the product is
-        formed, on the integer numerators of m, each reduced once."""
+        c_k = tr(B_k^-1 m) / 4, only the diagonal of the product formed on
+        the numerators of m (`_linear_map`), each reduced once."""
         if (hit := self._unit_words.get(monomial_code(m))) is not None:
             out = [ZERO] * 16
             out[hit[0]] = UNITS[hit[1]]
@@ -527,12 +543,17 @@ CLASS_SIGNS = {"K": (1, 1, -1, -1), "M": (-1, -1, 1, -1),
                "N": (-1, -1, -1, 1)}
 
 
-def _sign(x: Mat4, m: Mat4) -> int:
-    """1 if x = m, -1 if x = -m, else 0: the first nonzero entry of m
-    settles which of the two to test, so -m is built only to confirm."""
-    a, b = next(((a, b) for a, b in zip(sum(x.rows, ()), sum(m.rows, ()))
-                 if b is not ZERO), (ZERO, ZERO))
-    return 1 if a == b and x == m else -1 if a == -b and x == -m else 0
+def _sign(xs: Iterable[Scalar], ys: Iterable[Scalar]) -> int:
+    """1 if x = y for all paired entries of xs and ys, -1 if x = -y for
+    all, else 0: the first nonzero y settles which, the first miss ends."""
+    s = 0
+    for x, y in zip(xs, ys):
+        if not s and y is not ZERO:
+            s = 1 if x == y else -1
+        y = y if s >= 0 else -y
+        if x is not y and x != y:
+            return 0
+    return s or 1
 
 
 def _square_sign(m: Mat4) -> int:
@@ -543,12 +564,14 @@ def _square_sign(m: Mat4) -> int:
         head = [_make(*_dot(n[0], col), den * den) for col in zip(*n)]
         if head[1:] != [ZERO] * 3 or head[0] not in (ONE, MINUS_ONE):
             return 0
-    return _sign(m * m, Mat4.identity())
+    return _sign(sum((m * m).rows, ()), sum(_IDENTITY.rows, ()))
 
 
 def classify(m: Mat4) -> MatrixClass:
-    """The class signs of m, the inverse sign read off M M = +-1."""
+    """The class signs of m, compared entry by entry with no dagger,
+    transpose or conjugate built; the inverse sign read off M M = +-1."""
+    flat, flipped = sum(m.rows, ()), sum(zip(*m.rows), ())
     return MatrixClass(
-        (_sign(m.dagger(), m), _square_sign(m), _sign(m.transpose(), m),
-         _sign(m.conj(), m)),
+        (_sign(map(Scalar.conjugate, flipped), flat), _square_sign(m),
+         _sign(flipped, flat), _sign(map(Scalar.conjugate, flat), flat)),
         unimodular=m.det() == ONE, traceless=m.trace().is_zero())

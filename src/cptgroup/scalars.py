@@ -110,8 +110,9 @@ class Scalar:
     # -- field structure -----------------------------------------------
 
     def conjugate(self) -> "Scalar":
-        """Complex conjugation: i -> -i, sqrt(2) fixed."""
-        return _make(self.a, -self.b, self.c, -self.d, self.den)
+        """Complex conjugation: i -> -i, sqrt(2) fixed.  It only negates
+        numerators, so they stay reduced: no gcd."""
+        return _make(self.a, -self.b, self.c, -self.d, self.den, True)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero.
@@ -205,16 +206,15 @@ def times_unit(x: Scalar, e: int) -> Scalar:
         a, b, c, d = -b, a, -d, c
     if e & 2:
         a, b, c, d = -a, -b, -c, -d
-    if den == 1:    # no gcd either, and a unit comes back shared
-        return _make(a, b, c, d, 1)
-    y = object.__new__(Scalar)
-    y.a, y.b, y.c, y.d, y.den = a, b, c, d, den
-    return y
+    return _make(a, b, c, d, den, True)
 
 
-def _make(a: int, b: int, c: int, d: int, den: int) -> Scalar:
-    """The Scalar (a + b i + c R + d iR) / den for den > 0, reduced."""
-    if den != 1:
+def _make(a: int, b: int, c: int, d: int, den: int,
+          reduced: bool = False) -> Scalar:
+    """The Scalar (a + b i + c R + d iR) / den for den > 0, reduced, with
+    no gcd where the numerators are known to be `reduced`; a unit comes
+    back shared."""
+    if den != 1 and not reduced:
         g = gcd(a, b, c, d, den)
         if g != 1:
             a, b, c, d, den = a // g, b // g, c // g, d // g, den // g

@@ -14,13 +14,13 @@ the basis word B_w obeys B_w gmu = sigma_wmu gmu B_w with sigma_wmu =
 (-1)^(|w| - [mu in w]).  Where each twisted gamma is +-itself, f(gmu) =
 e_mu gmu, each relation sends B_w to (e_mu - s_mu sigma_wmu) B_w gmu.
 The B_w gmu are independent and no two words share their signs, so the
-kernel is the one word with sigma_wmu = e_mu s_mu: a line.  Where some
-twisted gamma is not, as in a T x 1 basis, the system is solved by exact
-Gauss-Jordan elimination on sparse rows; those of a relation between
-unit multiples of basis words are read off the word product table
-B_j B_k = e_jk B_(j△k), j△k the symmetric difference of the two words
-(`word_table`).  Sweeping the remaining unit scalar multiplier
-and imposing the two cross-compatibility conditions
+kernel is the one word with sigma_wmu = e_mu s_mu: a line.  Another
+system of relations between unit multiples of basis words is read off
+the word product table B_j B_k = e_jk B_(j△k), j△k the symmetric
+difference of the two words (`word_table`), and solved by a union-find
+on the unit ratios it fixes; any other, as in a T x 1 basis, by exact
+Gauss-Jordan elimination on sparse rows.  Sweeping the remaining unit
+scalar multiplier and imposing the two cross-compatibility conditions
 
     C (P^-1)^T C^-1 = P        and        C T* = T C*
 
@@ -83,26 +83,23 @@ def constraint_system(symmetry: str, rep: GammaRep) -> ConstraintSystem:
 
 
 def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
-    """Exact kernel of the stacked linear system on the 16-dim matrix space.
-
-    Row i of a relation holds, by column j, coefficient i of the image
-    B_j R - s L B_j of each basis word, sparse (see `_rows`).  Each free
-    column of the reduced rows gives a kernel matrix with leading basis
-    coefficient 1, a single word being the shared `rep.basis` entry.
-    """
-    rows = [row for rel in system.relations for row in _rows(rel, rep) if row]
-    pivots = row_reduce(rows, 16)
-    basis = []
-    for fc in sorted(set(range(16)) - set(pivots)):
-        vec = {pc: -rows[r][fc] for r, pc in enumerate(pivots)
-               if fc in rows[r]}
-        if not vec:
-            basis.append(rep.basis[fc])
-            continue
-        vec[fc] = ONE
-        inv = vec[min(vec)].inverse()
-        basis.append(rep.recombine([_times(inv, vec[k]) if k in vec else ZERO
-                                    for k in range(16)]))
+    """Exact kernel of the stacked linear system on the 16-dim matrix space:
+    one vector per free column of its reduced row echelon form, leading
+    basis coefficient 1, a single word being the shared `rep.basis` entry;
+    by `_unit_kernel`, else by elimination on the sparse rows of `_rows`."""
+    basis = _unit_kernel(system, rep)
+    if basis is None:
+        rows = [row for rel in system.relations for row in _rows(rel, rep)
+                if row]
+        pivots, basis = row_reduce(rows, 16), []
+        for fc in sorted(set(range(16)) - set(pivots)):
+            vec = {pc: -rows[r][fc] for r, pc in enumerate(pivots)
+                   if fc in rows[r]}
+            vec[fc] = ONE
+            inv = vec[min(vec)].inverse()
+            basis.append(rep.basis[fc] if len(vec) == 1 else rep.recombine(
+                [_times(inv, vec[k]) if k in vec else ZERO
+                 for k in range(16)]))
     space = SolutionSpace(tuple(basis))
     for b in space.basis:
         if not system.satisfied_by(b):
@@ -110,30 +107,49 @@ def solve_system(system: ConstraintSystem, rep: GammaRep) -> SolutionSpace:
     return space
 
 
+def _unit_kernel(system: ConstraintSystem,
+                 rep: GammaRep) -> list[Mat4] | None:
+    """The kernel basis of a system of relations X i**u B_r = i**v B_l X,
+    sign taken into L, or None.  Row k = j△r = l△j' reads c_j i**(u + e_jr)
+    = c_j' i**(v + e_lj') (`word_table`): c_j = i**t c_j'.  A union-find
+    keeps c = i**pot c_root, the root its largest member; a cycle with t != 0
+    (j = j': a forced zero) joins the zero node 16.  Any other component
+    gives i**(pot - pot_min) at its members, in order of root, as RREF."""
+    words = rep._unit_words
+    hits = [(words.get(monomial_code(rel.right)),
+             words.get(monomial_code(rel.left.scale(rel.sign))))
+            for rel in system.relations]
+    if any(None in hit for hit in hits):
+        return None
+    table, root, pot = word_table(), list(range(17)), [0] * 17
+    for (r, u), (l, v) in hits:
+        for j2 in range(16):
+            k, f = table[l][j2]
+            j = table[k][r][0]
+            x, y = root[j], root[j2]    # c_x = i**t c_y
+            t = (v + f - u - table[j][r][1] + pot[j2] - pot[j]) % 4
+            if x == y and t:
+                y = 16
+            elif x > y:
+                x, y, t = y, x, -t
+            if x != y:
+                for n in range(17):
+                    if root[n] == x:
+                        root[n], pot[n] = y, (pot[n] + t) % 4
+    return [rep.basis[x] if root.count(x) == 1 else rep.recombine(
+        [UNITS[(p - pot[root.index(x)]) % 4] if y == x else ZERO
+         for y, p in zip(root, pot[:16])]) for x in sorted(set(root) - {16})]
+
+
 def _rows(rel: Relation, rep: GammaRep) -> list[dict[int, Scalar]]:
-    """The 16 sparse rows of one relation.  For X i**u B_r = s i**v B_l X,
-    s = +-1, B_j goes to i**u e_jr B_(j△r) - s i**v e_lj B_(l△j), read off
-    `word_table`; any other relation expands B_j R and (-s L) B_j."""
-    hits = [rep._unit_words.get(monomial_code(m))
-            for m in (rel.right, rel.left)]
-    if None in hits or rel.sign not in (1, -1):
-        minus_left = rel.left.scale(-rel.sign)
-        images = [[x + y for x, y in zip(rep.basis_expand(b * rel.right),
-                                         rep.basis_expand(minus_left * b))]
-                  for b in rep.basis]
-        return [{j: x for j, image in enumerate(images)
-                 if (x := image[i]) is not ZERO} for i in range(16)]
-    (r, u), (l, v) = hits
-    v += 1 + rel.sign    # -s i**v = i**(v + 1 + s)
-    table, rows = word_table(), [{} for _ in range(16)]
-    for j in range(16):
-        (k, e), (m, f) = table[j][r], table[l][j]
-        x, y = UNITS[(u + e) % 4], UNITS[(v + f) % 4]
-        if k != m:
-            rows[k][j], rows[m][j] = x, y
-        elif (x := x + y) is not ZERO:    # r = l: the two terms meet
-            rows[k][j] = x
-    return rows
+    """The 16 sparse rows of one relation X R = s L X: row i holds, by
+    column j, coefficient i of B_j R and (-s L) B_j, expanded."""
+    minus_left = rel.left.scale(-rel.sign)
+    images = [[x + y for x, y in zip(rep.basis_expand(b * rel.right),
+                                     rep.basis_expand(minus_left * b))]
+              for b in rep.basis]
+    return [{j: x for j, image in enumerate(images)
+             if (x := image[i]) is not ZERO} for i in range(16)]
 
 
 @cache
@@ -142,9 +158,10 @@ def kernel(symmetry: str, rep: GammaRep) -> SolutionSpace:
     It is keyed on the name and the shared, immutable rep, not on the
     system: solving a fresh system with `solve_system` fills no cache.
     Where each twisted gamma is +-itself, it is the word in `rep.gamma`
-    whose commutation signs match; `solve_system` eliminates any other."""
+    whose commutation signs match; `solve_system` solves any other."""
     system = constraint_system(symmetry, rep)
-    signs = [r.sign * _sign(r.right, r.left) for r in system.relations]
+    signs = [r.sign * _sign(sum(r.right.rows, ()), sum(r.left.rows, ()))
+             for r in system.relations]
     if 0 in signs:
         return solve_system(system, rep)
     word = word_product(rep.gamma, next(

@@ -317,6 +317,40 @@ def test_classify_settles_early_as_the_full_comparisons_do():
     assert classify(block).signs[1] == 0
 
 
+def test_classify_signs_of_dense_structured_matrices():
+    # A +- A†, A +- A~ and A +- A*, and i times each, have adjoint,
+    # transpose and conjugate signs +-1 with no code; conjugates of
+    # words by a dense B square to +-1.  Each broken copy fails its sign
+    # only at entry (0, 0), where the scan settles which sign to test, or
+    # only at (3, 2) or (3, 3), after agreeing on the first nonzero entry
+    rng = random.Random(2025)
+    a, b = random_dense(rng), random_dense(rng)
+    binv = b.inverse()
+    cases = []
+    for f in (Mat4.dagger, Mat4.transpose, Mat4.conj):
+        for m in (a + f(a), a - f(a)):
+            cases += [m, m.scale(I)]
+    cases += [b * w * binv for w in (DP.gamma[0], DP.gamma[0].scale(I),
+                                     DP.basis[7], DP.basis[7].scale(I))]
+    for m in list(cases):
+        for i, j in ((0, 0), (3, 2), (3, 3)):
+            rows = [list(row) for row in m.rows]
+            rows[i][j] += Scalar(0, 1, 1)
+            cases.append(Mat4(rows))
+    cases += [a, Mat4.zero()]
+    seen = [set() for _ in range(4)]
+    for m in cases:
+        assert monomial_code(m) is None or m.is_zero()
+        want = (_reference_sign(m.dagger(), m),
+                _reference_sign(m * m, Mat4.identity()),
+                _reference_sign(m.transpose(), m),
+                _reference_sign(m.conj(), m))
+        assert classify(m).signs == want
+        for found, sign in zip(seen, want):
+            found.add(sign)
+    assert seen == [{-1, 0, 1}] * 4
+
+
 def test_monomial_det_is_the_numerator_det_for_every_code():
     # sign(cols) i**sum(exponents), against the expansion on numerators
     # of the same entries with no code
@@ -538,3 +572,32 @@ def test_recombine_inverts_basis_expand_for_every_basis():
             assert back == entrywise(lambda i, j: sum(
                 (c * b.rows[i][j] for c, b in zip(coeffs, rep.basis)),
                 Scalar(0)))
+
+
+def test_basis_maps_of_monomial_words_turn_numerators(monkeypatch):
+    # where every word is monomial, c_k and the recombined entries are sums
+    # of numerators turned by i**e; they equal the general map, made of
+    # numerator products, built for the same words with no unit read as
+    # an exponent.  The T x 1 basis keeps the general map and round-trips
+    rng = random.Random(2025)
+    reps = [get_rep(tag) for tag in RepTag]
+    reps.append(GammaRep(random_clifford(rng)))
+    mats = [random_dense(rng), random_dense_mat(rng), hard_dense_mat(rng)]
+    mats.append(mats[0].inverse())
+    for rep in reps:
+        general = GammaRep(rep.s)
+        with monkeypatch.context() as patched:
+            patched.setattr(matrices, "_EXPONENT", {})
+            maps = general._maps
+        assert [f for _, f, _ in rep._maps] == [matrices._turns] * 2
+        assert [f for _, f, _ in maps] == [matrices._dot] * 2
+        for m in mats:
+            coeffs = rep.basis_expand(m)
+            assert coeffs == general.basis_expand(m)
+            back = rep.recombine(coeffs)
+            assert_canonical(back)
+            assert back == m and back.rows == general.recombine(coeffs).rows
+    t_rep = GammaRep(T_GATES[0])
+    assert [f for _, f, _ in t_rep._maps] == [matrices._dot] * 2
+    for m in mats:
+        assert t_rep.recombine(t_rep.basis_expand(m)) == m

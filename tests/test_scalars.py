@@ -195,6 +195,9 @@ def test_unit_multiples_permute_the_numerators_without_a_gcd(p, q, r, s):
     # a unit times a unit is the shared unit
     assert all(times_unit(u, e) is UNITS[(k + e) % 4]
                for k, u in enumerate(UNITS) for e in range(4))
+    # conjugation only negates numerators: no gcd, and units stay shared
+    assert x.conjugate().den == x.den and ZERO.conjugate() is ZERO
+    assert all(u.conjugate() is UNITS[-k % 4] for k, u in enumerate(UNITS))
 
 
 def test_equal_values_built_differently_are_equal_and_hash_equal():

@@ -242,8 +242,9 @@ def test_word_table_gives_every_product_of_basis_words():
 
 
 def test_rows_by_linearity_equal_the_expanded_difference():
-    # the word-table rows in the three named bases and 20 Clifford bases,
-    # expanded rows in the T x 1 basis and for a dense A
+    # the union-find kernels of word systems in the three named bases and
+    # 20 Clifford bases, eliminated kernels in the T x 1 basis and for a
+    # dense A
     rng = random.Random(17)
     reps = list(map(get_rep, ALL_TAGS))
     reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
@@ -296,6 +297,78 @@ def test_unit_relations_take_no_dense_expansion(rep, monkeypatch):
     for system in systems + list(word_systems(random.Random(5), rep)):
         assert solve_system(system, rep).dimension
     assert not seen
+
+
+def _unit_systems(rng: random.Random, rep: GammaRep):
+    """Ten seeded systems of 1 to 4 relations X u f(B_j) = s v B_k X, f the
+    identity, transpose or conjugation and u, v units: unlike
+    `word_systems`, no word need solve them, so a kernel may be empty."""
+    twists = (lambda m: m, Mat4.transpose, Mat4.conj)
+    for _ in range(10):
+        yield ConstraintSystem(tuple(
+            Relation(rng.choice(twists)(rep.basis[rng.randrange(16)]).scale(
+                rng.choice(UNITS)), rep.basis[rng.randrange(16)].scale(
+                rng.choice(UNITS)), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 4))))
+
+
+def test_union_find_kernels_are_the_eliminated_kernels(monkeypatch):
+    # every unit system, drawn as the dense-algebra benchmark draws them
+    # or with unit multiples on both sides, is solved with no elimination,
+    # and its basis is the dense reference's entry for entry; the T x 1
+    # and dense systems are still eliminated
+    reduced = []
+    monkeypatch.setattr(solver, "row_reduce",
+                        lambda rows, n: reduced.append(n) or row_reduce(
+                            rows, n))
+    rng = random.Random(2025)
+    reps = list(map(get_rep, ALL_TAGS))
+    reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
+    dims = set()
+    for rep in reps:
+        for system in [*word_systems(rng, rep), *_unit_systems(rng, rep)]:
+            got = solve_system(system, rep).basis
+            assert got == _reference_basis(system, rep)
+            dims.add(len(got))
+    assert not reduced and {0, 1, 2, 4, 8} <= dims
+    t_rep, dp, a = _t_rep(), get_rep(RepTag.DIRAC_PAULI), random_dense(rng)
+    for rep, system in [(t_rep, constraint_system("c", t_rep)),
+                        (dp, ConstraintSystem((Relation(a, a, 1),)))]:
+        assert solve_system(system, rep).basis == \
+            _reference_basis(system, rep)
+    assert reduced == [16, 16]
+
+
+def test_union_find_edge_cases(monkeypatch):
+    monkeypatch.setattr(solver, "row_reduce", None)    # never eliminates
+    dp = get_rep(RepTag.DIRAC_PAULI)
+    (g0, g1, g2, _), one = dp.gamma, Mat4.identity()
+    cases = {
+        # X 1 = 1 X: no row constrains anything
+        (Relation(one, one, 1),): 16,
+        # X g0 = +-g0 X: r = l, so a word commuting with g0 (or, for -,
+        # anticommuting) has x + y = 0 and is free, and the others are
+        # forced to zero
+        (Relation(g0, g0, 1),): 8,
+        (Relation(g0, g0, -1),): 8,
+        # X g0 = i g0 X: x + y != 0 for every word
+        (Relation(g0, g0.scale(I), 1),): 0,
+        # X g1 = g2 X links c_j and c_j' of j' = j△{1,2} from two rows,
+        # which agree; X g1 = i g2 X links them again with an exponent
+        # one larger, so every such 2-cycle disagrees
+        (Relation(g1, g2, 1),): 8,
+        (Relation(g1, g2, 1), Relation(g1, g2.scale(I), 1)): 0,
+        (Relation(g1, g2, 1), Relation(g1.scale(I), g2.scale(I), 1)): 8,
+        # g0 squares to 1 and g1 to -1: the two rows of each pair disagree
+        (Relation(g0, g1, 1),): 0,
+    }
+    for relations, dim in cases.items():
+        system = ConstraintSystem(relations)
+        got = solve_system(system, dp).basis
+        assert len(got) == dim and got == _reference_basis(system, dp)
+    # each vector of a one-word component is the shared basis word
+    free = solve_system(ConstraintSystem((Relation(one, one, 1),)), dp)
+    assert all(x is b for x, b in zip(free.basis, dp.basis))
 
 
 def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(

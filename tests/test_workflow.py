@@ -72,14 +72,16 @@ def test_tier1_workflow_counts_every_query_command_in_a_traced_run():
 
 def test_tier1_workflow_counts_the_solver_in_a_traced_dense_run():
     # only dense-algebra solves systems, so only its traced run shows
-    # the constraint rows' per-layer numbers
+    # the constraint rows' per-layer numbers; the tracer wraps `classify`
+    # by name, so the run must still count it
     runs = [step.get("run", "") for job in _workflow()["jobs"].values()
             for step in job["steps"]]
     step = next(run for run in runs if "--workload dense-algebra" in run
                 and "--trace 1" in run)
     assert 'out["correct"]' in step and "> 0" in step
     for metric in ("solver.solve_system.calls",
-                   "matrices.GammaRep.basis_expand.calls"):
+                   "matrices.GammaRep.basis_expand.calls",
+                   "matrices.classify.calls"):
         assert f'"{metric}"' in step
 
 
