@@ -147,9 +147,6 @@ class Mat4:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(x is ZERO for row in self.rows for x in row)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat4):
             return NotImplemented
@@ -557,12 +554,12 @@ def _sign(xs: Iterable[Scalar], ys: Iterable[Scalar]) -> int:
 
 
 def _square_sign(m: Mat4) -> int:
-    """s with M M = s 1, else 0.  Without a code, row 0 of M M is formed
-    first, and the whole square only where that row is +-(1, 0, 0, 0)."""
+    """s with M M = s 1, else 0.  Without a code, the numerators of row 0
+    of M M come first; the square only where they are +-den**2 and zeros."""
     if monomial_code(m) is None:
         n, den = _numerator_rows(m)
-        head = [_make(*_dot(n[0], col), den * den) for col in zip(*n)]
-        if head[1:] != [ZERO] * 3 or head[0] not in (ONE, MINUS_ONE):
+        (a, *rest), *tail = [_dot(n[0], col) for col in zip(*n)]
+        if abs(a) != den * den or any(rest) or any(map(any, tail)):
             return 0
     return _sign(sum((m * m).rows, ()), sum(_IDENTITY.rows, ()))
 

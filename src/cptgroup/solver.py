@@ -8,18 +8,13 @@ on an unknown 4x4 matrix X:
     time reversal:      X g0 = g0 X,      X gk* = -gk X  (k = 1, 2, 3)
 
 The conjugated/transposed gamma matrices are fixed matrices in a given
-representation, so each condition is linear over Q(i, sqrt(2)).  Every
-representation conjugates the standard gammas, so they anticommute, and
-the basis word B_w obeys B_w gmu = sigma_wmu gmu B_w with sigma_wmu =
-(-1)^(|w| - [mu in w]).  Where each twisted gamma is +-itself, f(gmu) =
-e_mu gmu, each relation sends B_w to (e_mu - s_mu sigma_wmu) B_w gmu.
-The B_w gmu are independent and no two words share their signs, so the
-kernel is the one word with sigma_wmu = e_mu s_mu: a line.  Another
-system of relations between unit multiples of basis words is read off
-the word product table B_j B_k = e_jk B_(j△k), j△k the symmetric
-difference of the two words (`word_table`), and solved by a union-find
-on the unit ratios it fixes; any other, as in a T x 1 basis, by exact
-Gauss-Jordan elimination on sparse rows.  Sweeping the remaining unit
+representation, so each condition is linear over Q(i, sqrt(2)).  A
+system of relations between unit multiples of basis words, as each of
+the three is in a Clifford basis, is read off the word product table
+B_j B_k = e_jk B_(j△k), j△k the symmetric difference of the two words
+(`word_table`), and solved by a union-find on the unit ratios it fixes;
+any other, as in a T x 1 basis, by exact Gauss-Jordan elimination on
+sparse rows.  Each kernel is a line.  Sweeping the remaining unit
 scalar multiplier and imposing the two cross-compatibility conditions
 
     C (P^-1)^T C^-1 = P        and        C T* = T C*
@@ -35,9 +30,9 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .matrices import (BASIS_WORDS, CLASS_SIGNS, GammaRep, Mat4, RepTag,
-                       _sign, _times, classify, get_rep, monomial_code,
-                       row_reduce, word_product, word_table)
+from .matrices import (CLASS_SIGNS, GammaRep, Mat4, RepTag, _times,
+                       classify, get_rep, monomial_code, row_reduce,
+                       word_table)
 from .scalars import I, ONE, UNITS, Scalar, ZERO
 
 
@@ -154,22 +149,11 @@ def _rows(rel: Relation, rep: GammaRep) -> list[dict[int, Scalar]]:
 
 @cache
 def kernel(symmetry: str, rep: GammaRep) -> SolutionSpace:
-    """The kernel of the `SYSTEMS[symmetry]` system in `rep`, found once.
-    It is keyed on the name and the shared, immutable rep, not on the
-    system: solving a fresh system with `solve_system` fills no cache.
-    Where each twisted gamma is +-itself, it is the word in `rep.gamma`
-    whose commutation signs match; `solve_system` solves any other."""
-    system = constraint_system(symmetry, rep)
-    signs = [r.sign * _sign(sum(r.right.rows, ()), sum(r.left.rows, ()))
-             for r in system.relations]
-    if 0 in signs:
-        return solve_system(system, rep)
-    word = word_product(rep.gamma, next(
-        w for w in BASIS_WORDS if all((-1) ** (len(w) - (mu in w)) == sign
-                                      for mu, sign in enumerate(signs))))
-    if not system.satisfied_by(word):
-        raise AssertionError("kernel element fails a relation")
-    return SolutionSpace((word,))
+    """The kernel of the `SYSTEMS[symmetry]` system in `rep` by
+    `solve_system`, found once.  It is keyed on the name and the shared,
+    immutable rep, not on the system: solving a fresh system with
+    `solve_system` fills no cache."""
+    return solve_system(constraint_system(symmetry, rep), rep)
 
 
 # -- compatibility -------------------------------------------------------------

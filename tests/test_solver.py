@@ -10,7 +10,7 @@ from conftest import (CLIFFORD_GATES, T_GATES, random_clifford, random_dense,
 
 from cptgroup import solver
 from cptgroup.matrices import (BASIS_WORDS, GammaRep, Mat4, RepTag, get_rep,
-                               row_reduce, word_table)
+                               row_reduce, word_product, word_table)
 from cptgroup.scalars import I, ONE, UNITS, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, ConstraintSystem,
                              Relation, canonical_sets, check_cp_compatibility,
@@ -83,7 +83,7 @@ def test_kernels_are_lines(rep):
     for sym in "pct":
         space = kernel(sym, rep)
         assert space.dimension == 1
-        assert not space.basis[0].is_zero()
+        assert space.basis[0] != Mat4.zero()
 
 
 def test_kernel_elements_satisfy_their_systems(rep):
@@ -221,10 +221,25 @@ def test_every_transport_lands_on_its_kernel_line():
                                          kernel(sym, rep).basis[0])
 
 
+def _signature_word(sym: str, rep: GammaRep) -> Mat4:
+    """The kernel line of the `SYSTEMS[sym]` system where each twisted
+    gamma is +-itself, f(gmu) = e_mu gmu, by commutation signs alone.
+    Every presentation conjugates the standard gammas, so the basis word
+    B_w obeys B_w gmu = sigma_wmu gmu B_w, sigma_wmu = (-1)**(|w| - [mu in
+    w]), and relation mu sends B_w to (e_mu - s_mu sigma_wmu) B_w gmu.
+    The B_w gmu are independent and no two words share their signs, so
+    the kernel is the one word with sigma_wmu = e_mu s_mu."""
+    _, twist, signs = SYSTEMS[sym]
+    eps = [{g: 1, -g: -1}[twist(g)] for g in rep.gamma]
+    return word_product(rep.gamma, next(
+        w for w in BASIS_WORDS
+        if all((-1) ** (len(w) - (mu in w)) == e * s
+               for mu, (e, s) in enumerate(zip(eps, signs)))))
+
+
 def test_kernel_by_signature_is_the_eliminated_kernel(rep):
     for sym in SYSTEMS:
-        assert kernel(sym, rep).basis == \
-            solve_system(constraint_system(sym, rep), rep).basis
+        assert kernel(sym, rep).basis == (_signature_word(sym, rep),)
 
 
 def test_word_table_gives_every_product_of_basis_words():
@@ -371,29 +386,30 @@ def test_union_find_edge_cases(monkeypatch):
     assert all(x is b for x, b in zip(free.basis, dp.basis))
 
 
-def test_kernels_by_signature_in_clifford_bases_and_elimination_beyond(
+def test_kernels_are_signature_words_in_clifford_bases_and_eliminated_beyond(
         monkeypatch):
-    rng = random.Random(2004)
+    # `reduced` takes the symmetry being solved at each elimination
+    rng, reduced = random.Random(2004), []
+    monkeypatch.setattr(solver, "row_reduce",
+                        lambda rows, n: reduced.append(sym)
+                        or row_reduce(rows, n))
     for _ in range(20):
         rep = GammaRep(random_clifford(rng))
         for sym in SYSTEMS:
-            assert kernel(sym, rep).basis == \
-                solve_system(constraint_system(sym, rep), rep).basis
-    # in the T x 1 basis parity is untwisted, but the C and T systems are
-    # not signature systems
+            assert kernel(sym, rep).basis == (_signature_word(sym, rep),)
+    assert not reduced
+    # in the T x 1 basis the spatial gammas are not monomial unit
+    # matrices, so each system is eliminated, once; parity is untwisted
+    # and keeps its signature word, but C and T are not signature systems
     t_rep = _t_rep()
-    solved = []
-    solve = solver.solve_system
-
-    def counting(system, rep):
-        solved.append(system)
-        return solve(system, rep)
-
-    monkeypatch.setattr(solver, "solve_system", counting)
     for sym in SYSTEMS:
         assert kernel.__wrapped__(sym, t_rep).basis == \
-            solve(constraint_system(sym, t_rep), t_rep).basis
-    assert solved == [constraint_system(sym, t_rep) for sym in "ct"]
+            _reference_basis(constraint_system(sym, t_rep), t_rep)
+    assert reduced == ["p", "c", "t"]
+    assert kernel("p", t_rep).basis == (_signature_word("p", t_rep),)
+    for sym in "ct":
+        with pytest.raises(KeyError):
+            _signature_word(sym, t_rep)
 
 
 def test_enumeration_rejects_non_unitary_lines():

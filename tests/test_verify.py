@@ -189,17 +189,28 @@ def test_corrupted_reference_datum_fails(ctx, monkeypatch, capsys, dataset,
 
 def test_run_all_solves_each_kernel_once(monkeypatch):
     # one kernel per (symmetry, representation): p/c/t x dp/weyl/majorana,
-    # each read off its commutation signs, so no elimination runs at all,
-    # and the word product table of the elimination is never built
+    # each solved once by the union-find on the word product table, which
+    # is built once; no system reaches elimination.  The wrapper calls the
+    # real solver, so `kernel`'s cache keeps real kernels for later tests
     solver.kernel.cache_clear()
     matrices.word_table.cache_clear()
-    calls = []
-    monkeypatch.setattr(solver, "solve_system",
-                        lambda *args: calls.append(args))
+    solve, calls, reduced = solver.solve_system, [], []
+
+    def counting(system, rep):
+        calls.append(next((sym, rep) for sym in solver.SYSTEMS
+                          if solver.constraint_system(sym, rep) == system))
+        return solve(system, rep)
+
+    monkeypatch.setattr(solver, "solve_system", counting)
+    monkeypatch.setattr(solver, "row_reduce",
+                        lambda *args: reduced.append(args))
     verify.run_all()
-    assert calls == []
+    assert len(calls) == 9
+    assert set(calls) == {(sym, get_rep(tag)) for sym in "pct"
+                          for tag in RepTag}
     assert solver.kernel.cache_info().misses == 9
-    assert matrices.word_table.cache_info().misses == 0
+    assert matrices.word_table.cache_info().misses == 1
+    assert reduced == []
 
 
 def test_run_all_transports_each_set_once():

@@ -71,9 +71,9 @@ def test_tier1_workflow_counts_every_query_command_in_a_traced_run():
 
 
 def test_tier1_workflow_counts_the_solver_in_a_traced_dense_run():
-    # only dense-algebra solves systems, so only its traced run shows
-    # the constraint rows' per-layer numbers; the tracer wraps `classify`
-    # by name, so the run must still count it
+    # only dense-algebra solves systems that reach elimination, so only
+    # its traced run shows the constraint rows' per-layer numbers; the
+    # tracer wraps `classify` by name, so the run must still count it
     runs = [step.get("run", "") for job in _workflow()["jobs"].values()
             for step in job["steps"]]
     step = next(run for run in runs if "--workload dense-algebra" in run
@@ -95,5 +95,7 @@ def test_tier1_workflow_times_every_verify_stage_in_a_traced_run():
     assert 'out["correct"]' in step and "> 0" in step
     assert "from tracer import STAGES" in step
     assert 'f"verify.stage.{s}.total_s"' in step
-    # the tracer counts the operator group's build under this name only
+    # the tracer counts the operator group's build under this name only,
+    # and `kernel` solves each named system through `solve_system`
     assert '"operator_group.build_operator_group.calls"' in step
+    assert '"solver.solve_system.calls"' in step
