@@ -3,19 +3,19 @@
 Groups are built by closure from generators (matrices, permutations, or
 any hashable elements with an associative product; `collector` gives the
 product of a group stated by sign relations), stored as an element list
-plus a full Cayley table.  Construction always verifies the Latin
-square property and associativity by full scan, which is cheap at these
-orders.  On top of the table sit: order profiles, regular representations,
-subgroup/center/quotient computations, semidirect products, short exact
-sequences with exhaustive splitting search, and isomorphism search by
-backtracking over generator images.
+plus a full Cayley table.  Construction verifies the Latin square
+property and associativity on whole table rows.  On top of the table
+sit: order profiles, regular representations, one-sided closures through
+generator rows, subgroup/center/quotient computations, semidirect
+products, short exact sequences with exhaustive splitting search, and
+isomorphism search by backtracking over the images of `generators`.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
+from collections import Counter, deque
 from functools import cache, cached_property
 from typing import (Callable, Hashable, Iterable, NamedTuple, Optional,
                     Sequence)
@@ -148,27 +148,22 @@ class FiniteGroup:
             raise GroupError("label count mismatch")
 
     def _check_table(self) -> None:
-        n = self.order
-        rng = range(n)
-        for row in self.table:
-            if sorted(row) != list(rng):
-                raise GroupError("Cayley table is not a Latin square (row)")
-        for j in rng:
-            if sorted(self.table[i][j] for i in rng) != list(rng):
-                raise GroupError("Cayley table is not a Latin square (col)")
-        ident = [i for i in rng
-                 if all(self.table[i][j] == j and self.table[j][i] == j
-                        for j in rng)]
+        """Latin rows, then columns, a two-sided identity, then each row
+        ij as row j read through row i: t[t[i][j]][k] = t[i][t[j][k]]."""
+        t, ids = self.table, list(range(self.order))
+        if any(sorted(row) != ids for row in t):
+            raise GroupError("Cayley table is not a Latin square (row)")
+        if any(sorted(col) != ids for col in zip(*t)):
+            raise GroupError("Cayley table is not a Latin square (col)")
+        ident = [i for i in ids
+                 if t[i] == ids and [row[i] for row in t] == ids]
         if len(ident) != 1:
             raise GroupError("no two-sided identity")
         self.identity = ident[0]
-        t = self.table
-        for i in rng:
-            for j in rng:
-                tij = t[i][j]
-                for k in rng:
-                    if t[tij][k] != t[i][t[j][k]]:
-                        raise GroupError("product is not associative")
+        for ti in t:
+            if any(t[tij] != list(map(ti.__getitem__, tj))
+                   for tij, tj in zip(ti, t)):
+                raise GroupError("product is not associative")
 
     # -- basic queries -----------------------------------------------------
 
@@ -216,25 +211,22 @@ class FiniteGroup:
     # -- structure ----------------------------------------------------------
 
     def closure_of(self, seed: Iterable[int]) -> frozenset[int]:
-        table = self.table
-        return frozenset(_closure(seed, lambda a, b: table[a][b],
-                                  self.identity))
+        """The subgroup the seed generates, closed on one side through the
+        seed's rows: in a finite group, the monoid a set generates."""
+        rows = [self.table[g] for g in set(seed)]
+        found = frontier = {self.identity}
+        while frontier:
+            frontier = {row[x] for x in frontier for row in rows} - found
+            found = found | frontier
+        return frozenset(found)
 
     def subgroups(self) -> list[frozenset[int]]:
         """All subgroups, by closing single extensions of known subgroups."""
-        found = {frozenset({self.identity})}
-        frontier = list(found)
+        found = frontier = {frozenset({self.identity})}
         while frontier:
-            nxt = []
-            for h in frontier:
-                for g in range(self.order):
-                    if g in h:
-                        continue
-                    closed = self.closure_of(h | {g})
-                    if closed not in found:
-                        found.add(closed)
-                        nxt.append(closed)
-            frontier = nxt
+            frontier = {self.closure_of(h | {g}) for h in frontier
+                        for g in range(self.order) if g not in h} - found
+            found = found | frontier
         return sorted(found, key=lambda h: (len(h), sorted(h)))
 
     def is_subgroup(self, subset: frozenset[int]) -> bool:
@@ -247,10 +239,8 @@ class FiniteGroup:
                    for g in range(self.order) for h in subset)
 
     def center(self) -> frozenset[int]:
-        return frozenset(
-            i for i in range(self.order)
-            if all(self.table[i][j] == self.table[j][i]
-                   for j in range(self.order)))
+        return frozenset(i for i, row in enumerate(self.table)
+                         if row == [r[i] for r in self.table])
 
     def quotient(self, normal: frozenset[int]) -> "FiniteGroup":
         """Quotient by a normal subgroup; elements are cosets."""
@@ -258,15 +248,10 @@ class FiniteGroup:
             raise GroupError("not a subgroup")
         if not self.is_normal(normal):
             raise GroupError("subgroup is not normal")
-        cosets: list[frozenset[int]] = []
-        assigned: dict[int, frozenset[int]] = {}
-        for i in range(self.order):
-            if i in assigned:
-                continue
-            coset = frozenset(self.table[i][h] for h in normal)
-            for m in coset:
-                assigned[m] = coset
-            cosets.append(coset)
+        # m lies in iN exactly when mN = iN
+        assigned = {i: frozenset(row[h] for h in normal)
+                    for i, row in enumerate(self.table)}
+        cosets = list(dict.fromkeys(assigned.values()))
 
         def cmul(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
             return assigned[self.table[min(a)][min(b)]]
@@ -301,14 +286,23 @@ class FiniteGroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A smallest generating set, elements of higher order tried first."""
-        # each generator added outside the subgroup so far at least doubles
-        # it, so some set of at most log2(order) elements generates
+        """A smallest generating set, elements of higher order tried first:
+        the first combination, by size, whose closure is the group.  A
+        combination whose last member lies in the closure of the rest
+        spans what a smaller one spanned, and every smaller one failed, so
+        the breadth-first search extends only the others."""
+        if self.order == 1:
+            return ()
         candidates = sorted(range(self.order), key=lambda i: -self._orders[i])
-        for size in range(self.order.bit_length()):
-            for combo in itertools.combinations(candidates, size):
-                if len(self.closure_of(combo)) == self.order:
-                    return combo
+        queue = deque([((), 0, frozenset({self.identity}))])
+        while True:    # (combination, next candidate, closure)
+            combo, start, span = queue.popleft()
+            for k, g in enumerate(candidates[start:], start):
+                if g not in span:
+                    closed = self.closure_of(combo + (g,))
+                    if len(closed) == self.order:
+                        return combo + (g,)
+                    queue.append((combo + (g,), k + 1, closed))
 
 
 # the most elements `_closure` finds before giving up
@@ -473,15 +467,12 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
         phi = action[b]
         if sorted(phi) != list(range(n.order)):
             raise GroupError("action value is not a bijection of N")
-        for x in range(n.order):
-            for y in range(n.order):
-                if phi[n.table[x][y]] != n.table[phi[x]][phi[y]]:
-                    raise GroupError("action value is not an automorphism")
-    for b1 in range(h.order):
-        for b2 in range(h.order):
-            composed = [action[b1][action[b2][x]] for x in range(n.order)]
-            if composed != list(action[h.table[b1][b2]]):
-                raise GroupError("action is not a homomorphism into Aut(N)")
+        if not GroupMap(n, n, list(phi)).is_homomorphism():
+            raise GroupError("action value is not an automorphism")
+    for b1, row in zip(action, h.table):
+        if any([b1[x] for x in action[b2]] != list(action[b])
+               for b2, b in enumerate(row)):
+            raise GroupError("action is not a homomorphism into Aut(N)")
 
     elems = [(a, b) for a in range(n.order) for b in range(h.order)]
 
@@ -629,10 +620,8 @@ class ShortExactSequence(NamedTuple):
     def sections(self) -> list[GroupMap]:
         """All homomorphic sections of the projection (exhaustive)."""
         q, mid = self.quotient_group, self.middle_group
-        fibers = []
-        for qi in range(q.order):
-            fibers.append([m for m in range(mid.order)
-                           if self.projection.images[m] == qi])
+        fibers = [[m for m, qm in enumerate(self.projection.images)
+                   if qm == qi] for qi in range(q.order)]
         out = []
         nonid = [qi for qi in range(q.order) if qi != q.identity]
         for picks in itertools.product(*(fibers[qi] for qi in nonid)):

@@ -272,15 +272,15 @@ def canonical_sets() -> Mapping[int, CptSolutionSet]:
 
 
 def conjugate_group_matrices(sol: CptSolutionSet, s: Mat4) -> CptSolutionSet:
-    """Algebra conjugation A -> S A S† of every matrix of a set.
+    """Algebra conjugation A -> S A S† of every matrix of a set, by `_carry`.
 
     This preserves the group generated by the set (and hence all
     multiplication tables), but does not in general land on solutions of
     the conjugated constraint systems; see `transport`.
     """
     sd = s.dagger()
-    return CptSolutionSet(sol.variant, C=s * sol.C * sd, P=s * sol.P * sd,
-                          T=s * sol.T * sd)
+    return CptSolutionSet(sol.variant, *(_carry(x, s, sd)
+                                         for x in (sol.C, sol.P, sol.T)))
 
 
 def transport(sol: CptSolutionSet, src: GammaRep,
@@ -292,12 +292,14 @@ def transport(sol: CptSolutionSet, src: GammaRep,
     g' = S g S†.  For f = id, X' = S X S† solves them: X' g' = S X g S†
     = s_mu g' X'.  For f the transpose or conj, f(g') = S* f(g) S~, and
     S~ S* = (S† S)* = 1, so X' = S X S~ does: X' f(g') = S X f(g) S~ =
-    s_mu g' X'.  Hence P' = S P S†, C' = S C S~ and T' = S T S~.
+    s_mu g' X'.  Hence P' = S P S†, C' = S C S~ and T' = S T S~, each by
+    `_carry`, carrying each kernel line once.
     """
     if src is dst:
         return sol
-    return CptSolutionSet(sol.variant,
-                          *_transport(sol.C, sol.P, sol.T, src, dst))
+    s, sd, st = _change(src, dst)
+    return CptSolutionSet(sol.variant, _carry(sol.C, s, st),
+                          _carry(sol.P, s, sd), _carry(sol.T, s, st))
 
 
 @cache
@@ -307,12 +309,20 @@ def _change(src: GammaRep, dst: GammaRep) -> tuple[Mat4, ...]:
     return s, s.dagger(), s.transpose()
 
 
+def _carry(x: Mat4, s: Mat4, right: Mat4) -> Mat4:
+    """S X R, R = S† or S~: for a monomial unit matrix X = i**e L, L with
+    exponent 0 in row 0, the unit times S L R, found once per (L, S, R), as
+    the law is linear; a matrix with no code, as in a T x 1 basis, is
+    multiplied out."""
+    if (code := monomial_code(x)) is None:
+        return s * x * right
+    e = code[1][0]
+    return _line_carry(x.scale(UNITS[-e]), s, right).scale(UNITS[e])
+
+
 @cache
-def _transport(c: Mat4, p: Mat4, t: Mat4, src: GammaRep,
-               dst: GammaRep) -> tuple[Mat4, ...]:
-    """C', P', T' of `transport`, found once per set and pair of reps."""
-    s, sd, st = _change(src, dst)
-    return s * c * st, s * p * sd, s * t * st
+def _line_carry(line: Mat4, s: Mat4, right: Mat4) -> Mat4:
+    return s * line * right
 
 
 # -- per-solution property report ------------------------------------------------

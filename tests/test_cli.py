@@ -148,6 +148,8 @@ def test_group_queries_recompute_nothing_once_warm(monkeypatch, capsys):
 
     monkeypatch.setattr(groups, "_closure",
                         counting("_closure", groups._closure))
+    monkeypatch.setattr(groups.FiniteGroup, "closure_of",
+                        counting("closure_of", groups.FiniteGroup.closure_of))
     monkeypatch.setattr(groups.Permutation, "cycles",
                         counting("cycles", groups.Permutation.cycles))
     for argv in queries:

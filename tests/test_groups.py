@@ -17,7 +17,7 @@ from cptgroup.groups import (ClosureCapExceeded, FiniteGroup, GroupError,
                              permutation_group,
                              quaternion_group, semidirect_product,
                              quaternion_x_sign, sign_group, sixteen_e)
-from cptgroup.verify import Context
+from cptgroup.verify import Context, run_all
 
 
 # -- permutations -------------------------------------------------------------
@@ -66,6 +66,65 @@ def test_table_validation_rejects_non_groups():
         FiniteGroup([0, 1, 2], lambda a, b: (a - b) % 3)
     with pytest.raises(GroupError):
         FiniteGroup([0, 1], lambda a, b: a, labels=["e"])  # label mismatch
+    with pytest.raises(GroupError, match=r"Latin square \(col\)"):
+        # every row is 0, 1, every column constant
+        FiniteGroup([0, 1], lambda a, b: b)
+
+
+# the smallest loop that is not a group: a Latin square with identity 0 in
+# which every element squares to 0, as no group of order 5 allows
+LOOP_5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+          (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def test_latin_loop_with_identity_fails_associativity():
+    with pytest.raises(GroupError, match="product is not associative"):
+        FiniteGroup(range(5), lambda a, b: LOOP_5[a][b])
+
+
+def _reference_closure(g: FiniteGroup, seed) -> frozenset[int]:
+    """Breadth-first closure of the seed, multiplied on either side."""
+    found, frontier = {g.identity}, [g.identity]
+    while frontier:
+        new = {p for a in frontier for b in seed
+               for p in (g.table[a][b], g.table[b][a])} - found
+        found |= new
+        frontier = list(new)
+    return frozenset(found)
+
+
+def _reference_generators(g: FiniteGroup) -> tuple[int, ...]:
+    """The first combination, by size, of the elements in order of falling
+    element order, whose two-sided closure is the group."""
+    candidates = sorted(range(g.order), key=lambda i: -g.element_order(i))
+    for size in range(g.order + 1):
+        for combo in itertools.combinations(candidates, size):
+            if len(_reference_closure(g, combo)) == g.order:
+                return combo
+
+
+def test_closures_and_generators_match_the_brute_force_search(monkeypatch):
+    # every group a run builds, the shared ones it reuses, Z2^4 and the
+    # trivial group; closures of every element and every pair
+    built, init = [], FiniteGroup.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", recording)
+    run_all()
+    monkeypatch.undo()
+    assert built    # its quotients and subgroups are built on every run
+    z2 = cyclic(2)
+    built += [make() for make in SHARED_GROUPS.values()]
+    built += [cyclic(1),
+              direct_product(direct_product(z2, z2), direct_product(z2, z2))]
+    for g in {id(g): g for g in built}.values():
+        assert g.generators == _reference_generators(g)
+        for size in range(3):
+            for seed in itertools.combinations(range(g.order), size):
+                assert g.closure_of(seed) == _reference_closure(g, seed)
 
 
 def test_closure_cap():

@@ -10,10 +10,11 @@ from conftest import (CLIFFORD_GATES, T_GATES, random_clifford, random_dense,
 
 from cptgroup import solver
 from cptgroup.matrices import (BASIS_WORDS, GammaRep, Mat4, RepTag, get_rep,
-                               row_reduce, word_product, word_table)
+                               monomial_code, row_reduce, word_product,
+                               word_table)
 from cptgroup.scalars import I, ONE, UNITS, ZERO
 from cptgroup.solver import (SQUARE_SIGNATURES, SYSTEMS, ConstraintSystem,
-                             Relation, canonical_sets, check_cp_compatibility,
+                             CptSolutionSet, Relation, canonical_sets, check_cp_compatibility,
                              check_ct_compatibility, compatible_pairs,
                              conjugate_group_matrices, constraint_system,
                              enumerate_consistent_sets, kernel, solve_system,
@@ -219,6 +220,39 @@ def test_every_transport_lands_on_its_kernel_line():
             for sym in SYSTEMS:
                 assert _nonzero_multiple(getattr(moved, sym.upper()),
                                          kernel(sym, rep).basis[0])
+
+
+def _direct(sol: CptSolutionSet, s: Mat4, right: Mat4,
+            p_right: Mat4) -> CptSolutionSet:
+    """S C R, S P R_P and S T R, each multiplied out."""
+    return CptSolutionSet(sol.variant, s * sol.C * right,
+                          s * sol.P * p_right, s * sol.T * right)
+
+
+def test_transport_and_conjugation_equal_the_direct_products():
+    # both carry a unit multiple of a kernel line as the unit times the
+    # line's carry; each must equal S X S~ (S P S†) or S X S† multiplied
+    # out, for every consistent set, out of the standard basis and back
+    dp, rng = get_rep(RepTag.DIRAC_PAULI), random.Random(41)
+    reps = [get_rep(RepTag.WEYL), get_rep(RepTag.MAJORANA)]
+    reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
+    for rep in reps:
+        for src, dst in ((dp, rep), (rep, dp)):
+            s = dst.s * src.s.dagger()
+            sd, st = s.dagger(), s.transpose()
+            for sol in enumerate_consistent_sets(src):
+                assert transport(sol, src, dst) == _direct(sol, s, st, sd)
+                assert conjugate_group_matrices(sol, s) == _direct(
+                    sol, s, sd, sd)
+    # a matrix with no code, a word of the T x 1 basis, is multiplied out
+    t_rep = _t_rep()
+    word = next(b for b in t_rep.basis if monomial_code(b) is None)
+    sol = canonical_sets()[1]._replace(C=word)
+    s = dp.s * t_rep.s.dagger()
+    assert transport(sol, t_rep, dp) == _direct(sol, s, s.transpose(),
+                                                s.dagger())
+    assert conjugate_group_matrices(sol, s) == _direct(sol, s, s.dagger(),
+                                                       s.dagger())
 
 
 def _signature_word(sym: str, rep: GammaRep) -> Mat4:

@@ -7,7 +7,7 @@ from conftest import status_of
 
 from cptgroup import claims, cli, matrices, solver, verify
 from cptgroup.groups import FiniteGroup, Permutation
-from cptgroup.matrices import Mat4, RepTag, get_rep
+from cptgroup.matrices import Mat4, RepTag, get_rep, monomial_code
 from cptgroup.scalars import I
 from cptgroup.verify import ClaimResult, VerificationReport
 
@@ -213,19 +213,33 @@ def test_run_all_solves_each_kernel_once(monkeypatch):
     assert reduced == []
 
 
-def test_run_all_transports_each_set_once():
-    # the 32 Weyl and Majorana sets go back to the standard basis once, to
-    # classify them, and the two kernel claims move one set out
-    solver._transport.cache_clear()
+def test_run_all_transports_each_set_once(monkeypatch):
+    # every set is carried as units times its kernel lines' carries, each
+    # found once per (line, S, law): the transports of 34 distinct sets and
+    # the 4 conjugations of a run meet 11 keys.  The 12 of 3 lines over 4
+    # directed pairs share 3, as S_W and S_M are hermitian, so a pair and
+    # its reverse use one S, and S_W is real, so its two laws agree;
+    # conjugating by S_M adds the C and T lines under S†
+    solver._line_carry.cache_clear()
+    keys, carry = set(), solver._carry
+
+    def recording(x, s, right):
+        code = monomial_code(x)
+        keys.add((code[0], tuple((e - code[1][0]) % 4 for e in code[1]),
+                  s, right))
+        return carry(x, s, right)
+
+    monkeypatch.setattr(solver, "_carry", recording)
     verify.run_all()
-    assert solver._transport.cache_info().misses == 34
+    assert solver._line_carry.cache_info().misses == len(keys) == 11
 
 
 def test_run_all_classifies_each_matrix_once(monkeypatch):
     # `classes-41/42` and the property checks each classify the four
     # matrices of each canonical set, once per reader; one C-P sweep per
     # presentation serves the enumeration and `parity-square-rejection`
-    for cached in (solver.kernel, solver._transport, solver.compatible_pairs):
+    for cached in (solver.kernel, solver._line_carry,
+                   solver.compatible_pairs):
         cached.cache_clear()
     calls = {"classify": 0, "check_cp_compatibility": 0, "__init__": 0}
 

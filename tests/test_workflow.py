@@ -96,6 +96,8 @@ def test_tier1_workflow_times_every_verify_stage_in_a_traced_run():
     assert "from tracer import STAGES" in step
     assert 'f"verify.stage.{s}.total_s"' in step
     # the tracer counts the operator group's build under this name only,
-    # and `kernel` solves each named system through `solve_system`
+    # `kernel` solves each named system through `solve_system`, and the
+    # isomorphism search backtracks over the images of `generators`
     assert '"operator_group.build_operator_group.calls"' in step
     assert '"solver.solve_system.calls"' in step
+    assert '"groups.find_isomorphism.found"' in step
