@@ -29,17 +29,16 @@ _BASE_POSITIONS = range(1, 8)
 
 def cpt_group(c: Hashable, p: Hashable, t: Hashable,
               mul: Callable[[Hashable, Hashable], Hashable],
-              minus_one: Hashable, identity: Hashable,
-              base_names: Sequence[str]) -> FiniteGroup:
+              minus_one: Hashable, base_names: Sequence[str]) -> FiniteGroup:
     """The group {±1, ±C, ±P, ±T, ±CP, ±CT, ±PT, ±θ} in the standard order,
-    with `base_names` naming C, P, T, CP, CT, PT, θ and -e = minus_one·e.
-    Its letters C, P, T and "-" name C, P, T and -1.
+    with `base_names` naming C, P, T, CP, CT, PT, θ, -e = minus_one·e and
+    1 = minus_one².  Its letters C, P, T and "-" name C, P, T and -1.
 
     Raises GroupError if the sixteen named products are not distinct or
     not closed, or if the closure of {C, P, T} is not exactly this set.
     """
-    cp = mul(c, p)
-    positive = [identity, c, p, t, cp, mul(c, t), mul(p, t), mul(cp, t)]
+    cp, one = mul(c, p), mul(minus_one, minus_one)
+    positive = [one, c, p, t, cp, mul(c, t), mul(p, t), mul(cp, t)]
     elements = positive + [mul(minus_one, e) for e in positive[1:]] \
         + [minus_one]
     labels = ["1", *base_names, *("-" + n for n in base_names), "-1"]
@@ -60,8 +59,7 @@ def build_matrix_group(sol: CptSolutionSet) -> FiniteGroup:
     `Mat4`).  Raises GroupError otherwise."""
     if any(monomial_code(m) is None for m in (sol.C, sol.P, sol.T)):
         raise GroupError("not a monomial unit matrix")
-    return cpt_group(sol.C, sol.P, sol.T, mul, -Mat4.identity(),
-                     Mat4.identity(), BASE_NAMES)
+    return cpt_group(sol.C, sol.P, sol.T, mul, -Mat4.identity(), BASE_NAMES)
 
 
 def base_labels(group: FiniteGroup) -> list[str]:

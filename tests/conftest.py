@@ -67,6 +67,18 @@ def word_systems(rng: random.Random, rep: GammaRep):
         yield ConstraintSystem(tuple(rels))
 
 
+def signs_of(group):
+    """C², P², T² and κ in CP = κ·PC, CT = κ·TC, PT = κ·TP, each ±1 (None
+    where neither), read off a group's words in its letters C, P, T, "-"."""
+    w = group.word
+
+    def sign(word, other):
+        return 1 if w(word) == w(other) else \
+            -1 if w(word) == w("-" + other) else None
+    return (tuple(sign(x + x, "1") for x in "CPT"),
+            tuple(sign(x + y, y + x) for x, y in ("CP", "CT", "PT")))
+
+
 @pytest.fixture(scope="session")
 def ctx():
     return Context()

@@ -93,14 +93,13 @@ def test_cpt_group_requires_c_p_t_to_generate_all_sixteen():
 
     with pytest.raises(GroupError, match="closure"):
         cpt_group((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), add,
-                  (0, 0, 0, 1), (0, 0, 0, 0), BASE_NAMES)
+                  (0, 0, 0, 1), BASE_NAMES)
 
 
 def _collected(squares, kappa):
     """The group on normal forms s·C^a·P^b·T^c with these signs."""
     return cpt_group((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
-                     collector(squares, kappa), (-1, 0, 0, 0), (1, 0, 0, 0),
-                     BASE_NAMES)
+                     collector(squares, kappa), (-1, 0, 0, 0), BASE_NAMES)
 
 
 def _signs(sol: CptSolutionSet):

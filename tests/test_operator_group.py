@@ -1,16 +1,27 @@
-"""The sixteen-element operator group, collected from its sign relations,
-its embeddings, and the criterion that selects one matrix family."""
+"""The sixteen-element operator group, built from the C, P, T matrices'
+action on the field, its embeddings, and the criterion that selects one
+matrix family."""
+
+import random
 
 import pytest
+from conftest import random_clifford, signs_of
 
 from cptgroup import claims, operator_group, verify
 from cptgroup.groups import (GroupError, Permutation, dicyclic_8_x_z2,
                              dihedral_8_x_z2, direct_product,
                              find_isomorphism, quaternion_group, sign_group,
                              sixteen_e)
-from cptgroup.operator_group import (build_operator_group,
+from cptgroup.matrices import GammaRep, Mat4, RepTag, get_rep
+from cptgroup.matrix_groups import build_matrix_group, cpt_group
+from cptgroup.operator_group import (BASE_NAMES, build_operator_group,
+                                     field_operators, operator_product,
                                      select_matrix_group, to_s10)
-from cptgroup.solver import canonical_sets
+from cptgroup.solver import canonical_sets, enumerate_consistent_sets
+
+# the signs of C², P², T² and of κ in CP = κPC, CT = κTC, PT = κTP that
+# relations (67)-(68) state
+GTHETA_SIGNS = ((1, -1, -1), (1, 1, -1))
 
 
 @pytest.fixture(scope="module")
@@ -115,26 +126,73 @@ def test_wrong_generator_image_fails_only_the_chain(pipeline, c_sent_to_x,
     assert capsys.readouterr().err.count("Traceback") == 1
 
 
-# the signs of C², P², T² and of κ in CP = κPC, CT = κTC, PT = κTP that
-# the matrices of each canonical family obey
-FAMILY_SIGNS = {1: ((1, -1, 1), (-1, 1, 1)), 2: ((-1, -1, -1), (-1, 1, 1))}
+def _action_group(operators):
+    """The group that C, P, T and -1, each an operator (M, a, b), generate
+    under the field action's product."""
+    c, p, t, minus_one = operators
+    return cpt_group(c, p, t, operator_product, minus_one, BASE_NAMES)
+
+
+def test_either_canonical_set_gives_the_same_operator_group(gtheta):
+    # the field action alone does not select a variant: both canonical
+    # sets give G_Θ, table and labels, and only the matrix-level criterion
+    # picks the second
+    dp = get_rep(RepTag.DIRAC_PAULI)
+    for sol in canonical_sets().values():
+        group = _action_group(field_operators(sol, dp))
+        assert group.table == gtheta.table and group.labels == gtheta.labels
+    assert signs_of(gtheta) == GTHETA_SIGNS
+
+
+def test_the_action_is_covariant_in_every_presentation():
+    # M_C = C·γ0ᵀ with each presentation's own γ0: every consistent set of
+    # the named presentations and of 20 seeded Clifford bases gives the
+    # signs of (67)-(68), and its C, P, T generate sixteen operators
+    rng = random.Random(2004)
+    reps = [get_rep(tag) for tag in RepTag]
+    reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
+    for rep in reps:
+        sets = enumerate_consistent_sets(rep)
+        assert len(sets) == 16
+        for sol in sets:
+            group = _action_group(field_operators(sol, rep))
+            assert group.order == 16 and signs_of(group) == GTHETA_SIGNS
+
+
+def _unitary(variant):
+    """A matrix family's C, P, T and -1 acting as unitaries, ψ ↦ M·ψ, with
+    no conjugation: the action then gives that family's group."""
+    fam = canonical_sets()[variant]
+    return lambda sol, rep: tuple((m, 0, 0) for m in (
+        fam.C, fam.P, fam.T, -Mat4.identity()))
+
+
+def _no_gamma0(sol, rep):
+    """The field operators with M_C = C, missing the γ0ᵀ of ψ̄ᵀ."""
+    return ((sol.C, 1, 0), *field_operators(sol, rep)[1:])
+
+
+def test_a_unitary_action_gives_the_family_s_group():
+    for variant, sol in canonical_sets().items():
+        assert _action_group(_unitary(variant)(sol, None)).table == \
+            build_matrix_group(sol).table
+
+
 GTHETA_CLAIMS = {"relations-67-68", "table-71", "profile-gtheta", "iso-72",
                  "iso-gtheta-qxs0", "chain-73"}
 
 
-@pytest.mark.parametrize("variant", FAMILY_SIGNS)
-def test_a_matrix_family_s_signs_fail_the_operator_group_claims(
-        pipeline, monkeypatch, capsys, variant):
-    # with the signs of a matrix family, the collected group is that
-    # family's group: the claims that tell G_Θ from it fail, and the
-    # other claims report as on good data
+def _claims_that_fail(pipeline, monkeypatch, capsys, operators, signs):
+    """The claims that differ from a good run where `field_operators` is
+    `operators`, which must give `signs`.  Each of them must fail, the
+    others must report as on good data, and only chain-73 may raise: C,
+    P, T then extend to no isomorphism onto DC8 x Z2."""
     _, good = pipeline
-    squares, kappa = FAMILY_SIGNS[variant]
-    monkeypatch.setattr(operator_group, "SQUARES", squares)
-    monkeypatch.setattr(operator_group, "KAPPA", kappa)
+    monkeypatch.setattr(operator_group, "field_operators", operators)
     build_operator_group.cache_clear()
     to_s10.cache_clear()
     try:
+        assert signs_of(build_operator_group()) == signs
         _, broken = verify.run_all()
     finally:
         build_operator_group.cache_clear()
@@ -143,11 +201,34 @@ def test_a_matrix_family_s_signs_fail_the_operator_group_claims(
         [s.claim_id for s in good.sections]
     differ = {b.claim_id for g, b in zip(good.sections, broken.sections)
               if g != b}
-    assert differ == GTHETA_CLAIMS | {f"noniso-gtheta-g{variant}"}
     assert all(s.status == "fail" for s in broken.sections
                if s.claim_id in differ)
-    # only chain-73 raises: C, P, T extend to no isomorphism onto DC8 x Z2
     assert capsys.readouterr().err.count("Traceback") == 1
+    return differ
+
+
+# the signs of C², P², T² and of κ in CP = κPC, CT = κTC, PT = κTP that
+# the matrices of each canonical family obey
+FAMILY_SIGNS = {1: ((1, -1, 1), (-1, 1, 1)), 2: ((-1, -1, -1), (-1, 1, 1))}
+
+
+@pytest.mark.parametrize("variant", FAMILY_SIGNS)
+def test_a_matrix_family_s_signs_fail_the_operator_group_claims(
+        pipeline, monkeypatch, capsys, variant):
+    # with the family's matrices acting as unitaries, the action builds
+    # that family's group: the claims that tell G_Θ from it fail
+    assert _claims_that_fail(pipeline, monkeypatch, capsys,
+                             _unitary(variant), FAMILY_SIGNS[variant]) == \
+        GTHETA_CLAIMS | {f"noniso-gtheta-g{variant}"}
+
+
+def test_c_without_gamma0_fails_the_operator_group_claims(
+        pipeline, monkeypatch, capsys):
+    # M_C = C drops the γ0ᵀ of ψ̄ᵀ: then C² = -1, and the group is of
+    # G2's type, 16E
+    assert _claims_that_fail(pipeline, monkeypatch, capsys, _no_gamma0,
+                             ((-1, -1, -1), (1, 1, -1))) == \
+        GTHETA_CLAIMS | {"noniso-gtheta-g2"}
 
 
 def test_wrong_quaternion_pair_fails_the_chain(ctx, monkeypatch):

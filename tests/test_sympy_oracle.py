@@ -16,7 +16,7 @@ sympy's Todd-Coxeter enumeration, which shares no code with
 import random
 
 import pytest
-from conftest import random_dense, word_systems
+from conftest import random_dense, signs_of, word_systems
 
 sympy = pytest.importorskip("sympy")
 
@@ -25,8 +25,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.combinatorics.fp_groups import FpGroup  # noqa: E402
 from sympy.combinatorics.free_groups import free_group  # noqa: E402
 
-from cptgroup import operator_group  # noqa: E402
 from cptgroup.matrices import Mat4, RepTag, classify, get_rep  # noqa: E402
+from cptgroup.operator_group import build_operator_group  # noqa: E402
 from cptgroup.solver import (SYSTEMS, ConstraintSystem,  # noqa: E402
                              Relation, canonical_sets, constraint_system,
                              kernel, solve_system)
@@ -207,14 +207,16 @@ def test_basis_expand_agrees_with_sympy():
 
 def test_sign_relations_present_a_group_of_order_sixteen():
     # ⟨c, p, t, z | x² = z^e, xy = z^e·yx, z central of order 2⟩ with the
-    # operator group's signs: the collected group has sixteen elements and
-    # obeys these relations, so with order 16 here it is the presented group
+    # signs read off the operator group that the field action builds: it
+    # has sixteen elements and obeys these relations, so with order 16
+    # here it is the presented group
+    squares, kappa = signs_of(build_operator_group())
+    assert squares == (1, -1, -1) and kappa == (1, 1, -1)
     free, c, p, t, z = free_group("c p t z")
     gens = (c, p, t)
     power = {1: free.identity, -1: z}
     relators = [z**2] + [z * x * z**-1 * x**-1 for x in gens]
-    relators += [x**2 * power[sq]**-1
-                 for x, sq in zip(gens, operator_group.SQUARES)]
+    relators += [x**2 * power[sq]**-1 for x, sq in zip(gens, squares)]
     relators += [x * y * x**-1 * y**-1 * power[k]**-1 for (x, y), k in zip(
-        ((c, p), (c, t), (p, t)), operator_group.KAPPA)]
+        ((c, p), (c, t), (p, t)), kappa)]
     assert FpGroup(free, relators).order() == 16

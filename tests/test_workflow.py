@@ -71,9 +71,11 @@ def test_tier1_workflow_counts_every_query_command_in_a_traced_run():
 
 
 def test_tier1_workflow_counts_the_solver_in_a_traced_dense_run():
-    # only dense-algebra solves systems that reach elimination, so only
-    # its traced run shows the constraint rows' per-layer numbers; the
-    # tracer wraps `classify` by name, so the run must still count it
+    # dense-algebra's traced run shows the solver's per-layer numbers on
+    # random unit-word systems, which `solve_system` solves by its
+    # union-find, as it does `verify`'s kernels (neither reaches
+    # `row_reduce`); the tracer wraps `classify` by name, so the run must
+    # still count it
     runs = [step.get("run", "") for job in _workflow()["jobs"].values()
             for step in job["steps"]]
     step = next(run for run in runs if "--workload dense-algebra" in run
