@@ -6,9 +6,10 @@ product of a group stated by sign relations), stored as an element list
 plus a full Cayley table.  Construction verifies the Latin square
 property and associativity on whole table rows.  On top of the table
 sit: order profiles, regular representations, one-sided closures through
-generator rows, subgroup/center/quotient computations, semidirect
-products, short exact sequences with exhaustive splitting search, and
-isomorphism search by backtracking over the images of `generators`.
+generator rows, subgroup/center/quotient computations, direct products,
+semidirect products of two subgroups of one group under conjugation,
+short exact sequences with exhaustive splitting search, and isomorphism
+search by backtracking over the images of `generators`.
 """
 
 from __future__ import annotations
@@ -219,15 +220,6 @@ class FiniteGroup:
             frontier = {row[x] for x in frontier for row in rows} - found
             found = found | frontier
         return frozenset(found)
-
-    def subgroups(self) -> list[frozenset[int]]:
-        """All subgroups, by closing single extensions of known subgroups."""
-        found = frontier = {frozenset({self.identity})}
-        while frontier:
-            frontier = {self.closure_of(h | {g}) for h in frontier
-                        for g in range(self.order) if g not in h} - found
-            found = found | frontier
-        return sorted(found, key=lambda h: (len(h), sorted(h)))
 
     def is_subgroup(self, subset: frozenset[int]) -> bool:
         return (self.identity in subset
@@ -455,50 +447,29 @@ def quaternion_x_sign() -> FiniteGroup:
     return direct_product(quaternion_group(), sign_group())
 
 
-def semidirect_product(n: FiniteGroup, h: FiniteGroup,
-                       action: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Pairs (a, b) with (a', b')(a, b) = (a' * action[b'](a), b' * b).
-
-    `action[b]` is the permutation of N's element indices giving the
-    automorphism attached to the H element b; the map b -> action[b] must
-    be a homomorphism into Aut(N), which is verified here.
-    """
-    for b in range(h.order):
-        phi = action[b]
-        if sorted(phi) != list(range(n.order)):
-            raise GroupError("action value is not a bijection of N")
-        if not GroupMap(n, n, list(phi)).is_homomorphism():
-            raise GroupError("action value is not an automorphism")
-    for b1, row in zip(action, h.table):
-        if any([b1[x] for x in action[b2]] != list(action[b])
-               for b2, b in enumerate(row)):
-            raise GroupError("action is not a homomorphism into Aut(N)")
-
-    elems = [(a, b) for a in range(n.order) for b in range(h.order)]
+def semidirect_product(g: FiniteGroup, normal: Iterable[int],
+                       section: Iterable[int]) -> FiniteGroup:
+    """N x_Φ H for subgroups N and H of g, H acting on N by conjugation:
+    the pairs (n, h) of g-indices, each list sorted, with (n, h)(n', h') =
+    (n·h n' h⁻¹, h h') read off g's table.  If H does not normalize N, or
+    N or H is not closed, a product leaves the pairs: GroupError."""
+    t = g.table
+    elems = [(n, h) for n in sorted(normal) for h in sorted(section)]
 
     def smul(x, y):
-        return (n.table[x[0]][action[x[1]][y[0]]], h.table[x[1]][y[1]])
+        h = x[1]
+        return t[x[0]][t[t[h][y[0]]][g.inv(h)]], t[h][y[1]]
 
-    labels = [f"({n.labels[a]},{h.labels[b]})" for a, b in elems]
-    return FiniteGroup(elems, smul, labels)
+    return FiniteGroup(elems, smul, [f"({g.labels[n]},{g.labels[h]})"
+                                     for n, h in elems])
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """The semidirect product of g and h under the trivial action."""
-    return semidirect_product(g, h, [range(g.order)] * h.order)
-
-
-def conjugation_action(g: FiniteGroup, normal: Sequence[int],
-                       section: Sequence[int]) -> list[list[int]]:
-    """Action of a transversal on a normal subgroup by conjugation.
-
-    `normal` lists the subgroup's element indices in G (in the order the
-    standalone subgroup object will use); `section` lists one G element
-    per acting element.  Returns index permutations of `normal`.
-    """
-    pos = {m: k for k, m in enumerate(normal)}
-    return [[pos[g.table[g.table[s][m]][g.inv(s)]] for m in normal]
-            for s in section]
+    """The pairs (a, b) of g- and h-indices, multiplied entrywise."""
+    elems = [(a, b) for a in range(g.order) for b in range(h.order)]
+    return FiniteGroup(
+        elems, lambda x, y: (g.table[x[0]][y[0]], h.table[x[1]][y[1]]),
+        [f"({g.labels[a]},{h.labels[b]})" for a, b in elems])
 
 
 # -- homomorphisms -----------------------------------------------------------------

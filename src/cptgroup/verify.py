@@ -22,15 +22,14 @@ fail too.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import claims
 from .groups import (FiniteGroup, GroupError, GroupMap, Permutation,
                      ShortExactSequence, dicyclic_8, dicyclic_8_x_z2,
-                     dihedral_8, dihedral_8_x_z2, conjugation_action,
-                     extend_generator_images, find_isomorphism, klein_four,
-                     quaternion_group, quaternion_x_sign, semidirect_product,
-                     sixteen_e)
+                     dihedral_8, dihedral_8_x_z2, extend_generator_images,
+                     find_isomorphism, klein_four, quaternion_group,
+                     quaternion_x_sign, semidirect_product, sixteen_e)
 from .matrices import Grade, Mat4, RepTag, classify, get_rep
 from .scalars import I, INV_SQRT2, UNITS, Scalar, ZERO
 from .solver import (CLASSES, SQUARE_SIGNATURES, SYSTEMS, SolutionSpace,
@@ -357,10 +356,12 @@ def _check_map_55(ctx: Context, report: VerificationReport) -> None:
 
 
 def _quotient_ses(middle: FiniteGroup,
-                  members: list[int]) -> ShortExactSequence:
-    """N -> G -> G/N for the normal subgroup N of G with these (sorted)
-    members, projecting each element to its coset; N is coset 0, so a
-    section of G/N lists the image of N first."""
+                  members: Iterable[int]) -> ShortExactSequence:
+    """N -> G -> G/N for the normal subgroup N of G with these members,
+    included in index order as `subgroup` lists them, projecting each
+    element to its coset; N is coset 0, so a section of G/N lists the
+    image of N first."""
+    members = sorted(members)
     kernel = middle.subgroup(members)
     quotient = middle.quotient(frozenset(members))
     if quotient.identity != 0:
@@ -368,55 +369,41 @@ def _quotient_ses(middle: FiniteGroup,
     coset_of = {m: k for k, coset in enumerate(quotient.elements)
                 for m in coset}
     return ShortExactSequence(
-        kernel, middle, quotient, GroupMap(kernel, middle, list(members)),
+        kernel, middle, quotient, GroupMap(kernel, middle, members),
         GroupMap(middle, quotient, [coset_of[i] for i in range(middle.order)]))
 
 
 def _splits(ses: ShortExactSequence, images) -> bool:
-    """Whether `ses` is exact and has a section, and sending the generator
-    of its two-element quotient to each of `images` is one: a homomorphism
-    that the projection takes back to the generator."""
-    g = ses.middle_group
-    return ses.verify() and all(
+    """Whether `ses` is exact and sending the generator of its two-element
+    quotient to each of `images`, at least one, is a section: a
+    homomorphism that the projection takes back to the generator."""
+    g, images = ses.middle_group, list(images)
+    return ses.verify() and bool(images) and all(
         GroupMap(ses.quotient_group, g, [g.identity, image]).is_homomorphism()
-        and ses.projection.images[image] == 1 for image in images) \
-        and bool(ses.sections())
+        and ses.projection.images[image] == 1 for image in images)
 
 
-def _semidirect(ses: ShortExactSequence,
-                section: list[int]) -> tuple[FiniteGroup, dict]:
-    """N x_Φ H for the kernel N of `ses` and H = `section`, acting on N by
-    conjugation in the middle group G; also the position of each pair
-    (n, h) of G-indices in the product."""
-    g, members = ses.middle_group, ses.inclusion.images
-    h = sorted(section)
-    semi = semidirect_product(ses.kernel_group, g.subgroup(h),
-                              conjugation_action(g, members, h))
-    index = {(members[a], h[b]): k for k, (a, b) in enumerate(semi.elements)}
-    return semi, index
-
-
-def _printed_semidirect_map(semi: FiniteGroup, index: dict,
-                            target: FiniteGroup, printed) -> GroupMap:
-    """The printed map from `semi` to `target`: a row ((n, h), value) sends
-    (n, h) there, each word an element of `target`; others go to None."""
+def _printed_semidirect_map(semi: FiniteGroup, target: FiniteGroup,
+                            printed) -> GroupMap:
+    """The printed map from `semi`, built inside `target`, to `target`: a
+    row ((n, h), value) sends (n, h) there, each word an element of
+    `target`; others go to None."""
     ev = target.word
     images = [None] * semi.order
     for (gw, hw), out_w in printed:
-        images[index[(ev(gw), ev(hw))]] = ev(out_w)
+        images[semi.index[ev(gw), ev(hw)]] = ev(out_w)
     return GroupMap(semi, target, images)
 
 
-def _is_product_map(gm: GroupMap, index: dict) -> bool:
+def _is_product_map(gm: GroupMap) -> bool:
     """Whether `gm` is an isomorphism that sends each (n, h) to n·h."""
-    return all(gm.images[k] == gm.target.table[n][h]
-               for (n, h), k in index.items()) and gm.is_isomorphism()
+    return all(m == gm.target.table[n][h] for m, (n, h)
+               in zip(gm.images, gm.source.elements)) and gm.is_isomorphism()
 
 
 def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     # the subgroup ⟨d, n⟩ of 16E, which keeps the letters 1, -, d, n
-    dn_members = cache(lambda: sorted(ctx.e16.closure_of(
-        map(ctx.e16.word, "dn"))))
+    dn_members = cache(lambda: ctx.e16.closure_of(map(ctx.e16.word, "dn")))
     dh8_dn = cache(lambda: ctx.e16.subgroup(dn_members()))
 
     def subgroup_dn() -> bool:
@@ -427,35 +414,38 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
                                        list(map(ctx.dh8.word, "dn")))
         return (full is not None
                 and GroupMap(dh8_dn(), ctx.dh8, full).is_isomorphism()
-                and ctx.e16.is_normal(frozenset(dn_members())))
+                and ctx.e16.is_normal(dn_members()))
 
     def ses_54() -> bool:
         # sequence (54): DH8 -> DH8 x Z2 -> Z2, split by h -> (1, h)
         g = ctx.dh8xz2
-        ses = _quotient_ses(g, sorted(g.closure_of(map(g.word, "dn"))))
+        ses = _quotient_ses(g, g.closure_of(map(g.word, "dn")))
         return _splits(ses, [g.word("z")])
 
     # sequences (56): DH8<d,n> -> 16E -> Z2, split by -1 -> adn (or and),
     # and (61): Z4 -> DH8<d,n> -> Z2, split by -1 -> n (or dn)
     ses56 = cache(lambda: _quotient_ses(ctx.e16, dn_members()))
     ses61 = cache(lambda: _quotient_ses(
-        dh8_dn(), sorted(dh8_dn().closure_of({dh8_dn().word("d")}))))
-    # the semidirect reconstructions (57): DH8 x_Φ γ2(Z2) ≅ 16E and (62):
-    # Z4 x_Φ γ(Z2) ≅ DH8<d,n>, and the printed map (59): ψ2(g, γ2(h)) =
-    # g·γ2(h), entry by entry
-    semi57 = cache(lambda: _semidirect(
-        ses56(), [ctx.e16.identity, ctx.e16.word("adn")]))
-    semi62 = cache(lambda: _semidirect(
-        ses61(), [dh8_dn().identity, dh8_dn().word("n")]))
-    gm59 = cache(lambda: _printed_semidirect_map(*semi57(), ctx.e16,
+        dh8_dn(), dh8_dn().closure_of({dh8_dn().word("d")})))
+    # the semidirect reconstructions inside each sequence's middle group,
+    # (57): DH8 x_Φ γ2(Z2) ≅ 16E and (62): Z4 x_Φ γ(Z2) ≅ DH8<d,n>, with
+    # γ(Z2) generated by the first printed section's image, and the
+    # printed map (59): ψ2(g, γ2(h)) = g·γ2(h), entry by entry
+    semi57 = cache(lambda: semidirect_product(
+        ctx.e16, ses56().inclusion.images, ctx.e16.closure_of(
+            {ctx.e16.word(claims.SES_56_SECTIONS[0])})))
+    semi62 = cache(lambda: semidirect_product(
+        dh8_dn(), ses61().inclusion.images, dh8_dn().closure_of(
+            {dh8_dn().word(claims.SES_61_SECTIONS[0])})))
+    gm59 = cache(lambda: _printed_semidirect_map(semi57(), ctx.e16,
                                                  claims.ISO_59))
 
     def iso_60() -> bool:
         # printed map (60), into the semidirect product; it is defined as
         # ψ2⁻¹ ∘ ψ⁽²⁾, so rebuild ψ⁽²⁾ and compare
-        semi, index = semi57()
+        semi = semi57()
         gm60 = GroupMap(ctx.g2, semi, [
-            index[tuple(map(ctx.e16.word, claims.ISO_60[label]))]
+            semi.index[tuple(map(ctx.e16.word, claims.ISO_60[label]))]
             for label in ctx.g2.labels])
         composed = gm59().inverse_map().compose(_psi2(ctx))
         return gm60.is_isomorphism() and composed.images == gm60.images
@@ -463,7 +453,7 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     # sequences (74)/(75): DC8 over ⟨x⟩ and over ⟨x²⟩, exact but provably
     # non-split
     dc8_over = cache(lambda word: _quotient_ses(
-        ctx.dc8, sorted(ctx.dc8.closure_of({ctx.dc8.word(word)}))))
+        ctx.dc8, ctx.dc8.closure_of({ctx.dc8.word(word)})))
 
     def ses_75() -> bool:
         # with the printed isomorphism ρ of the quotient with the Klein group
@@ -483,21 +473,23 @@ def _check_extensions(ctx: Context, report: VerificationReport) -> None:
     report.add("ses-61", lambda: ses61().kernel_group.order == 4
                and _splits(ses61(),
                            map(dh8_dn().word, claims.SES_61_SECTIONS)))
-    report.add("semidirect-57", lambda: _iso(semi57()[0], ctx.e16))
-    report.add("iso-59", lambda: _is_product_map(gm59(), semi57()[1]))
+    report.add("semidirect-57", lambda: _iso(semi57(), ctx.e16))
+    report.add("iso-59", lambda: _is_product_map(gm59()))
     report.add("iso-60", iso_60)
-    report.add("semidirect-62", lambda: _iso(semi62()[0], ctx.dh8))
+    report.add("semidirect-62", lambda: _iso(semi62(), ctx.dh8))
     report.add("iso-63", lambda: _is_product_map(_printed_semidirect_map(
-        *semi62(), dh8_dn(), claims.ISO_63), semi62()[1]))
+        semi62(), dh8_dn(), claims.ISO_63)))
     # DH8 facts: center and the quotient structure used in (61)
     report.add("center-dh8", lambda: sorted(
         map(ctx.dh8.element_order, ctx.dh8.center())) == [1, 2])
     report.add("ses-74-no-split", lambda: dc8_over("x").verify()
                and not dc8_over("x").sections())
     report.add("ses-75-no-split", ses_75)
-    # every subgroup of the dicyclic group is normal
+    # every subgroup of the dicyclic group is normal: every subgroup is
+    # the union of its cyclic subgroups, so it is enough that those are
     report.add("hamiltonian-dc8", lambda: all(
-        ctx.dc8.is_normal(h) for h in ctx.dc8.subgroups()))
+        ctx.dc8.is_normal(ctx.dc8.closure_of({g}))
+        for g in range(ctx.dc8.order)))
     report.add("quotient-dc8-klein", lambda: _iso(
         dc8_over("xx").quotient_group, klein_four()))
 

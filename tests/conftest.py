@@ -80,6 +80,15 @@ def signs_of(group):
 
 
 @pytest.fixture(scope="session")
+def clifford_reps():
+    """Twenty seeded Clifford bases, built once: `kernel` and
+    `compatible_pairs` keep their results per rep object, so the tests
+    that share these solve and sweep each basis once."""
+    rng = random.Random(2004)
+    return tuple(GammaRep(random_clifford(rng)) for _ in range(20))
+
+
+@pytest.fixture(scope="session")
 def ctx():
     return Context()
 

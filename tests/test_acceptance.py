@@ -151,16 +151,19 @@ def test_acceptance_11_property_suites(pipeline):
         group._check_table()
         perms = group.regular_representation()
         ok = ok and len(set(perms)) == group.order
-    # subgroup-enumeration oracle for groups of order <= 8
-    from cptgroup.groups import cyclic, dicyclic_8, dihedral_8
-    for small in (dihedral_8(), dicyclic_8(), cyclic(8), cyclic(6)):
-        brute = set()
-        for size in range(1, small.order + 1):
-            if small.order % size:
-                continue
-            for combo in itertools.combinations(range(small.order), size):
-                if small.is_subgroup(frozenset(combo)):
-                    brute.add(frozenset(combo))
-        ok = ok and set(small.subgroups()) == brute
+    # subgroup oracle for groups of order <= 8: every subgroup is normal
+    # exactly when every cyclic subgroup is, as `hamiltonian-dc8` reads it
+    from cptgroup.groups import (cyclic, dicyclic_8, dihedral_8,
+                                 quaternion_group)
+    for small in (dihedral_8(), dicyclic_8(), quaternion_group(), cyclic(8),
+                  cyclic(6)):
+        brute = {frozenset(combo) for size in range(1, small.order + 1)
+                 if small.order % size == 0
+                 for combo in itertools.combinations(range(small.order), size)
+                 if small.is_subgroup(frozenset(combo))}
+        cyclics = {small.closure_of({x}) for x in range(small.order)}
+        ok = ok and cyclics <= brute and (
+            all(map(small.is_normal, cyclics))
+            == all(map(small.is_normal, brute)))
     _announce(11, ok, "field axioms, table scans, faithfulness, "
                       "subgroup oracle")

@@ -9,9 +9,8 @@ import pytest
 from cptgroup import groups
 from cptgroup.groups import (ClosureCapExceeded, FiniteGroup, GroupError,
                              GroupMap, Permutation, ShortExactSequence,
-                             conjugation_action, cyclic, dicyclic_8,
-                             dicyclic_8_x_z2, dihedral_8, dihedral_8_x_z2,
-                             direct_product,
+                             cyclic, dicyclic_8, dicyclic_8_x_z2, dihedral_8,
+                             dihedral_8_x_z2, direct_product,
                              extend_generator_images, find_isomorphism,
                              generate_closure, klein_four,
                              permutation_group,
@@ -169,10 +168,24 @@ def brute_force_subgroups(g: FiniteGroup) -> set[frozenset]:
     return out
 
 
-@pytest.mark.parametrize("make", [dihedral_8, dicyclic_8, cyclic])
+def _cyclic_subgroups_decide_normality(g: FiniteGroup) -> bool:
+    """Whether the cyclic subgroups are subgroups whose unions give every
+    subgroup, and are all normal exactly when every subgroup is."""
+    subgroups = brute_force_subgroups(g)
+    cyclic_subgroups = {g.closure_of({x}) for x in range(g.order)}
+    return (cyclic_subgroups <= subgroups
+            and all(h == frozenset().union(*(c for c in cyclic_subgroups
+                                             if c <= h)) for h in subgroups)
+            and all(map(g.is_normal, cyclic_subgroups))
+            == all(map(g.is_normal, subgroups)))
+
+
+@pytest.mark.parametrize("make", [dihedral_8, dicyclic_8, quaternion_group,
+                                  cyclic])
 def test_subgroup_enumeration_matches_brute_force(make):
-    g = make(8) if make is cyclic else make()
-    assert set(g.subgroups()) == brute_force_subgroups(g)
+    # `hamiltonian-dc8` reads normality off the cyclic subgroups alone
+    for g in [make(8), make(6)] if make is cyclic else [make()]:
+        assert _cyclic_subgroups_decide_normality(g)
 
 
 def test_center_quotient_and_normality():
@@ -196,7 +209,7 @@ def test_center_of_an_abelian_group_is_the_whole_group():
 
 def test_every_subgroup_of_quaternion_is_normal():
     q = quaternion_group()
-    assert all(q.is_normal(h) for h in q.subgroups())
+    assert all(q.is_normal(h) for h in brute_force_subgroups(q))
 
 
 def test_regular_representation_is_faithful_and_regular():
@@ -220,38 +233,57 @@ def test_subgroup_objects():
 
 
 def test_semidirect_with_trivial_action_is_direct_product():
-    n, h = cyclic(4), cyclic(2)
-    trivial = [list(range(4)), list(range(4))]
-    semi = semidirect_product(n, h, trivial)
-    assert find_isomorphism(semi, permutation_group(
-        dict(r="(1 2 3 4)", z="(5 6)"), 6)) is not None
+    # the central z of DH8 x Z2 fixes the rotations: Z4 x Z2, not DH8
+    g = dihedral_8_x_z2()
+    semi = semidirect_product(g, g.closure_of({g.word("d")}),
+                              g.closure_of({g.word("z")}))
+    assert find_isomorphism(semi, direct_product(cyclic(4), cyclic(2))) \
+        is not None
     assert find_isomorphism(semi, dihedral_8()) is None
 
 
 def test_semidirect_inverting_action_gives_dihedral():
-    n, h = cyclic(4), cyclic(2)
-    invert = [list(range(4)), [0, 3, 2, 1]]
-    semi = semidirect_product(n, h, invert)
-    assert find_isomorphism(semi, dihedral_8()) is not None
+    # DH8 rebuilt from its rotations and a reflection, which inverts them
+    g = dihedral_8()
+    rot, refl = g.closure_of({g.word("d")}), g.closure_of({g.word("n")})
+    semi = semidirect_product(g, rot, refl)
+    assert semi.elements == [(r, h) for r in sorted(rot)
+                             for h in sorted(refl)]
+    assert all(semi.index[r, h] == k for k, (r, h) in enumerate(semi.elements))
+    assert find_isomorphism(semi, g) is not None
 
 
 def test_semidirect_rejects_bad_actions():
-    n, h = cyclic(4), cyclic(2)
-    with pytest.raises(GroupError):
-        semidirect_product(n, h, [list(range(4)), [0, 0, 1, 2]])
-    with pytest.raises(GroupError):
-        semidirect_product(n, h, [list(range(4)), [1, 0, 3, 2]])
-    with pytest.raises(GroupError):
-        semidirect_product(n, h, [[0, 3, 2, 1], [0, 3, 2, 1]])
+    # ⟨(1 2 3 4)⟩ does not normalize ⟨(2 4)⟩, and {1, d} is not closed: a
+    # product of pairs leaves the pairs
+    g = dihedral_8()
+    d, n = g.word("d"), g.word("n")
+    with pytest.raises(GroupError, match="not closed"):
+        semidirect_product(g, g.closure_of({n}), g.closure_of({d}))
+    with pytest.raises(GroupError, match="not closed"):
+        semidirect_product(g, g.closure_of({d}), [g.identity, d])
 
 
 def test_conjugation_action_recovers_dihedral():
+    # (1, h)(r, 1) = (h r h⁻¹, h): the reflection (2 4) acts on the
+    # rotations by conjugation, inverting each
     dh = dihedral_8()
     rot = sorted(dh.closure_of([dh.labels.index("(1 2 3 4)")]))
     refl = dh.labels.index("(2 4)")
-    action = conjugation_action(dh, rot, [dh.identity, refl])
-    semi = semidirect_product(dh.subgroup(rot), cyclic(2), action)
+    semi = semidirect_product(dh, rot, [dh.identity, refl])
+    for r in rot:
+        assert semi.table[semi.index[dh.identity, refl]][
+            semi.index[r, dh.identity]] == semi.index[dh.inv(r), refl]
     assert find_isomorphism(semi, dh) is not None
+
+
+def test_direct_product_keeps_its_pair_order_and_labels():
+    # `identify --group gtheta --format json` prints these labels
+    assert quaternion_x_sign().labels == [
+        "(1,1)", "(1,-1)", "(i,1)", "(i,-1)", "(j,1)", "(j,-1)", "(-1,1)",
+        "(-1,-1)", "(k,1)", "(k,-1)", "(-k,1)", "(-k,-1)", "(-i,1)",
+        "(-i,-1)", "(-j,1)", "(-j,-1)"]
+    assert klein_four().elements == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # -- GroupMap -----------------------------------------------------------------

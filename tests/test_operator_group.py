@@ -2,17 +2,15 @@
 action on the field, its embeddings, and the criterion that selects one
 matrix family."""
 
-import random
-
 import pytest
-from conftest import random_clifford, signs_of
+from conftest import signs_of
 
 from cptgroup import claims, operator_group, verify
 from cptgroup.groups import (GroupError, Permutation, dicyclic_8_x_z2,
                              dihedral_8_x_z2, direct_product,
                              find_isomorphism, quaternion_group, sign_group,
                              sixteen_e)
-from cptgroup.matrices import GammaRep, Mat4, RepTag, get_rep
+from cptgroup.matrices import Mat4, RepTag, get_rep
 from cptgroup.matrix_groups import build_matrix_group, cpt_group
 from cptgroup.operator_group import (BASE_NAMES, build_operator_group,
                                      field_operators, operator_product,
@@ -144,14 +142,11 @@ def test_either_canonical_set_gives_the_same_operator_group(gtheta):
     assert signs_of(gtheta) == GTHETA_SIGNS
 
 
-def test_the_action_is_covariant_in_every_presentation():
+def test_the_action_is_covariant_in_every_presentation(clifford_reps):
     # M_C = C·γ0ᵀ with each presentation's own γ0: every consistent set of
     # the named presentations and of 20 seeded Clifford bases gives the
     # signs of (67)-(68), and its C, P, T generate sixteen operators
-    rng = random.Random(2004)
-    reps = [get_rep(tag) for tag in RepTag]
-    reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
-    for rep in reps:
+    for rep in (*map(get_rep, RepTag), *clifford_reps):
         sets = enumerate_consistent_sets(rep)
         assert len(sets) == 16
         for sol in sets:

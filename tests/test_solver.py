@@ -175,14 +175,12 @@ def test_squares_signature_values():
     assert sols[2].squares() == (-1, -1, -1)
 
 
-def test_transport_maps_solutions_to_solutions():
+def test_transport_maps_solutions_to_solutions(clifford_reps):
     dp = get_rep(RepTag.DIRAC_PAULI)
     standard = {(s.variant, s.C, s.P, s.T)
                 for s in enumerate_consistent_sets(dp)}
-    rng = random.Random(2004)
-    reps = [get_rep(RepTag.WEYL), get_rep(RepTag.MAJORANA)]
-    reps += [GammaRep(random_clifford(rng)) for _ in range(20)]
-    for rep in reps:
+    for rep in (get_rep(RepTag.WEYL), get_rep(RepTag.MAJORANA),
+                *clifford_reps):
         for sol in canonical_sets().values():
             moved = transport(sol, dp, rep)
             assert constraint_system("p", rep).satisfied_by(moved.P)
@@ -421,16 +419,17 @@ def test_union_find_edge_cases(monkeypatch):
 
 
 def test_kernels_are_signature_words_in_clifford_bases_and_eliminated_beyond(
-        monkeypatch):
-    # `reduced` takes the symmetry being solved at each elimination
-    rng, reduced = random.Random(2004), []
+        monkeypatch, clifford_reps):
+    # `reduced` takes the symmetry being solved at each elimination; the
+    # shared bases may have their kernels cached, so solve them afresh
+    reduced = []
     monkeypatch.setattr(solver, "row_reduce",
                         lambda rows, n: reduced.append(sym)
                         or row_reduce(rows, n))
-    for _ in range(20):
-        rep = GammaRep(random_clifford(rng))
+    for rep in clifford_reps:
         for sym in SYSTEMS:
-            assert kernel(sym, rep).basis == (_signature_word(sym, rep),)
+            assert kernel.__wrapped__(sym, rep).basis == \
+                (_signature_word(sym, rep),)
     assert not reduced
     # in the T x 1 basis the spatial gammas are not monomial unit
     # matrices, so each system is eliminated, once; parity is untwisted

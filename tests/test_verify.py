@@ -300,7 +300,10 @@ def test_trivial_regular_representation_fails(ctx, monkeypatch):
 
 
 # the readers of each dataset beyond its own claim in the mutation table
+# the first printed section generates the γ(Z2) of (57) and of (62)
 OTHER_READERS = {"ISO_55": {"iso-60"}, "ISO_59": {"iso-60"},
+                 "SES_56_SECTIONS": {"semidirect-57", "iso-59", "iso-60"},
+                 "SES_61_SECTIONS": {"semidirect-62", "iso-63"},
                  "WEYL_78": {"matrices-79"}, "MAJORANA_78A": {"matrices-79a"},
                  "SECOND_FAMILY_FACTORS": {"matrices-79a"}}
 DATASETS = [name for name in vars(claims) if name.isupper()]
@@ -413,6 +416,38 @@ def test_section_word_inside_the_kernel_fails(ctx, monkeypatch, dataset,
     report = VerificationReport()
     verify._check_extensions(ctx, report)
     assert status_of(report, claim_id) == "fail"
+
+
+@pytest.mark.parametrize("dataset, claim_id",
+                         [("SES_56_SECTIONS", "ses-56"),
+                          ("SES_61_SECTIONS", "ses-61")])
+def test_no_printed_section_fails(ctx, monkeypatch, dataset, claim_id):
+    # a split claim needs a witness: an empty list is none
+    monkeypatch.setattr(claims, dataset, [])
+    report = VerificationReport()
+    verify._check_extensions(ctx, report)
+    assert status_of(report, claim_id) == "fail"
+
+
+def test_first_section_word_generates_the_semidirect_factor(pipeline,
+                                                           monkeypatch):
+    # d lies in the kernel: no section, and ⟨d⟩ is no γ2(Z2), so the
+    # product DH8 x_Φ ⟨d⟩ has 32 elements and lacks the printed pairs
+    _, good = pipeline
+    monkeypatch.setattr(claims, "SES_56_SECTIONS",
+                        ["d", *claims.SES_56_SECTIONS[1:]])
+    _, broken = verify.run_all()
+    assert _broken_claims(good, broken) == {"ses-56", "semidirect-57",
+                                            "iso-59", "iso-60"}
+
+
+def test_a_quotient_sequence_includes_its_members_in_index_order(ctx):
+    # the kernel group lists its members sorted: an inclusion taken from
+    # the members as given would not be a homomorphism
+    g = ctx.dh8xz2
+    members = sorted(g.closure_of(map(g.word, "dn")), reverse=True)
+    ses = verify._quotient_ses(g, members)
+    assert ses.inclusion.images == sorted(members) and ses.verify()
 
 
 def test_zero_transported_solution_fails_kernel_claims(ctx, monkeypatch):

@@ -1,8 +1,8 @@
 """The CI workflow parses, runs on every supported Python, and its steps
 run the claims (once with warnings as errors), the tier-1 suite and the
 benchmark's oracle tests, record the source lines, count each CLI
-command and the constraint solver and time every verify stage in traced
-runs."""
+command, the constraint solver and the splitting search and time every
+verify stage in traced runs."""
 
 import re
 from pathlib import Path
@@ -98,8 +98,10 @@ def test_tier1_workflow_times_every_verify_stage_in_a_traced_run():
     assert "from tracer import STAGES" in step
     assert 'f"verify.stage.{s}.total_s"' in step
     # the tracer counts the operator group's build under this name only,
-    # `kernel` solves each named system through `solve_system`, and the
-    # isomorphism search backtracks over the images of `generators`
+    # `kernel` solves each named system through `solve_system`, the
+    # isomorphism search backtracks over the images of `generators`, and
+    # the exhaustive splitting search runs only for the non-split (74), (75)
     assert '"operator_group.build_operator_group.calls"' in step
     assert '"solver.solve_system.calls"' in step
     assert '"groups.find_isomorphism.found"' in step
+    assert '"groups.ShortExactSequence.sections.calls"' in step
